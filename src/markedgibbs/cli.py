@@ -272,7 +272,7 @@ def main(argv=None) -> int:
                         help="override the command from the config")
     parser.add_argument("--seed", type=int, help="override the seed")
     parser.add_argument("--workers", type=int, default=1,
-                        help="parallel width cap; never changes results")
+                        help="accepted but not used yet; runs are single-process")
     parser.add_argument("--out", help="report output path")
     parser.add_argument("--format", choices=("report", "csv"),
                         help="emit a CSV table next to the report")

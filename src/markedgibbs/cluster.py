@@ -6,6 +6,16 @@ configuration and vectorized over quadrature-node batches. Connected-graph
 sums survive only as a small-n oracle. For finite-range potentials, Ursell
 values on range-disconnected subsets are exactly zero (every connected graph
 carries a zero Mayer factor), and the tables enforce that exactly.
+
+Two identities replace enumerations, each pinned to a recursion oracle:
+
+- kbar(omega; zeta) = (exp*(-k) * D_omega rho)(zeta), and exp*(-k) is the
+  star-inverse of the Boltzmann table rho (Ruelle 1969, ch. 4), so kbar needs
+  rho^{*-1} on the subsets of zeta only; oracle `kbar_recursive`.
+- Sums over labeled trees, and over forests with one anchor per tree, are
+  minors of the |Mayer| Laplacian (all-minors matrix-tree theorem, Chaiken
+  1982), evaluated by subtraction-free elimination; oracle
+  `tree_bound_recursive`.
 """
 from __future__ import annotations
 
@@ -17,7 +27,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import starcalc
-from .combinat import enumerate_connected_graphs, enumerate_trees
+from .combinat import enumerate_connected_graphs
 from .errors import (InfiniteCBeta, IntegrationFailure, NonFiniteIntegrand,
                      OutsideRadius, OverlappingConfigurations,
                      RequiresFiniteRange, SizeLimit)
@@ -139,22 +149,19 @@ def _ursell_table_batch(rho: np.ndarray, adj_bits: np.ndarray | None = None
     return out
 
 
-def _expstar_batch(psi: np.ndarray) -> np.ndarray:
-    """Vectorized star-exponential of a (K, 2^M) table with psi[:, 0] = 0."""
-    k_rows, size = psi.shape
-    out = np.empty_like(psi)
+def _star_inverse_batch(rho: np.ndarray) -> np.ndarray:
+    """Star-inverse of a (K, 2^M) table with rho[:, 0] = 1: (K, 2^M).
+
+    inv(S) = -sum over proper subsets T of S of inv(T) rho(S\\T).
+    """
+    out = np.empty_like(rho)
     out[:, 0] = 1.0
-    for mask in range(1, size):
-        low_bit = mask & -mask
-        rest = mask ^ low_bit
-        acc = np.zeros(k_rows)
-        u = rest
-        while True:
-            t = u | low_bit
-            acc += psi[:, t] * out[:, mask ^ t]
-            if u == 0:
-                break
-            u = (u - 1) & rest
+    for mask in range(1, rho.shape[1]):
+        acc = -rho[:, mask]
+        t = (mask - 1) & mask
+        while t:
+            acc -= out[:, t] * rho[:, mask ^ t]
+            t = (t - 1) & mask
         out[:, mask] = acc
     return out
 
@@ -182,30 +189,35 @@ def kbar_batch_split(model: ModelSpec, positions: np.ndarray, marks: np.ndarray,
                      fixed_count: int) -> np.ndarray:
     """Two-argument cluster coefficient over combined point arrays.
 
-    The first ``fixed_count`` slots form the anchored argument, the rest the
-    varying one; evaluates (exp*(-k) * D_anchor rho) at the varying subset,
-    vectorized over the batch.
+    The first ``fixed_count`` slots form the anchored argument omega, the rest
+    the varying one zeta. Since exp*(-k) = rho^{*-1}, the coefficient
+    kbar(omega; zeta) = (rho^{*-1} * D_omega rho)(zeta) needs tables on the
+    subsets of zeta only:
+
+        rho(omega) * sum over T <= zeta of rho^{*-1}(T) rho(R) prod b_ij,
+
+    with R = zeta \\ T and the product over i in omega, j in R. Vectorized
+    over the batch; `kbar_recursive` is the oracle.
     """
     k_rows = positions.shape[0]
     m = fixed_count
-    m_total = positions.shape[1]
-    n = m_total - m
+    n = positions.shape[1] - m
     if m == 0:
         return np.full(k_rows, 1.0 if n == 0 else 0.0)
     bfac, _ = _pair_tables(model, positions, marks)
-    rho = _rho_table(bfac)
-    kt = _ursell_table_batch(rho, _adjacency_bits(model, positions))
-    a_table = _expstar_batch(-kt)
-    omega_mask = (1 << m) - 1
-    zeta_mask = ((1 << m_total) - 1) ^ omega_mask
-    acc = np.zeros(k_rows)
-    t = zeta_mask
-    while True:
-        acc += a_table[:, t] * rho[:, (zeta_mask ^ t) | omega_mask]
-        if t == 0:
-            break
-        t = (t - 1) & zeta_mask
-    return acc
+    rho = _rho_table(bfac[:, m:, m:])
+    cross = bfac[:, :m, m:].prod(axis=1)
+    attached = np.empty_like(rho)
+    attached[:, 0] = 1.0
+    for mask in range(1, 1 << n):
+        low_bit = mask & -mask
+        low = low_bit.bit_length() - 1
+        attached[:, mask] = attached[:, mask ^ low_bit] * cross[:, low]
+    attached *= rho
+    iu, ju = np.triu_indices(m, 1)
+    rho_omega = bfac[:, iu, ju].prod(axis=-1)
+    complement = ((1 << n) - 1) ^ np.arange(1 << n)
+    return rho_omega * (_star_inverse_batch(rho) * attached[:, complement]).sum(axis=1)
 
 
 def kbar_batch(model: ModelSpec, fixed: FiniteConfiguration,
@@ -300,30 +312,18 @@ def _split_disjoint(omega: FiniteConfiguration, zeta: FiniteConfiguration):
 
 def kbar(omega: FiniteConfiguration, zeta: FiniteConfiguration,
          model: ModelSpec) -> float:
-    """Two-argument cluster coefficient via its star-calculus definition.
+    """Two-argument cluster coefficient (exp*(-k) * D_omega rho)(zeta).
 
-    Computed on the combined ground; the vectorized path `kbar_batch` must
-    agree with this and the recursion `kbar_recursive` validates both.
+    One row of `kbar_batch`, which evaluates it as rho^{*-1} * D_omega rho on
+    the subsets of zeta; the recursion `kbar_recursive` is the oracle.
     """
     _split_disjoint(omega, zeta)
     if len(omega) + len(zeta) > KBAR_GROUND_CAP:
         raise SizeLimit(f"combined ground exceeds {KBAR_GROUND_CAP}")
-    if len(omega) == 0:
-        return 1.0 if len(zeta) == 0 else 0.0
-    ground = omega.union(zeta)
-    omega_positions = omega.position_set()
-    omega_mask = 0
-    zeta_mask = 0
-    for i, p in enumerate(ground.points):
-        if p.position in omega_positions:
-            omega_mask |= 1 << i
-        else:
-            zeta_mask |= 1 << i
-    rho = boltzmann_functional(ground, model)
-    kfun = starcalc.star_log(rho)
-    a = starcalc.star_exp(kfun.scale(-1.0))
-    b = starcalc.d_shift(rho, omega_mask)
-    return starcalc.star_mul(a, b)(zeta_mask)
+    n = len(zeta)
+    positions = zeta.positions_array().reshape(1, n, model.space.dimension)
+    return float(kbar_batch(model, omega, positions,
+                            zeta.marks_array().reshape(1, n))[0])
 
 
 def kbar_recursive(omega: FiniteConfiguration, zeta: FiniteConfiguration,
@@ -344,9 +344,7 @@ def kbar_recursive(omega: FiniteConfiguration, zeta: FiniteConfiguration,
                 mayer[i, j] = mayer_factor(v, beta)
                 bolt[i, j] = 1.0 + mayer[i, j]
 
-    from functools import lru_cache as _lru
-
-    @_lru(maxsize=None)
+    @lru_cache(maxsize=None)
     def rec(wmask: int, zmask: int) -> float:
         if wmask == 0:
             return 1.0 if zmask == 0 else 0.0
@@ -382,30 +380,38 @@ def kbar_recursive(omega: FiniteConfiguration, zeta: FiniteConfiguration,
 # tree-graph bounds
 
 
-@lru_cache(maxsize=16)
-def _tree_edges(m: int) -> np.ndarray:
-    """Edge arrays of every labeled tree on m vertices: (T, m-1, 2)."""
-    if m == 1:
-        return np.zeros((1, 0, 2), dtype=np.int64)
-    trees = []
-    for t in enumerate_trees(m):
-        trees.append(sorted(t.edges))
-    return np.asarray(trees, dtype=np.int64)
+def _forest_det_batch(w: np.ndarray, sink: np.ndarray) -> np.ndarray:
+    """det of the reduced Laplacian diag(sum_k w_jk + sink_j) - w: (K,).
+
+    w is a (K, n, n) batch of nonnegative edge weights (diagonal ignored) and
+    sink a (K, n) batch of weights toward the removed anchors. By the
+    all-minors matrix-tree theorem the determinant is the weighted sum over
+    spanning forests in which every tree holds exactly one anchor. Gaussian
+    elimination in the subtraction-free form of Grassmann-Taksar-Heyman: each
+    pivot is the remaining row weight plus the sink weight, and eliminating a
+    vertex only adds nonnegative weight to the edges and sinks it leaves
+    behind. A zero pivot is an isolated vertex, so the determinant is 0.
+    """
+    w = np.array(w, dtype=float)
+    sink = np.array(sink, dtype=float)
+    det = np.ones(w.shape[0])
+    for p in range(w.shape[1] - 1, -1, -1):
+        pivot = w[:, p, :p].sum(axis=-1) + sink[:, p]
+        det *= pivot
+        share = w[:, :p, p] / np.where(pivot > 0.0, pivot, 1.0)[:, None]
+        w[:, :p, :p] += share[:, :, None] * w[:, p, None, :p]
+        sink[:, :p] += share * sink[:, p, None]
+    return det
 
 
 def tree_abs_sum_batch(abs_mayer: np.ndarray) -> np.ndarray:
-    """sum over labeled trees of the product of |Mayer| edge weights: (K,)."""
-    k_rows, m_pts, _ = abs_mayer.shape
-    if m_pts == 1:
-        return np.ones(k_rows)
-    edges = _tree_edges(m_pts)
-    out = np.zeros(k_rows)
-    block = 4096
-    for start in range(0, edges.shape[0], block):
-        chunk = edges[start:start + block]
-        gathered = abs_mayer[:, chunk[:, :, 0], chunk[:, :, 1]]
-        out += gathered.prod(axis=-1).sum(axis=-1)
-    return out
+    """Sum over labeled trees of the product of |Mayer| edge weights: (K,).
+
+    The cofactor at vertex 0 of the |Mayer| Laplacian (matrix-tree theorem);
+    pinned by the Cayley counts and, through `tree_bound_q_multi`, by
+    `tree_bound_recursive`.
+    """
+    return _forest_det_batch(abs_mayer[:, 1:, 1:], abs_mayer[:, 0, 1:])
 
 
 def _abs_mayer_matrix(model: ModelSpec, points: Sequence[MarkedPoint]) -> np.ndarray:
@@ -418,51 +424,27 @@ def _abs_mayer_matrix(model: ModelSpec, points: Sequence[MarkedPoint]) -> np.nda
 def tree_bound_q(anchor: MarkedPoint, zeta: FiniteConfiguration,
                  model: ModelSpec) -> float:
     """Single-anchor tree majorant: e^{2 beta B (|zeta|+1)} times the tree sum."""
-    if len(zeta) > TREE_ZETA_CAP:
-        raise SizeLimit(f"|zeta| exceeds the tree cap {TREE_ZETA_CAP}")
-    points = (anchor,) + zeta.points
-    m = len(points)
-    prefactor = math.exp(2.0 * model.beta * model.potential.stability_B) ** m
-    if m == 1:
-        return prefactor
-    abs_mayer = _abs_mayer_matrix(model, points)
-    return prefactor * float(tree_abs_sum_batch(abs_mayer[None, :, :])[0])
+    return tree_bound_q_multi(FiniteConfiguration((anchor,)), zeta, model)
 
 
 def tree_bound_q_multi(omega: FiniteConfiguration, zeta: FiniteConfiguration,
                        model: ModelSpec) -> float:
-    """Multi-anchor majorant assembled by the ordered-partition sum over zeta."""
+    """Multi-anchor majorant e^{2 beta B (|omega|+|zeta|)} det L_zeta,zeta.
+
+    L is the |Mayer| Laplacian on omega + zeta. By the all-minors matrix-tree
+    theorem its zeta block's determinant sums, over the spanning forests with
+    one omega anchor per tree, the product of |Mayer| edge weights, which is
+    the ordered-partition sum of single-anchor tree majorants over zeta.
+    `tree_bound_recursive` is the oracle.
+    """
     _split_disjoint(omega, zeta)
     l = len(omega)
     if l == 0:
         return 1.0 if len(zeta) == 0 else 0.0
-    if l == 1:
-        return tree_bound_q(omega.points[0], zeta, model)
-    nz = len(zeta)
-    if nz > TREE_ZETA_CAP:
-        raise SizeLimit(f"|zeta| exceeds the tree cap {TREE_ZETA_CAP}")
-
-    cache: dict[tuple[int, int], float] = {}
-
-    def q_single(i: int, mask: int) -> float:
-        key = (i, mask)
-        if key not in cache:
-            sub = [zeta.points[j] for j in range(nz) if mask >> j & 1]
-            cache[key] = tree_bound_q(omega.points[i], FiniteConfiguration(tuple(sub)),
-                                      model)
-        return cache[key]
-
-    total = 0.0
-    import itertools
-    for assignment in itertools.product(range(l), repeat=nz):
-        masks = [0] * l
-        for j, slot in enumerate(assignment):
-            masks[slot] |= 1 << j
-        prod = 1.0
-        for i in range(l):
-            prod *= q_single(i, masks[i])
-        total += prod
-    return total
+    e2bb = math.exp(2.0 * model.beta * model.potential.stability_B)
+    abs_mayer = _abs_mayer_matrix(model, omega.points + zeta.points)[None]
+    det = _forest_det_batch(abs_mayer[:, l:, l:], abs_mayer[:, :l, l:].sum(axis=1))
+    return e2bb ** (l + len(zeta)) * float(det[0])
 
 
 def tree_bound_recursive(omega: FiniteConfiguration, zeta: FiniteConfiguration,
@@ -489,9 +471,7 @@ def tree_bound_recursive(omega: FiniteConfiguration, zeta: FiniteConfiguration,
             return mask.bit_length() - 1
         raise ValueError(f"unknown anchor policy {anchor_policy!r}")
 
-    from functools import lru_cache as _lru
-
-    @_lru(maxsize=None)
+    @lru_cache(maxsize=None)
     def rec(wmask: int, zmask: int) -> float:
         if wmask == 0:
             return 1.0 if zmask == 0 else 0.0

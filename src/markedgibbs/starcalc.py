@@ -142,13 +142,6 @@ def star_log(f: ConfigFunctional) -> ConfigFunctional:
     return ConfigFunctional(n, out)
 
 
-def star_power(psi: ConfigFunctional, m: int) -> ConfigFunctional:
-    out = unit(psi.ground_size)
-    for _ in range(m):
-        out = star_mul(out, psi)
-    return out
-
-
 def star_exp_series(psi: ConfigFunctional) -> ConfigFunctional:
     """Literal power series sum_m psi^{*m}/m!; reference implementation."""
     if psi.values[0] != 0.0:

@@ -1,18 +1,20 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from conftest import random_config
 from markedgibbs import starcalc
-from markedgibbs.cluster import (averaged_correlation, boltzmann_functional,
-                                 convergence_radius, correlation_truncated,
-                                 kbar, kbar_batch, kbar_recursive,
-                                 limit_density_profile, log_partition_truncated,
+from markedgibbs.cluster import (_abs_mayer_matrix, averaged_correlation,
+                                 boltzmann_functional, convergence_radius,
+                                 correlation_truncated, kbar, kbar_batch,
+                                 kbar_recursive, limit_density_profile,
+                                 log_partition_truncated,
                                  partition_direct_truncated, tail_bound,
-                                 tree_bound_q, tree_bound_q_multi,
-                                 tree_bound_recursive, ursell_batch,
-                                 ursell_direct, ursell_table)
+                                 tree_abs_sum_batch, tree_bound_q,
+                                 tree_bound_q_multi, tree_bound_recursive,
+                                 ursell_batch, ursell_direct, ursell_table)
 from markedgibbs.errors import (OutsideRadius, OverlappingConfigurations,
                                 RequiresFiniteRange, SizeLimit)
 from markedgibbs.lpintegrate import QuadratureScheme
@@ -144,24 +146,39 @@ def test_kbar_ideal_collapse(ideal_model, rng):
         assert kbar(om, zeta, ideal_model) == 0.0
 
 
-def test_kbar_routes_agree(toy_model, rng):
+def check_kbar_routes(model, rng):
     for _ in range(40):
         total = int(rng.integers(1, 6))
         n_omega = int(rng.integers(1, total + 1))
-        cfg = random_config(toy_model, total, rng)
+        cfg = random_config(model, total, rng)
         om = cfg.subset(range(n_omega))
         ze = cfg.subset(range(n_omega, total))
-        a = kbar(om, ze, toy_model)
-        b = kbar_recursive(om, ze, toy_model)
+        a = kbar(om, ze, model)
+        b = kbar_recursive(om, ze, model)
         if len(ze):
-            c = float(kbar_batch(toy_model, om, ze.positions_array()[None],
+            c = float(kbar_batch(model, om, ze.positions_array()[None],
                                  ze.marks_array()[None])[0])
         else:
-            c = float(kbar_batch(toy_model, om,
+            c = float(kbar_batch(model, om,
                                  np.zeros((1, 0, 1)), np.zeros((1, 0)))[0])
-        scale = triangle_scale(toy_model, cfg, a, b, c)
+        scale = triangle_scale(model, cfg, a, b, c)
         assert abs(a - b) / scale <= 1e-12
         assert abs(a - c) / scale <= 1e-12
+
+
+def test_kbar_routes_agree(toy_model, rng):
+    check_kbar_routes(toy_model, rng)
+
+
+@pytest.mark.parametrize("name, params", [
+    ("toy-repulsive-spin-rc", {"range_cut": 0.2}),
+    ("hard-core", {}),
+    ("continuum-potts", {}),
+])
+def test_kbar_routes_agree_registry(name, params, rng):
+    # the star-inverse path does not mask range-disconnected subsets, so the
+    # finite-range and hard-core models get the same oracle check as the toy
+    check_kbar_routes(build_model(name, z=0.05, beta=1.0, **params), rng)
 
 
 def test_tree_bound_q_small_cases(toy_model):
@@ -220,6 +237,36 @@ def test_tree_bound_equivalence_with_positive_stability_constant(rng):
         last = tree_bound_recursive(om, ze, model, "last")
         assert first == pytest.approx(closed, rel=1e-12)
         assert last == pytest.approx(closed, rel=1e-12)
+
+
+def test_forest_determinant_past_enumeration_caps():
+    # unit weights count trees (Cayley) and forests rooted at l given anchors
+    for n in range(2, 13):
+        got = float(tree_abs_sum_batch(np.ones((1, n, n)))[0])
+        assert got == pytest.approx(n ** (n - 2), rel=1e-13)
+    # a hard core wider than the box makes every |Mayer| weight exactly 1
+    wide = build_model("hard-core", z=0.05, beta=1.0, r0=2.0)
+    for n in range(2, 13):
+        cfg = canonicalize([MarkedPoint(((j + 0.5) / n,), 1.0) for j in range(n)])
+        for l in range(1, n + 1):
+            omega, zeta = cfg.subset(range(l)), cfg.subset(range(l, n))
+            got = tree_bound_q_multi(omega, zeta, wide)
+            assert got == pytest.approx(l * n ** (n - l - 1), rel=1e-13)
+
+
+def test_forest_determinant_isolated_point_is_exact_zero():
+    # a zeta point outside every core joins no forest: a zero pivot, not NaN
+    model = build_model("hard-core", z=0.05, beta=1.0)
+    omega = canonicalize([MarkedPoint((0.5,), 1.0)])
+    for far in (0.2, 0.9):
+        zeta = canonicalize([MarkedPoint((far,), 1.0), MarkedPoint((0.55,), -1.0)])
+        with warnings.catch_warnings(), np.errstate(all="raise"):
+            warnings.simplefilter("error")
+            assert tree_bound_q_multi(omega, zeta, model) == 0.0
+            assert tree_bound_q(omega.points[0], zeta, model) == 0.0
+            abs_mayer = _abs_mayer_matrix(model, omega.points + zeta.points)
+            assert tree_abs_sum_batch(abs_mayer[None])[0] == 0.0
+        assert tree_bound_recursive(omega, zeta, model) == 0.0
 
 
 def test_tree_bound_recursive_base_case(toy_model):
