@@ -174,7 +174,10 @@ def _cmd_correlate(model: ModelSpec, run: RunConfig, region: Box,
 def _cmd_sample(model: ModelSpec, run: RunConfig, region: Box) -> dict:
     cfg = dict(run.sampler_cfg)
     cfg.setdefault("seed", run.seed)
-    sampler = SamplerConfig(**cfg)
+    try:
+        sampler = SamplerConfig(**cfg)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"bad sampler: {exc}") from exc
     sink = None
     collected: list[FiniteConfiguration] = []
     if run.sample_file:
@@ -229,7 +232,10 @@ def run(config: RunConfig, echo=print) -> int:
     scheme = None
     if config.command != "verify":
         model = model_from_dict(config.model_cfg)
-        scheme = _build_scheme(config.scheme_cfg, config.seed)
+        try:
+            scheme = _build_scheme(config.scheme_cfg, config.seed)
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"bad scheme: {exc}") from exc
 
     if config.command == "radius":
         results = _cmd_radius(model, config)

@@ -515,7 +515,12 @@ class RadiusReport:
 
 
 def convergence_radius(model: ModelSpec, reference_grid_size: int = 48) -> RadiusReport:
-    """Certified activity radius 1/(2e * e^{2 beta B} * C(beta))."""
+    """Activity radius estimate 1/(2e * e^{2 beta B} * C(beta)).
+
+    C(beta) is the maximum of ``check_integrability`` over a reference grid,
+    an estimate of the essential supremum rather than a rigorous upper bound,
+    so z_star and within_radius are estimates too.
+    """
     report = check_integrability(model.potential, model, reference_grid_size)
     if not report.finite:
         raise InfiniteCBeta("integrability constant is not finite")

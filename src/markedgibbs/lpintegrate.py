@@ -21,6 +21,9 @@ from .model import Box, FiniteConfiguration, MarkedPoint, ModelSpec
 TENSOR_DIMENSION_CAP = 6
 TENSOR_NODE_BUDGET = 1 << 23
 _CHUNK = 1 << 18
+# the mark kind that each explicit mark rule needs
+MARK_RULE_KINDS = {"exact_discrete": "discrete", "trapezoid": "circle",
+                   "gauss": "interval"}
 
 
 def philox_rng(seed: int, *stream: int) -> np.random.Generator:
@@ -33,9 +36,10 @@ class QuadratureScheme:
     """Node plan for the n-fold position-mark integrals.
 
     ``points_per_axis`` may be a single count or a tuple indexed by the particle
-    number n (the last entry repeats beyond the tuple). ``mark_rule`` "auto"
-    resolves per mark kind: exact sums for discrete marks, periodic trapezoid
-    for circle marks, Gauss-Legendre for interval marks.
+    number n (the last entry repeats beyond the tuple). Each ``mark_rule``
+    needs one mark kind: "exact_discrete" discrete marks, "trapezoid" (periodic)
+    circle marks, "gauss" (Gauss-Legendre) interval marks; "auto" picks the
+    one that fits.
     """
 
     kind: str  # "tensor_grid" | "monte_carlo"
@@ -60,6 +64,8 @@ class QuadratureScheme:
                 raise ValueError("monte_carlo needs a positive sample count")
         if self.mark_nodes <= 0:
             raise ValueError("mark node count must be positive")
+        if self.mark_rule != "auto" and self.mark_rule not in MARK_RULE_KINDS:
+            raise ValueError(f"unknown mark rule {self.mark_rule!r}")
 
     @staticmethod
     def tensor(points_per_axis, mark_rule="auto", mark_nodes=16,
@@ -113,14 +119,10 @@ def resolve_mark_rule(model: ModelSpec, scheme: QuadratureScheme) -> str:
     kind = model.marks.kind
     rule = scheme.mark_rule
     if rule == "auto":
-        return {"discrete": "exact_discrete", "circle": "trapezoid",
-                "interval": "gauss"}[kind]
-    if rule == "exact_discrete" and kind != "discrete":
-        raise SchemeMismatch("exact_discrete needs discrete marks")
-    if rule == "trapezoid" and kind != "circle":
-        raise SchemeMismatch("periodic trapezoid rule needs circle marks")
-    if rule == "gauss" and kind == "circle":
-        raise SchemeMismatch("use the trapezoid rule for circle marks")
+        return next(r for r, k in MARK_RULE_KINDS.items() if k == kind)
+    if MARK_RULE_KINDS[rule] != kind:
+        raise SchemeMismatch(f"mark rule {rule!r} needs {MARK_RULE_KINDS[rule]} "
+                             f"marks, not {kind}")
     return rule
 
 

@@ -8,17 +8,20 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from functools import reduce
 from typing import Callable
 
 import numpy as np
-from scipy import integrate as _sciint
 
 from .errors import (OverlappingConfigurations, QuadratureFailure,
                      StabilityViolation)
+from .lpintegrate import (_CHUNK, QuadratureScheme, _position_nodes,
+                          mark_nodes_weights)
 from .model import (Box, FiniteConfiguration, MarkSpace, MarkedPoint,
                     ModelSpec, PositionSpace, canonicalize)
 
 INF = math.inf
+_PANEL_RULE = np.polynomial.legendre.leggauss(32)
 
 
 @dataclass(frozen=True, eq=False)
@@ -28,7 +31,8 @@ class PairPotential:
     ``radial`` must be symmetric in the marks and vectorized over numpy
     arrays. ``stability_B`` is declared by the model author and only falsified
     at runtime. If ``range_R`` is set the potential is forced to exactly 0 at
-    distances >= range_R.
+    distances >= range_R. ``breakpoints`` lists the radii below range_R where
+    ``radial`` jumps; the C(beta) quadrature cuts its panels there.
     """
 
     name: str
@@ -36,6 +40,7 @@ class PairPotential:
     radial: Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray]
     stability_B: float = 0.0
     range_R: float | None = None
+    breakpoints: tuple[float, ...] = ()
     params: dict = field(default_factory=dict)
 
     def evaluate(self, p: MarkedPoint, q: MarkedPoint) -> float:
@@ -67,13 +72,13 @@ def mayer_factor(phi_value: float, beta: float) -> float:
 
 
 def boltzmann_factor_batch(phi: np.ndarray, beta: float) -> np.ndarray:
-    out = np.where(np.isinf(phi), 0.0, np.exp(-beta * np.where(np.isinf(phi), 0.0, phi)))
-    return out
+    """exp(-beta*phi) for beta > 0; +inf gives exactly 0."""
+    return np.exp(-beta * phi)
 
 
 def mayer_factor_batch(phi: np.ndarray, beta: float) -> np.ndarray:
-    out = np.where(np.isinf(phi), -1.0, np.expm1(-beta * np.where(np.isinf(phi), 0.0, phi)))
-    return out
+    """expm1(-beta*phi) for beta > 0; +inf gives exactly -1."""
+    return np.expm1(-beta * phi)
 
 
 def pair_phi_matrix(phi: PairPotential, positions: np.ndarray,
@@ -148,84 +153,75 @@ class IntegrabilityReport:
     grid_size: int
 
 
-def _mark_rule_nodes(marks: MarkSpace, count: int = 32) -> tuple[np.ndarray, np.ndarray]:
-    """Quadrature nodes and weights for the mark measure (weights sum to the mass)."""
-    if marks.kind == "discrete":
-        return np.asarray(marks.labels), np.asarray(marks.weights, dtype=float)
-    if marks.kind == "circle":
-        nodes = 2.0 * math.pi * np.arange(count) / count
-        weights = np.full(count, marks.total_mass / count)
-        return nodes, weights
-    nodes, weights = np.polynomial.legendre.leggauss(count)
-    half = 0.5 * (marks.upper - marks.lower)
-    nodes = marks.lower + half * (nodes + 1.0)
-    density = marks.total_mass / (marks.upper - marks.lower)
-    return nodes, weights * half * density
+def _axis_rule(ref: float, side: float, radii: list[float], periodic: bool
+               ) -> tuple[np.ndarray, np.ndarray]:
+    """Composite Gauss-Legendre nodes and weights on [0, side], one panel
+    between consecutive cuts at ref +- radii (and +-side/2, every cut wrapped
+    by +-side, when periodic), clipped to the axis."""
+    offsets = np.asarray(radii + ([side / 2] if periodic else []))
+    cuts = ref + np.concatenate([offsets, -offsets])
+    if periodic:
+        cuts = np.concatenate([cuts - side, cuts, cuts + side])
+    cuts = np.unique(np.clip(np.append(cuts, (0.0, side)), 0.0, side))
+    lo, half = cuts[:-1, None], 0.5 * np.diff(cuts)[:, None]
+    x, w = _PANEL_RULE
+    return (lo + half * (x + 1.0)).ravel(), (half * w).ravel()
 
 
-def _abs_mayer_mass_at(phi: PairPotential, model: ModelSpec, ref_pos: np.ndarray,
-                       ref_mark: float, mark_nodes, mark_weights) -> float:
-    """Integral of |e^{-beta phi(., ref)} - 1| over box x marks for one reference point."""
-    beta = model.beta
+def _abs_mayer_masses(phi: PairPotential, model: ModelSpec, ref: np.ndarray,
+                      marks: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """Integral of |e^{-beta phi(., (ref, t))} - 1| over box x marks, one per
+    reference mark t in ``marks``."""
     space = model.space
-    d = space.dimension
-
-    nodes = np.asarray(mark_nodes)
-    node_weights = np.asarray(mark_weights)
-
-    def integrand_positions(x_arr: np.ndarray) -> np.ndarray:
-        # x_arr: (K, d); returns (K,), marks summed out exactly/by rule
-        r = space.distance_batch(x_arr, ref_pos)
-        vals = phi.radial_gated(r[:, None], nodes[None, :], np.asarray(ref_mark))
-        vals = np.broadcast_to(vals, (r.shape[0], nodes.size))
-        return np.abs(mayer_factor_batch(vals, beta)) @ node_weights
-
-    if d == 1:
-        side = space.side_lengths[0]
-
-        def g(x):
-            return integrand_positions(np.asarray([[x]])).item()
-
-        breakpoints = [ref_pos[0]]
-        if phi.range_R is not None and phi.range_R > 0:
-            breakpoints += [ref_pos[0] - phi.range_R, ref_pos[0] + phi.range_R]
-        pts = sorted({min(max(b, 0.0), side) for b in breakpoints})
-        val, _ = _sciint.quad(g, 0.0, side, points=pts, limit=200)
-        return val
-
-    # d >= 2: midpoint tensor grid
-    npts = 48
-    axes = [space.side_lengths[k] * (np.arange(npts) + 0.5) / npts for k in range(d)]
-    mesh = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, d)
-    cell = math.prod(space.side_lengths) / npts ** d
-    return float(np.sum(integrand_positions(mesh)) * cell)
+    radii = [0.0, *phi.breakpoints] + ([phi.range_R] if phi.range_R is not None else [])
+    rules = [_axis_rule(x0, side, radii, space.boundary == "periodic")
+             for x0, side in zip(ref, space.side_lengths)]
+    pos = np.stack(np.meshgrid(*(x for x, _ in rules), indexing="ij"), axis=-1)
+    r = space.distance_batch(pos.reshape(-1, space.dimension), ref)
+    pw = reduce(np.multiply.outer, [w for _, w in rules]).ravel()
+    n = marks.size
+    step = max(1, _CHUNK // n ** 2)
+    masses = np.zeros(n)
+    for i in range(0, r.size, step):
+        rc = r[i:i + step, None, None]
+        vals = phi.radial_gated(rc, marks[:, None], marks[None, :])
+        absf = np.abs(mayer_factor_batch(np.broadcast_to(vals, (rc.shape[0], n, n)),
+                                         model.beta))
+        masses += weights @ (pw[i:i + step] @ absf.reshape(rc.shape[0], -1)).reshape(n, n)
+    return masses
 
 
 def check_integrability(phi: PairPotential, model: ModelSpec,
                         reference_grid_size: int = 48) -> IntegrabilityReport:
-    """Approximate ess-sup over reference points of the absolute Mayer mass.
+    """Estimate C(beta), the ess-sup over reference points of the absolute Mayer mass.
 
-    The essential supremum is taken as a maximum over a reference grid of
-    positions crossed with mark nodes; a doubled grid supplies a convergence
-    self-check (refinement_delta).
+    The ess-sup is taken as a maximum over a reference family: the midpoint
+    grid with max(2, round(g^(1/d))) points per axis, at g and at 2g (their
+    gap is the refinement_delta), crossed with the mark nodes of
+    ``lpintegrate.mark_nodes_weights`` at 32 nodes (the labels of discrete
+    marks). A maximum over a grid estimates the ess-sup; it is not a rigorous
+    upper bound.
+
+    For each reference point the mass is one composite Gauss-Legendre rule in
+    every dimension: 32 nodes per panel, each axis cut at the reference
+    coordinate, at +-range_R and at +-each declared ``breakpoints`` radius
+    around it, and in a periodic box also at +-side/2, with every cut wrapped
+    by +-side; cuts are clipped to the box. In one dimension that puts every
+    kink and jump of the integrand on a panel edge. Oracles: dense midpoint
+    grids over the same reference family (tests/test_potential.py), and the
+    covered length of a hard core.
     """
-    mark_nodes, mark_weights = _mark_rule_nodes(model.marks)
+    marks, weights = mark_nodes_weights(model, QuadratureScheme.tensor(1, mark_nodes=32))
 
     def c_on_grid(g: int) -> float:
-        space = model.space
-        d = space.dimension
-        per_axis = max(2, round(g ** (1.0 / d)))
-        axes = [space.side_lengths[k] * (np.arange(per_axis) + 0.5) / per_axis
-                for k in range(d)]
-        mesh = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, d)
+        per_axis = max(2, round(g ** (1.0 / model.space.dimension)))
+        refs, _ = _position_nodes(model.space.box, per_axis)
         best = 0.0
-        for ref in mesh:
-            for mv in mark_nodes:
-                val = _abs_mayer_mass_at(phi, model, ref, float(mv),
-                                         mark_nodes, mark_weights)
-                if not math.isfinite(val):
-                    raise QuadratureFailure("non-finite Mayer mass at reference point")
-                best = max(best, val)
+        for ref in refs:
+            masses = _abs_mayer_masses(phi, model, ref, marks, weights)
+            if not np.all(np.isfinite(masses)):
+                raise QuadratureFailure("non-finite Mayer mass at reference point")
+            best = max(best, float(masses.max()))
         return best
 
     c_coarse = c_on_grid(reference_grid_size)
@@ -397,7 +393,8 @@ def _build_potts(z, beta, params):
     marks = MarkSpace.discrete([float(i) for i in range(1, q + 1)], [1.0 / q] * q)
     pot = PairPotential(name="continuum-potts", space=space,
                         radial=_potts_radial(p["a"], p["r2"], p["r1"]),
-                        stability_B=0.0, range_R=p["r2"], params=dict(p))
+                        stability_B=0.0, range_R=p["r2"],
+                        breakpoints=(float(p["r1"]),), params=dict(p))
     return ModelSpec(space=space, marks=marks, potential=pot, z=z, beta=beta)
 
 
@@ -445,8 +442,8 @@ def model_from_dict(cfg: dict) -> ModelSpec:
         try:
             return build_model(cfg["name"], z=cfg.get("z", 0.05),
                                beta=cfg.get("beta", 1.0), **cfg.get("params", {}))
-        except KeyError as exc:
-            raise ConfigError(str(exc)) from exc
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ConfigError(f"bad model configuration: {exc}") from exc
     try:
         sp = cfg["space"]
         space = PositionSpace(dimension=int(sp["dimension"]),

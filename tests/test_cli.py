@@ -1,6 +1,8 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -130,6 +132,22 @@ def test_cli_entrypoint_error_paths(tmp_path):
     assert main(["--config", bad]) == 2  # correlate without points
 
 
+@pytest.mark.parametrize("payload", [
+    {"command": "expand", "model": BASE_MODEL,
+     "scheme": {"kind": "tensor_grid", "points_per_axis": 0}},
+    {"command": "expand", "model": BASE_MODEL,
+     "scheme": {"kind": "tensor_grid", "points_per_axis": 8, "mark_rule": "simpson"}},
+    {"command": "sample", "model": BASE_MODEL, "sampler": {"sweep": 100}},
+    {"command": "sample", "model": BASE_MODEL,
+     "sampler": {"p_birth": 0.5, "p_death": 0.5, "p_move": 0.5, "p_mark": 0.0}},
+    {"command": "radius", "model": {"name": "toy-repulsive-spin", "z": -1}},
+], ids=["points_per_axis_0", "unknown_mark_rule", "unknown_sampler_key",
+        "probabilities_not_summing_to_1", "negative_activity"])
+def test_cli_malformed_values_are_config_errors(tmp_path, capsys, payload):
+    assert main(["--config", write_config(tmp_path, payload)]) == 2
+    assert capsys.readouterr().err.startswith("config error")
+
+
 def test_module_invocation(tmp_path):
     conf = write_config(tmp_path, {
         "command": "radius", "model": BASE_MODEL, "reference_grid_size": 8,
@@ -138,3 +156,15 @@ def test_module_invocation(tmp_path):
                            "--config", conf], capture_output=True, text=True)
     assert proc.returncode == 0
     assert (tmp_path / "out.json").exists()
+
+
+def test_import_does_not_load_scipy():
+    import markedgibbs
+    src = str(Path(markedgibbs.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, markedgibbs; print(sorted(m for m in "
+         "sys.modules if m.split('.')[0] == 'scipy'))"],
+        capture_output=True, text=True, env=env, check=True)
+    assert proc.stdout.strip() == "[]"

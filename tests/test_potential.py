@@ -194,6 +194,58 @@ def test_integrability_hard_core_geometry():
     assert report.c_beta == pytest.approx(0.2, rel=1e-3)
 
 
+PERIODIC_TOY_2 = {
+    "space": {"dimension": 1, "side_lengths": [2.0], "boundary": "periodic"},
+    "marks": {"kind": "discrete", "labels": [1.0, -1.0], "weights": [0.5, 0.5]},
+    "potential": {"name": "toy-repulsive-spin"}, "z": 0.05, "beta": 1.0}
+
+
+def dense_c_beta(model, grid, cells):
+    """Max over the checker's 1-D reference family of the |Mayer| mass by a
+    midpoint rule; every reference point, and every jump radius around it,
+    must sit on a cell edge so that each smooth piece is integrated alone."""
+    space, marks = model.space, model.marks
+    side = space.side_lengths[0]
+    if marks.kind == "discrete":
+        s, w = np.asarray(marks.labels), np.asarray(marks.weights)
+    elif marks.kind == "circle":
+        s, w = 2 * np.pi * np.arange(32) / 32, np.full(32, marks.total_mass / 32)
+    else:
+        x, gw = np.polynomial.legendre.leggauss(32)
+        half = 0.5 * (marks.upper - marks.lower)
+        s = marks.lower + half * (x + 1.0)
+        w = gw * half * marks.total_mass / (marks.upper - marks.lower)
+    xs = (np.arange(cells) + 0.5) * side / cells
+    best = 0.0
+    for g in (grid, 2 * grid):
+        for y in (np.arange(max(2, g)) + 0.5) * side / max(2, g):
+            dist = np.abs(xs - y)
+            if space.boundary == "periodic":
+                dist = np.minimum(dist, side - dist)
+            for t in s:
+                phi = np.broadcast_to(model.potential.radial_gated(
+                    dist[:, None], s[None, :], np.asarray(t)), (cells, s.size))
+                inf = np.isinf(phi)
+                absf = np.where(inf, 1.0, np.abs(np.expm1(
+                    -model.beta * np.where(inf, 0.0, phi))))
+                best = max(best, float(np.sum(absf @ w)) * side / cells)
+    return best
+
+
+@pytest.mark.parametrize("cfg", [
+    {"name": "continuum-potts"},   # hard core jump at r1 inside the range r2
+    {"name": "planar-rotator"},    # circle marks, cusp at the reference point
+    {"name": "ferrofluid"},        # interval marks
+    PERIODIC_TOY_2,                # minimum-image kinks at +-side/2
+], ids=["continuum-potts", "planar-rotator", "ferrofluid", "toy-periodic-2"])
+def test_integrability_registry_vs_dense_grid_oracle(cfg):
+    model = model_from_dict(cfg)
+    report = check_integrability(model.potential, model, reference_grid_size=2)
+    # 8000 cells put every reference point (odd multiples of side/8) and each
+    # jump or kink around it (+-r1, +-r2 of continuum-potts, +-side/2) on a cell edge
+    assert report.c_beta == pytest.approx(dense_c_beta(model, 2, 8000), rel=1e-6)
+
+
 def test_model_from_dict_registry_and_inline():
     m1 = model_from_dict({"name": "toy-repulsive-spin", "z": 0.1, "beta": 2.0})
     assert m1.z == 0.1 and m1.beta == 2.0
