@@ -41,7 +41,8 @@ def main():
         model, region)
     chain = mcmc_run(model, region, EMPTY_BOUNDARY,
                      SamplerConfig(seed=args.seed + 1, sweeps=args.samples,
-                                   burn_in=max(1000, args.samples // 20)))
+                                   burn_in=min(max(1000, args.samples // 20),
+                                               args.samples // 2)))
 
     print(f"{'route':<12} {'rho_avg':>10} {'uncertainty':>12}")
     print(f"{'expansion':<12} {expansion.value:>10.6f} {budget:>12.2e}")

@@ -101,8 +101,8 @@ def _build_scheme(cfg: dict, seed: int) -> QuadratureScheme:
     pts = cfg.get("points_per_axis", (96, 48, 24, 14, 8, 6))
     if isinstance(pts, list):
         pts = tuple(int(p) for p in pts)
-    return QuadratureScheme.tensor(
-        pts, mark_rule=cfg.get("mark_rule", "auto"),
+    return QuadratureScheme(
+        kind=kind, points_per_axis=pts, mark_rule=cfg.get("mark_rule", "auto"),
         mark_nodes=int(cfg.get("mark_nodes", 16)),
         mc_fallback_samples=cfg.get("mc_fallback_samples", 20000),
         seed=int(cfg.get("seed", seed)))

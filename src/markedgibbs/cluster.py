@@ -35,8 +35,8 @@ from .lpintegrate import (IntegralEstimate, QuadratureScheme, SlotDomain,
                           lp_integral, product_region_integral,
                           resolve_scheme_for_order)
 from .model import Box, FiniteConfiguration, MarkedPoint, ModelSpec
-from .potential import (boltzmann_factor_batch, check_integrability,
-                        cross_phi_matrix, mayer_factor, mayer_factor_batch,
+from .potential import (boltzmann_factor_batch, boltzmann_weight_batch,
+                        check_integrability, mayer_factor, mayer_factor_batch,
                         pair_phi_matrix)
 
 URSELL_SIZE_CAP = 16
@@ -647,26 +647,11 @@ def partition_direct_truncated(model: ModelSpec, region: Box,
     if N < 0:
         raise ValueError("need N >= 0")
     scheme = scheme or _default_series_scheme()
-    pot = model.potential
-    beta = model.beta
     bpos = boundary.positions_array()
     bmarks = boundary.marks_array()
 
     def integrand(n, positions, marks):
-        k_rows = positions.shape[0]
-        if n == 0:
-            return np.ones(k_rows)
-        vals = np.ones(k_rows)
-        if n > 1:
-            phi_m = pair_phi_matrix(pot, positions, marks)
-            bf = boltzmann_factor_batch(phi_m, beta)
-            iu, ju = np.triu_indices(n, 1)
-            vals = bf[:, iu, ju].prod(axis=-1)
-        if len(boundary):
-            cross = cross_phi_matrix(pot, positions, marks, bpos, bmarks)
-            cb = boltzmann_factor_batch(cross, beta)
-            vals = vals * cb.reshape(k_rows, -1).prod(axis=-1)
-        return vals
+        return boltzmann_weight_batch(model, positions, marks, bpos, bmarks)
 
     try:
         return lp_integral(integrand, model, region, N, scheme)

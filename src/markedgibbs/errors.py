@@ -75,3 +75,7 @@ class AcceptanceTooLow(MarkedGibbsError):
 
 class ConfigError(MarkedGibbsError):
     """Malformed run configuration."""
+
+
+class EnergyDrift(MarkedGibbsError):
+    """A chain's incrementally tracked energy disagrees with its recomputation."""

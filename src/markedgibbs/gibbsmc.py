@@ -8,16 +8,18 @@ potential depends only on the range collar of the boundary, bit-exactly.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from bisect import bisect_right
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import AcceptanceTooLow, RegionOutOfBounds, RequiresFiniteRange
+from .errors import (AcceptanceTooLow, EnergyDrift, RegionOutOfBounds,
+                     RequiresFiniteRange)
 from .lpintegrate import philox_rng
 from .model import (Box, FiniteConfiguration, MarkedPoint, ModelSpec,
                     canonicalize, restrict)
-from .potential import (boltzmann_factor_batch, cross_phi_matrix,
+from .potential import (boltzmann_weight_batch, cross_phi_matrix,
                         pair_phi_matrix)
 
 
@@ -52,6 +54,10 @@ class SamplerConfig:
         probs = (self.p_birth, self.p_death, self.p_move, self.p_mark)
         if any(p < 0 for p in probs) or abs(sum(probs) - 1.0) > 1e-12:
             raise ValueError("proposal probabilities must be nonnegative and sum to 1")
+        if self.thinning < 1 or self.burn_in < 0:
+            raise ValueError("thinning must be >= 1 and burn_in >= 0")
+        if len(range(self.burn_in, self.sweeps, self.thinning)) < 2:
+            raise ValueError("sweeps, burn_in and thinning must keep at least 2 samples")
 
 
 @dataclass
@@ -253,16 +259,7 @@ def rejection_sample_batch(model: ModelSpec, region: Box,
                 continue
             pos = lo + rng.random((k, int(n), d)) * (hi - lo)
             marks = model.marks.sample(rng, k * int(n)).reshape(k, int(n))
-            weights = np.ones(k)
-            if n > 1:
-                phi_m = pair_phi_matrix(model.potential, pos, marks)
-                bf = boltzmann_factor_batch(phi_m, beta)
-                iu, ju = np.triu_indices(int(n), 1)
-                weights = bf[:, iu, ju].prod(axis=-1)
-            if len(boundary.exterior):
-                cross = cross_phi_matrix(model.potential, pos, marks, bpos, bmarks)
-                cb = boltzmann_factor_batch(cross, beta)
-                weights = weights * cb.reshape(k, -1).prod(axis=-1)
+            weights = boltzmann_weight_batch(model, pos, marks, bpos, bmarks)
             accept = us[rows] < weights * math.exp(-beta * b_prime * int(n))
             for group_idx in np.where(accept)[0]:
                 pts = [MarkedPoint(tuple(pos[group_idx, j]), float(marks[group_idx, j]))
@@ -276,58 +273,6 @@ def rejection_sample_batch(model: ModelSpec, region: Box,
 
 # ---------------------------------------------------------------------------
 # grand-canonical MCMC
-
-
-class _ChainState:
-    """Mutable point list with cached arrays for incremental energy updates."""
-
-    def __init__(self, model: ModelSpec, region: Box, boundary: BoundaryCondition):
-        self.model = model
-        self.region = region
-        self.positions: list[np.ndarray] = []
-        self.marks: list[float] = []
-        self.bpos = boundary.exterior.positions_array()
-        self.bmarks = boundary.exterior.marks_array()
-
-    @property
-    def n(self) -> int:
-        return len(self.positions)
-
-    def point_energy(self, pos: np.ndarray, mark: float,
-                     skip: int | None = None) -> float:
-        """Interaction of one (new) point with the state and the boundary."""
-        model = self.model
-        others_pos = [p for i, p in enumerate(self.positions) if i != skip]
-        others_mark = [m for i, m in enumerate(self.marks) if i != skip]
-        total = 0.0
-        if others_pos:
-            arr = np.asarray(others_pos)
-            mk = np.asarray(others_mark)
-            cross = cross_phi_matrix(model.potential, pos[None, None, :],
-                                     np.asarray([[mark]]), arr, mk)[0, 0]
-            if np.any(np.isinf(cross)):
-                return math.inf
-            total += float(np.sum(cross))
-        if self.bpos.shape[0]:
-            cross = cross_phi_matrix(model.potential, pos[None, None, :],
-                                     np.asarray([[mark]]), self.bpos, self.bmarks)[0, 0]
-            if np.any(np.isinf(cross)):
-                return math.inf
-            total += float(np.sum(cross))
-        return total
-
-    def total_energy(self) -> float:
-        if self.n == 0:
-            return 0.0
-        pos = np.asarray(self.positions)
-        marks = np.asarray(self.marks)
-        e = _config_energy_arrays(self.model, pos, marks)
-        w = _interaction_sum(self.model, pos, marks, self.bpos, self.bmarks)
-        return e + w
-
-    def config(self) -> FiniteConfiguration:
-        pts = [MarkedPoint(tuple(p), m) for p, m in zip(self.positions, self.marks)]
-        return canonicalize(pts)
 
 
 def _tau_int(series: np.ndarray) -> float:
@@ -356,19 +301,28 @@ def mcmc_run(model: ModelSpec, region: Box, boundary: BoundaryCondition,
 
     Birth, death, move, and mark-resample proposals with the standard
     grand-canonical acceptance ratios; detailed balance holds w.r.t. the
-    specification. Reproducible for a fixed config.
+    specification. A move and a mark resample each draw a candidate for one
+    point and share one Metropolis replace step. The state is an (n, d)
+    position array and an (n,) mark array. The energy is tracked
+    incrementally from the local energy of each accepted proposal and is
+    recomputed once at the end; a gap above 1e-9 * max(1, |E|) raises
+    EnergyDrift. Reproducible for a fixed config.
     """
     boundary.validate_for(region)
     rng = philox_rng(sampler.seed)
-    state = _ChainState(model, region, boundary)
     beta = model.beta
     mass = model.mass(region)
     lo = np.asarray(region.lower)
     hi = np.asarray(region.upper)
     d = region.dimension
+    sides = np.asarray(model.space.side_lengths)
     step = sampler.move_step
     if step is None:
         step = 0.1 * min(model.space.side_lengths)
+    bpos = boundary.exterior.positions_array().reshape(-1, d)
+    bmarks = boundary.exterior.marks_array()
+    positions = np.empty((0, d))
+    marks = np.empty(0)
     attempts = {"birth": 0, "death": 0, "move": 0, "mark": 0}
     accepts = {"birth": 0, "death": 0, "move": 0, "mark": 0}
     counts = []
@@ -376,104 +330,99 @@ def mcmc_run(model: ModelSpec, region: Box, boundary: BoundaryCondition,
     pair_bins = np.linspace(0.0, max(u - l for l, u in zip(region.lower, region.upper)),
                             33)
     pair_counts = np.zeros(len(pair_bins) - 1)
-    hist_samples = 0
-    kept = 0
-    current_energy = 0.0
 
-    thresholds = np.cumsum([sampler.p_birth, sampler.p_death, sampler.p_move])
+    def local_energy(pos: np.ndarray, mark: float, keep=slice(None)) -> float:
+        """Interaction of one point with the state rows ``keep`` and the boundary."""
+        others_mark = np.concatenate([marks[keep], bmarks])
+        if not others_mark.size:
+            return 0.0
+        cross = cross_phi_matrix(model.potential, pos[None, None, :],
+                                 np.asarray([[mark]]),
+                                 np.concatenate([positions[keep], bpos]),
+                                 others_mark)[0, 0]
+        if np.isinf(cross).any():
+            return math.inf
+        return float(cross.sum())
+
+    # The chain starts empty and rejects every proposal into infinite energy,
+    # so the state energy, a death's delta and a replace step's old value
+    # are always finite.
+    energy = 0.0
+    thresholds = np.cumsum([sampler.p_birth, sampler.p_death, sampler.p_move]).tolist()
     for sweep in range(sampler.sweeps):
-        u = rng.random()
-        if u < thresholds[0]:
-            kind = "birth"
-        elif u < thresholds[1]:
-            kind = "death"
-        elif u < thresholds[2]:
-            kind = "move"
-        else:
-            kind = "mark"
+        kind = ("birth", "death", "move", "mark")[bisect_right(thresholds, rng.random())]
         attempts[kind] += 1
-        n = state.n
+        n = marks.size
         if kind == "birth":
             pos = lo + rng.random(d) * (hi - lo)
             mark = float(model.marks.sample(rng, 1)[0])
-            if any(np.array_equal(pos, p) for p in state.positions):
-                pass  # exact collision: null proposal
-            else:
-                delta = state.point_energy(pos, mark)
+            # an exact position collision is a null proposal
+            if not (positions == pos).all(axis=1).any():
+                delta = local_energy(pos, mark)
                 ratio = (model.z * mass / (n + 1)) * \
                     (0.0 if math.isinf(delta) else math.exp(-beta * delta))
                 if rng.random() < min(1.0, ratio * sampler.p_death / sampler.p_birth):
-                    state.positions.append(pos)
-                    state.marks.append(mark)
+                    positions = np.vstack([positions, pos])
+                    marks = np.append(marks, mark)
+                    energy += delta
                     accepts[kind] += 1
-                    current_energy += delta
         elif kind == "death" and n > 0:
             idx = int(rng.integers(n))
-            delta = state.point_energy(state.positions[idx], state.marks[idx],
-                                       skip=idx)
-            if math.isinf(delta):
-                ratio = math.inf
-            else:
-                ratio = (n / (model.z * mass)) * math.exp(beta * delta)
+            keep = np.arange(n) != idx
+            delta = local_energy(positions[idx], marks[idx], keep)
+            ratio = (n / (model.z * mass)) * math.exp(beta * delta)
             if rng.random() < min(1.0, ratio * sampler.p_birth / sampler.p_death):
-                state.positions.pop(idx)
-                state.marks.pop(idx)
+                positions, marks = positions[keep], marks[keep]
+                energy = energy - delta if n > 1 else 0.0
                 accepts[kind] += 1
-                current_energy = state.total_energy()
-        elif kind == "move" and n > 0:
+        elif n > 0:
             idx = int(rng.integers(n))
-            new_pos = state.positions[idx] + (rng.random(d) - 0.5) * 2.0 * step
-            if model.space.boundary == "periodic":
-                sides = np.asarray(model.space.side_lengths)
-                new_pos = np.mod(new_pos, sides)
+            new_pos, new_mark = positions[idx], marks[idx]
+            if kind == "move":
+                new_pos = new_pos + (rng.random(d) - 0.5) * 2.0 * step
+                if model.space.boundary == "periodic":
+                    new_pos = np.mod(new_pos, sides)
+            else:
+                new_mark = float(model.marks.sample(rng, 1)[0])
+            # a move out of the region is a null proposal
             if region.contains_point(tuple(new_pos)):
-                old = state.point_energy(state.positions[idx], state.marks[idx],
-                                         skip=idx)
-                new = state.point_energy(new_pos, state.marks[idx], skip=idx)
-                log_ratio = -beta * (new - old) if not math.isinf(new) else -math.inf
-                if math.isinf(old) and not math.isinf(new):
-                    log_ratio = math.inf
+                keep = np.arange(n) != idx
+                old = local_energy(positions[idx], marks[idx], keep)
+                new = local_energy(new_pos, new_mark, keep)
+                log_ratio = -math.inf if math.isinf(new) else -beta * (new - old)
                 if math.log(max(rng.random(), 1e-300)) < log_ratio:
-                    state.positions[idx] = new_pos
+                    positions[idx], marks[idx] = new_pos, new_mark
+                    energy += new - old
                     accepts[kind] += 1
-                    current_energy = state.total_energy()
-        elif kind == "mark" and n > 0:
-            idx = int(rng.integers(n))
-            new_mark = float(model.marks.sample(rng, 1)[0])
-            old = state.point_energy(state.positions[idx], state.marks[idx], skip=idx)
-            new = state.point_energy(state.positions[idx], new_mark, skip=idx)
-            log_ratio = -beta * (new - old) if not math.isinf(new) else -math.inf
-            if math.isinf(old) and not math.isinf(new):
-                log_ratio = math.inf
-            if math.log(max(rng.random(), 1e-300)) < log_ratio:
-                state.marks[idx] = new_mark
-                accepts[kind] += 1
-                current_energy = state.total_energy()
 
         if sweep >= sampler.burn_in and (sweep - sampler.burn_in) % sampler.thinning == 0:
-            counts.append(state.n)
-            energies.append(current_energy if state.n else 0.0)
-            kept += 1
-            if state.n >= 2:
-                pos = np.asarray(state.positions)
-                dist = model.space.distance_batch(pos[:, None, :], pos[None, :, :])
-                iu, ju = np.triu_indices(state.n, 1)
+            counts.append(marks.size)
+            energies.append(energy)
+            if marks.size >= 2:
+                dist = model.space.distance_batch(positions[:, None, :],
+                                                  positions[None, :, :])
+                iu, ju = np.triu_indices(marks.size, 1)
                 pair_counts += np.histogram(dist[iu, ju], bins=pair_bins)[0]
-            hist_samples += 1
             if sample_sink is not None:
-                sample_sink(state.config())
+                sample_sink(canonicalize([MarkedPoint(tuple(p), m) for p, m in
+                                          zip(positions.tolist(), marks.tolist())]))
 
+    exact = (_config_energy_arrays(model, positions, marks)
+             + _interaction_sum(model, positions, marks, bpos, bmarks))
+    if not abs(exact - energy) <= 1e-9 * max(1.0, abs(energy)):
+        raise EnergyDrift(f"tracked chain energy {energy!r} differs from the "
+                          f"recomputed {exact!r}")
+
+    kept = len(counts)
     counts_arr = np.asarray(counts, dtype=float)
     energy_arr = np.asarray(energies, dtype=float)
     tau = _tau_int(counts_arr)
-    mean_count = float(counts_arr.mean()) if kept else 0.0
-    se_count = (float(counts_arr.std(ddof=1)) / math.sqrt(kept / tau)
-                if kept > 1 else 0.0)
+    mean_count = float(counts_arr.mean())
+    se_count = float(counts_arr.std(ddof=1)) / math.sqrt(kept / tau)
     denom = model.z * mass
     tau_e = _tau_int(energy_arr)
-    mean_e = float(energy_arr.mean()) if kept else 0.0
-    se_e = (float(energy_arr.std(ddof=1)) / math.sqrt(kept / tau_e)
-            if kept > 1 else 0.0)
+    mean_e = float(energy_arr.mean())
+    se_e = float(energy_arr.std(ddof=1)) / math.sqrt(kept / tau_e)
     return ChainStats(
         sweeps=sampler.sweeps, burn_in=sampler.burn_in, thinning=sampler.thinning,
         sample_count=kept, attempts=attempts, accepts=accepts,
@@ -499,10 +448,8 @@ def summarize_samples(samples: Sequence[FiniteConfiguration], model: ModelSpec,
             dist = model.space.distance_batch(pos[:, None, :], pos[None, :, :])
             iu, ju = np.triu_indices(len(s), 1)
             pair_counts += np.histogram(dist[iu, ju], bins=pair_bins)[0]
-        e = _config_energy_arrays(model, s.positions_array(), s.marks_array())
-        w = _interaction_sum(model, s.positions_array(), s.marks_array(),
-                             np.zeros((0, region.dimension)), np.zeros(0))
-        energies.append(e + w)
+        energies.append(_config_energy_arrays(model, s.positions_array(),
+                                              s.marks_array()))
     energies = np.asarray(energies)
     k = counts.size
     denom = model.z * model.mass(region)

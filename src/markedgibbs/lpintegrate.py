@@ -299,8 +299,8 @@ def product_region_integral(model: ModelSpec, domains: Sequence[SlotDomain],
         sums, sq, count = [], [], 0
         for positions, marks, weights in product_node_batches(model, domains, sch):
             vals = np.asarray(integrand(n, positions, marks), dtype=float)
-            if np.any(np.isnan(vals)):
-                raise NonFiniteIntegrand("integrand returned NaN")
+            if not np.all(np.isfinite(vals)):
+                raise NonFiniteIntegrand("integrand returned NaN or an infinity")
             contrib = weights * vals
             sums.append(contrib)
             sq.append(contrib * contrib)

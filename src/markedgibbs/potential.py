@@ -99,6 +99,25 @@ def cross_phi_matrix(phi: PairPotential, positions_a: np.ndarray, marks_a: np.nd
     return phi.radial_gated(r, marks_a[..., :, None], marks_b[None, :])
 
 
+def boltzmann_weight_batch(model: ModelSpec, positions: np.ndarray, marks: np.ndarray,
+                           bpos: np.ndarray, bmarks: np.ndarray) -> np.ndarray:
+    """exp(-beta * (E(x) + W(x, boundary))) for each row x of a (K, n, d), (K, n)
+    batch, against boundary arrays (B, d), (B,): the product over i < j of the
+    pair Boltzmann factors times the product of the boundary cross factors."""
+    k, n = marks.shape
+    weights = np.ones(k)
+    if n > 1:
+        bf = boltzmann_factor_batch(pair_phi_matrix(model.potential, positions, marks),
+                                    model.beta)
+        iu, ju = np.triu_indices(n, 1)
+        weights = bf[:, iu, ju].prod(axis=-1)
+    if n and bmarks.size:
+        cross = cross_phi_matrix(model.potential, positions, marks, bpos, bmarks)
+        cb = boltzmann_factor_batch(cross, model.beta)
+        weights = weights * cb.reshape(k, -1).prod(axis=-1)
+    return weights
+
+
 def energy(omega: FiniteConfiguration, phi: PairPotential) -> float:
     """Total pair energy; 0 on the empty and single-point configurations."""
     pts = omega.points

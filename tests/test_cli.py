@@ -141,8 +141,18 @@ def test_cli_entrypoint_error_paths(tmp_path):
     {"command": "sample", "model": BASE_MODEL,
      "sampler": {"p_birth": 0.5, "p_death": 0.5, "p_move": 0.5, "p_mark": 0.0}},
     {"command": "radius", "model": {"name": "toy-repulsive-spin", "z": -1}},
+    {"command": "expand", "model": BASE_MODEL, "order": 1,
+     "scheme": {"kind": "montecarlo", "samples": 100}},
+    {"command": "sample", "model": BASE_MODEL,
+     "sampler": {"sweeps": 50, "burn_in": 10, "thinning": 0}},
+    {"command": "sample", "model": BASE_MODEL,
+     "sampler": {"sweeps": 10, "burn_in": 50}},
+    {"command": "sample", "model": BASE_MODEL,
+     "sampler": {"sweeps": -5, "burn_in": -1}},
 ], ids=["points_per_axis_0", "unknown_mark_rule", "unknown_sampler_key",
-        "probabilities_not_summing_to_1", "negative_activity"])
+        "probabilities_not_summing_to_1", "negative_activity",
+        "unknown_scheme_kind", "thinning_0", "burn_in_past_sweeps",
+        "negative_burn_in"])
 def test_cli_malformed_values_are_config_errors(tmp_path, capsys, payload):
     assert main(["--config", write_config(tmp_path, payload)]) == 2
     assert capsys.readouterr().err.startswith("config error")

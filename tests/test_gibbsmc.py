@@ -3,8 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from markedgibbs.errors import (AcceptanceTooLow, RegionOutOfBounds,
-                                RequiresFiniteRange)
+from markedgibbs import gibbsmc
+from markedgibbs.errors import (AcceptanceTooLow, EnergyDrift,
+                                RegionOutOfBounds, RequiresFiniteRange)
 from markedgibbs.gibbsmc import (EMPTY_BOUNDARY, BoundaryCondition,
                                  SamplerConfig, collar_locality_trials,
                                  dlr_check, mcmc_run, poisson_sample,
@@ -180,6 +181,38 @@ def test_mcmc_vs_rejection_energy(toy_model, rng):
     assert abs(iid.mean_energy - chain.mean_energy) <= 3 * se
     se_r = math.hypot(iid.rho_hat_se, chain.rho_hat_se)
     assert abs(iid.rho_hat - chain.rho_hat) <= 3 * se_r
+
+
+def test_mcmc_with_boundary_hard_core(rng):
+    # a boundary point 0.05 outside the region excludes [0.95, 1) through its
+    # hard core; the chain and the exact sampler must agree under it
+    model = build_model("hard-core", z=2.0, r0=0.1, side=1.5)
+    region = Box((0.0,), (1.0,))
+    wall = MarkedPoint((1.05,), 1.0)
+    boundary = BoundaryCondition(canonicalize([wall]))
+    kept = []
+    chain = mcmc_run(model, region, boundary,
+                     SamplerConfig(seed=13, sweeps=20000, burn_in=1000),
+                     sample_sink=kept.append)
+    assert len(kept) == chain.sample_count
+    xs = [p.position[0] for cfg in kept for p in cfg]
+    assert max(xs) <= 1.05 - 0.1
+    assert max(xs) > 0.9  # the chain does reach the excluded zone's edge
+    draws = rejection_sample_batch(model, region, boundary, 5000, rng)
+    exact = summarize_samples(draws, model, region)
+    se = math.hypot(exact.rho_hat_se, chain.rho_hat_se)
+    assert abs(exact.rho_hat - chain.rho_hat) <= 4 * se
+
+
+def test_mcmc_energy_drift_is_detected(toy_model, monkeypatch):
+    # local energies that disagree with the pair energies must fail the
+    # end-of-chain recomputation instead of passing silently
+    true_cross = gibbsmc.cross_phi_matrix
+    monkeypatch.setattr(gibbsmc, "cross_phi_matrix",
+                        lambda *args: true_cross(*args) + 1.0)
+    with pytest.raises(EnergyDrift):
+        mcmc_run(toy_model.replace(z=20.0), toy_model.space.box, EMPTY_BOUNDARY,
+                 SamplerConfig(seed=1, sweeps=2000, burn_in=100))
 
 
 def test_dlr_requires_finite_range(toy_model):

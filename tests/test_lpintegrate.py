@@ -203,3 +203,18 @@ def test_nan_integrand_rejected(toy_model):
     with pytest.raises(NonFiniteIntegrand):
         lp_integral(bad, toy_model, toy_model.space.box, 2,
                     QuadratureScheme.tensor(4))
+
+
+@pytest.mark.parametrize("value", [np.inf, -np.inf])
+def test_infinite_integrand_rejected(toy_model, value):
+    from markedgibbs.errors import NonFiniteIntegrand
+
+    def bad(n, positions, marks):
+        out = np.ones(positions.shape[0])
+        if n == 2:
+            out[0] = value
+        return out
+
+    with pytest.raises(NonFiniteIntegrand):
+        lp_integral(bad, toy_model, toy_model.space.box, 2,
+                    QuadratureScheme.tensor(4))
