@@ -507,11 +507,13 @@ class RadiusReport:
     c_beta: float
     within_radius: bool
     reference_grid_size: int
+    refinement_delta: float  # relative gap of C(beta) between grid g and 2g
 
     def to_dict(self) -> dict:
         return {"z_star": self.z_star, "c_beta": self.c_beta,
                 "within_radius": self.within_radius,
-                "reference_grid_size": self.reference_grid_size}
+                "reference_grid_size": self.reference_grid_size,
+                "refinement_delta": self.refinement_delta}
 
 
 def convergence_radius(model: ModelSpec, reference_grid_size: int = 48) -> RadiusReport:
@@ -532,7 +534,8 @@ def convergence_radius(model: ModelSpec, reference_grid_size: int = 48) -> Radiu
                         math.exp(2.0 * model.beta * model.potential.stability_B) * c)
     return RadiusReport(z_star=z_star, c_beta=c,
                         within_radius=model.z < z_star,
-                        reference_grid_size=reference_grid_size)
+                        reference_grid_size=reference_grid_size,
+                        refinement_delta=report.refinement_delta)
 
 
 def tail_bound(model: ModelSpec, from_order: int,
@@ -696,7 +699,9 @@ def averaged_correlation(model: ModelSpec, region: Box, m: int, N: int,
     errors = []
     for n in range(0, N + 1):
         sch = resolve_scheme_for_order(scheme, d, m + n)
-        domains = [SlotDomain(region)] * (m + n)
+        # kbar(omega; zeta) is symmetric within omega and within zeta, not
+        # across them: two domain objects make two symmetric blocks
+        domains = [SlotDomain(region)] * m + [SlotDomain(region)] * n
 
         def integrand(total, positions, marks):
             return kbar_batch_split(model, positions, marks, m)

@@ -293,6 +293,12 @@ def _tau_int(series: np.ndarray) -> float:
     return tau
 
 
+def _check_energy(tracked: float, exact: float) -> None:
+    if not abs(exact - tracked) <= 1e-9 * max(1.0, abs(tracked)):
+        raise EnergyDrift(f"tracked chain energy {tracked!r} differs from the "
+                          f"recomputed {exact!r}")
+
+
 def mcmc_run(model: ModelSpec, region: Box, boundary: BoundaryCondition,
              sampler: SamplerConfig,
              sample_sink: Callable[[FiniteConfiguration], None] | None = None
@@ -304,9 +310,10 @@ def mcmc_run(model: ModelSpec, region: Box, boundary: BoundaryCondition,
     specification. A move and a mark resample each draw a candidate for one
     point and share one Metropolis replace step. The state is an (n, d)
     position array and an (n,) mark array. The energy is tracked
-    incrementally from the local energy of each accepted proposal and is
-    recomputed once at the end; a gap above 1e-9 * max(1, |E|) raises
-    EnergyDrift. Reproducible for a fixed config.
+    incrementally from the local energy of each accepted proposal. It is
+    checked whenever the chain empties (against the last point's local
+    energy) and recomputed once at the end; a gap above 1e-9 * max(1, |E|)
+    raises EnergyDrift. Reproducible for a fixed config.
     """
     boundary.validate_for(region)
     rng = philox_rng(sampler.seed)
@@ -373,6 +380,9 @@ def mcmc_run(model: ModelSpec, region: Box, boundary: BoundaryCondition,
             ratio = (n / (model.z * mass)) * math.exp(beta * delta)
             if rng.random() < min(1.0, ratio * sampler.p_birth / sampler.p_death):
                 positions, marks = positions[keep], marks[keep]
+                if n == 1:
+                    # the last point's local energy is the whole state energy
+                    _check_energy(energy, delta)
                 energy = energy - delta if n > 1 else 0.0
                 accepts[kind] += 1
         elif n > 0:
@@ -407,11 +417,8 @@ def mcmc_run(model: ModelSpec, region: Box, boundary: BoundaryCondition,
                 sample_sink(canonicalize([MarkedPoint(tuple(p), m) for p, m in
                                           zip(positions.tolist(), marks.tolist())]))
 
-    exact = (_config_energy_arrays(model, positions, marks)
-             + _interaction_sum(model, positions, marks, bpos, bmarks))
-    if not abs(exact - energy) <= 1e-9 * max(1.0, abs(energy)):
-        raise EnergyDrift(f"tracked chain energy {energy!r} differs from the "
-                          f"recomputed {exact!r}")
+    _check_energy(energy, _config_energy_arrays(model, positions, marks)
+                  + _interaction_sum(model, positions, marks, bpos, bmarks))
 
     kept = len(counts)
     counts_arr = np.asarray(counts, dtype=float)

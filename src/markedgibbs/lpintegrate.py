@@ -3,14 +3,18 @@
 The measure weights n-point components by z^n/n!, so an integral of a
 symmetric integrand family f is sum_n (z^n/n!) times the n-fold product
 integral over region x marks. Tensor midpoint grids serve low total dimension
-(d*n <= 6); above that seeded Monte Carlo is mandatory. All reductions run in
-a fixed chunked order so results are bit-reproducible and worker-count
-independent; the PRNG is counter-based (Philox).
+(d*n <= 6); above that seeded Monte Carlo is mandatory. A tensor grid
+enumerates each symmetric block of slots (a run of slots sharing one
+``SlotDomain`` object) once, as multisets of single-slot nodes with
+multinomial weights, so an integrand must be symmetric within each such run.
+All reductions run in a fixed chunked order so results are bit-reproducible
+and worker-count independent; the PRNG is counter-based (Philox).
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from itertools import groupby
 from typing import Callable, Iterator, Sequence
 
 import numpy as np
@@ -177,11 +181,45 @@ def _single_nodes(model, domain: SlotDomain, per_axis: int, scheme
     return positions, marks, weights
 
 
+def _multisets(size: int, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Nondecreasing k-tuples over range(size) in lexicographic order, with the
+    number k!/prod(mult!) of ordered tuples that each one stands for.
+
+    int32 throughout: the node budget keeps size and the row count far below
+    2^31, and the counts are at most k! <= 720.
+    """
+    idx = np.zeros((1, 0), dtype=np.int32)
+    counts = np.ones(1, dtype=np.int32)
+    run = np.zeros(1, dtype=np.int32)  # each row's trailing run of equal indices
+    for j in range(k):
+        last = idx[:, -1] if j else np.zeros(1, dtype=np.int32)
+        reps = size - last  # row r continues with last[r], ..., size - 1
+        starts = np.cumsum(reps, dtype=np.int32) - reps
+        rows = np.repeat(np.arange(idx.shape[0], dtype=np.int32), reps)
+        nxt = np.arange(rows.size, dtype=np.int32) - np.repeat(starts - last, reps)
+        repeat = np.zeros(rows.size, dtype=bool)
+        repeat[starts] = j > 0  # the first continuation repeats the last index
+        run = np.where(repeat, run[rows] + 1, 1)
+        counts = counts[rows] * (j + 1) // run
+        idx = np.column_stack([idx[rows], nxt])
+    return idx, counts
+
+
 def product_node_batches(model: ModelSpec, domains: Sequence[SlotDomain],
                          scheme: QuadratureScheme
                          ) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
     """Yield (positions (K,n,d), marks (K,n), weights (K,)) chunks for an
-    n-fold product integral with one domain per particle slot."""
+    n-fold product integral with one domain per particle slot.
+
+    On a tensor grid, each maximal run of consecutive slots that hold the same
+    ``SlotDomain`` object (``is``, not ``==``) is one symmetric block: its
+    nodes are the multisets of single-slot nodes, each weighted by the
+    multinomial count of ordered tuples it stands for. The integrand must be
+    symmetric under permutations within each block; the sum then equals the
+    full ordered product with about prod(run length!) fewer rows. Give slots
+    that are not interchangeable distinct domain objects. Monte Carlo draws
+    ordered slots and needs no symmetry.
+    """
     n = len(domains)
     d = model.space.dimension
     if n == 0:
@@ -193,23 +231,27 @@ def product_node_batches(model: ModelSpec, domains: Sequence[SlotDomain],
                 f"tensor grid over {d * n} dimensions exceeds the cap "
                 f"{TENSOR_DIMENSION_CAP}; use Monte Carlo")
         per_axis = scheme.grid_points_for(n)
-        singles = [_single_nodes(model, dom, per_axis, scheme) for dom in domains]
-        sizes = [s[0].shape[0] for s in singles]
-        total = math.prod(sizes)
+        runs = [list(run) for _, run in groupby(domains, key=id)]
+        singles = [_single_nodes(model, run[0], per_axis, scheme) for run in runs]
+        total = math.prod(s[2].size ** len(run) for s, run in zip(singles, runs))
         if total > TENSOR_NODE_BUDGET:
             raise SchemeMismatch(
                 f"tensor grid would enumerate {total} nodes at order n={n}; "
                 "lower points_per_axis for this order or use Monte Carlo")
-        for start in range(0, total, _CHUNK):
-            stop = min(start + _CHUNK, total)
-            flat = np.arange(start, stop)
-            idx = np.array(np.unravel_index(flat, sizes)).T  # (K, n)
-            positions = np.stack([singles[j][0][idx[:, j]] for j in range(n)], axis=1)
-            marks = np.stack([singles[j][1][idx[:, j]] for j in range(n)], axis=1)
-            weights = np.ones(stop - start)
-            for j in range(n):
-                weights = weights * singles[j][2][idx[:, j]]
-            yield positions, marks, weights
+        tables = [_multisets(s[2].size, len(run)) for s, run in zip(singles, runs)]
+        sizes = [idx.shape[0] for idx, _ in tables]
+        rows = math.prod(sizes)
+        for start in range(0, rows, _CHUNK):
+            stop = min(start + _CHUNK, rows)
+            picks = np.unravel_index(np.arange(start, stop), sizes)
+            positions, marks, weights = [], [], np.ones(stop - start)
+            for (pos, mk, w), (idx, counts), pick in zip(singles, tables, picks):
+                sel = idx[pick]  # (K, run length)
+                positions.append(pos[sel])
+                marks.append(mk[sel])
+                weights = weights * counts[pick] * np.prod(w[sel], axis=1)
+            yield (np.concatenate(positions, axis=1), np.concatenate(marks, axis=1),
+                   weights)
         return
 
     # Monte Carlo: iid draws per slot, weight = product of slot masses / samples
@@ -238,7 +280,13 @@ def product_node_batches(model: ModelSpec, domains: Sequence[SlotDomain],
 def marked_point_nodes(model: ModelSpec, region: Box, n: int,
                        scheme: QuadratureScheme
                        ) -> Iterator[tuple[tuple[MarkedPoint, ...], float]]:
-    """Stream (n-tuple of MarkedPoint, weight) nodes for the n-fold integral."""
+    """Stream (n-tuple of MarkedPoint, weight) nodes for the n-fold integral.
+
+    All n slots share one domain, so a tensor grid yields each multiset of
+    single-point nodes once (points in nondecreasing node order), weighted by
+    the multinomial count of ordered tuples times the product of the
+    single-point weights; this integrates symmetric functions only.
+    """
     if n < 1:
         raise ValueError("need n >= 1")
     domains = [SlotDomain(region)] * n
@@ -290,8 +338,10 @@ def product_region_integral(model: ModelSpec, domains: Sequence[SlotDomain],
                             ) -> tuple[float, float]:
     """One n-fold product integral; returns (value, error figure).
 
-    Grid error is the difference against a halved grid; MC error is the
-    standard error of the mean.
+    The integrand must be symmetric under permutations of the slots within
+    each run of consecutive slots that share one ``SlotDomain`` object; see
+    ``product_node_batches``. Grid error is the difference against a halved
+    grid; MC error is the standard error of the mean.
     """
     n = len(domains)
 

@@ -47,6 +47,21 @@ def test_radius_report(tmp_path, capsys):
     assert payload["provenance"]["model"] == "toy-repulsive-spin"
 
 
+def test_radius_report_refinement_delta(tmp_path):
+    # the report carries check_integrability's grid-refinement gap
+    from markedgibbs.potential import check_integrability, model_from_dict
+
+    out = tmp_path / "radius.json"
+    cfg = load_config(write_config(tmp_path, {
+        "command": "radius", "model": BASE_MODEL,
+        "reference_grid_size": 8, "out": str(out)}), {})
+    assert run(cfg) == 0
+    radius = json.loads(out.read_text())["results"]["radius"]
+    model = model_from_dict(BASE_MODEL)
+    expected = check_integrability(model.potential, model, 8).refinement_delta
+    assert radius["refinement_delta"] == expected
+
+
 def test_expand_report_and_csv(tmp_path):
     out = tmp_path / "expand.json"
     cfg = load_config(write_config(tmp_path, {

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -213,6 +214,22 @@ def test_mcmc_energy_drift_is_detected(toy_model, monkeypatch):
     with pytest.raises(EnergyDrift):
         mcmc_run(toy_model.replace(z=20.0), toy_model.space.box, EMPTY_BOUNDARY,
                  SamplerConfig(seed=1, sweeps=2000, burn_in=100))
+
+
+def test_mcmc_energy_drift_is_detected_when_chain_empties(toy_model, monkeypatch):
+    # local energies that drift with the call count: this chain reaches two
+    # points and ends empty, so the end-of-chain recompute alone (0 against 0)
+    # cannot see the drift; the check at the emptying death must
+    true_cross = gibbsmc.cross_phi_matrix
+    calls = itertools.count()
+    monkeypatch.setattr(gibbsmc, "cross_phi_matrix",
+                        lambda *args: true_cross(*args) + 1e-3 * next(calls))
+    kept = []
+    with pytest.raises(EnergyDrift):
+        mcmc_run(toy_model.replace(z=2.0), toy_model.space.box, EMPTY_BOUNDARY,
+                 SamplerConfig(seed=4, sweeps=400, burn_in=0),
+                 sample_sink=kept.append)
+    assert max(len(c) for c in kept) >= 2
 
 
 def test_dlr_requires_finite_range(toy_model):

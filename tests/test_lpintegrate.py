@@ -1,14 +1,17 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
 
 from markedgibbs.errors import SchemeMismatch
-from markedgibbs.lpintegrate import (IntegralEstimate, QuadratureScheme,
-                                     SlotDomain, lp_integral,
+from markedgibbs.lpintegrate import (TENSOR_NODE_BUDGET, IntegralEstimate,
+                                     QuadratureScheme, SlotDomain, _multisets,
+                                     _single_nodes, lp_integral,
                                      marked_point_nodes, philox_rng,
+                                     product_node_batches,
                                      product_region_integral, scalar_integrand)
-from markedgibbs.model import Box
+from markedgibbs.model import Box, FiniteConfiguration
 from markedgibbs.potential import build_model
 
 
@@ -218,3 +221,118 @@ def test_infinite_integrand_rejected(toy_model, value):
     with pytest.raises(NonFiniteIntegrand):
         lp_integral(bad, toy_model, toy_model.space.box, 2,
                     QuadratureScheme.tensor(4))
+
+
+# ---------------------------------------------------------------------------
+# symmetric tensor grids against the full ordered product
+
+
+def ordered_product_integral(model, domains, integrand, scheme):
+    """Brute-force oracle: every ordered tuple of single-slot nodes."""
+    n = len(domains)
+    singles = [_single_nodes(model, dom, scheme.grid_points_for(n), scheme)
+               for dom in domains]
+    idx = np.array(list(itertools.product(*(range(w.size) for _, _, w in singles))))
+    positions = np.stack([pos[idx[:, j]] for j, (pos, _, _) in enumerate(singles)],
+                         axis=1)
+    marks = np.stack([mk[idx[:, j]] for j, (_, mk, _) in enumerate(singles)], axis=1)
+    weights = np.prod([w[idx[:, j]] for j, (_, _, w) in enumerate(singles)], axis=0)
+    return float(np.sum(weights * integrand(n, positions, marks)))
+
+
+def assert_matches_ordered_product(model, domains, integrand, scheme):
+    value, _ = product_region_integral(model, domains, integrand, scheme)
+    oracle = ordered_product_integral(model, domains, integrand, scheme)
+    assert oracle != 0.0
+    assert abs(value - oracle) <= 1e-13 * abs(oracle), (value, oracle)
+
+
+def test_symmetric_grid_ursell_n3(toy_model):
+    from markedgibbs.cluster import ursell_batch
+
+    def integrand(n, positions, marks):
+        return ursell_batch(toy_model, FiniteConfiguration(), positions, marks)
+
+    assert_matches_ordered_product(toy_model, [SlotDomain(toy_model.space.box)] * 3,
+                                   integrand, QuadratureScheme.tensor(7))
+
+
+def test_symmetric_grid_boltzmann_weight_with_boundary(toy_model):
+    from markedgibbs.potential import boltzmann_weight_batch
+
+    model = toy_model.replace(z=0.5)
+    bpos = np.array([[0.05], [0.9]])
+    bmarks = np.array([1.0, -1.0])
+
+    def integrand(n, positions, marks):
+        return boltzmann_weight_batch(model, positions, marks, bpos, bmarks)
+
+    region = Box((0.2,), (0.8,))
+    assert_matches_ordered_product(model, [SlotDomain(region)] * 3, integrand,
+                                   QuadratureScheme.tensor(6))
+
+
+def test_symmetric_grid_region_and_collar_blocks():
+    # two blocks, the collar one with an indicator: region x2 + collar x2
+    from markedgibbs.cluster import _collar_domain, ursell_batch
+
+    model = build_model("toy-repulsive-spin-rc", z=0.05, beta=1.0, range_cut=0.25)
+    region = Box((0.3,), (0.7,))
+    collar = _collar_domain(model, region)
+    assert collar.indicator is not None
+
+    def integrand(n, positions, marks):
+        return ursell_batch(model, FiniteConfiguration(), positions, marks)
+
+    assert_matches_ordered_product(model, [SlotDomain(region)] * 2 + [collar] * 2,
+                                   integrand, QuadratureScheme.tensor(5))
+
+
+def test_symmetric_grid_averaged_correlation_blocks(toy_model):
+    # kbar(omega; zeta) is not symmetric across omega and zeta, so the fixed
+    # and the integrated slots must be two blocks even on the same region
+    from markedgibbs.cluster import averaged_correlation, kbar_batch_split
+
+    m, region, scheme = 2, toy_model.space.box, QuadratureScheme.tensor(8)
+    est = averaged_correlation(toy_model, region, m, 2, scheme)
+
+    def integrand(total, positions, marks):
+        return kbar_batch_split(toy_model, positions, marks, m)
+
+    norm = toy_model.mass(region) ** m
+    for n, term in enumerate(est.terms):
+        domains = [SlotDomain(region)] * (m + n)
+        oracle = (toy_model.z ** n / math.factorial(n) / norm *
+                  ordered_product_integral(toy_model, domains, integrand, scheme))
+        assert abs(term - oracle) <= 1e-13 * abs(oracle), (n, term, oracle)
+
+
+@pytest.mark.parametrize("size,k", [(1, 3), (2, 1), (3, 4), (5, 2), (7, 3), (12, 6)])
+def test_multisets_match_combinations_with_replacement(size, k):
+    idx, counts = _multisets(size, k)
+    expected = list(itertools.combinations_with_replacement(range(size), k))
+    assert idx.tolist() == [list(row) for row in expected]
+    assert counts.dtype.kind == "i"
+    assert int(counts.sum()) == size ** k
+    for row, count in zip(expected, counts.tolist()):
+        mult = [row.count(v) for v in set(row)]
+        assert count == math.factorial(k) // math.prod(map(math.factorial, mult))
+
+
+def test_tensor_budget_counts_the_full_ordered_product(toy_model):
+    # the guard counts the ordered product of single-slot node counts (2 marks
+    # per position), not the multisets enumerated: 202^3 and 52^4 fit the
+    # budget, 204^3 and 54^4 do not
+    region = toy_model.space.box
+    one_block = [SlotDomain(region)] * 3
+    two_blocks = [SlotDomain(region)] * 2 + [SlotDomain(Box((0.0,), (0.5,)))] * 2
+    for domains, fits, too_many in ((one_block, 101, 102), (two_blocks, 26, 27)):
+        n = len(domains)
+        assert (2 * fits) ** n <= TENSOR_NODE_BUDGET < (2 * too_many) ** n
+        positions, _, _ = next(product_node_batches(
+            toy_model, domains, QuadratureScheme.tensor(fits)))
+        assert positions.shape[1:] == (n, 1)
+        with pytest.raises(SchemeMismatch,
+                           match=f"enumerate {(2 * too_many) ** n} nodes"):
+            next(product_node_batches(toy_model, domains,
+                                      QuadratureScheme.tensor(too_many)))
