@@ -1,17 +1,19 @@
 """Ursell coefficients, tree-graph bounds, convergence certificates, truncated series.
 
-The production Ursell path is an anchored subset recursion (the Moebius
-inversion of the cluster decomposition of the Gibbs factor), O(3^n) per
-configuration and vectorized over quadrature-node batches. Connected-graph
-sums survive only as a small-n oracle. For finite-range potentials, Ursell
-values on range-disconnected subsets are exactly zero (every connected graph
-carries a zero Mayer factor), and the tables enforce that exactly.
+The Ursell table is ln* of the Boltzmann table (`starcalc.star_log_batch`,
+the Moebius inversion of the cluster decomposition of the Gibbs factor),
+O(3^n) per configuration and vectorized over quadrature-node batches.
+Connected-graph sums survive only as a small-n oracle. For finite-range
+potentials, Ursell values on range-disconnected subsets are exactly zero
+(every connected graph carries a zero Mayer factor), and the tables enforce
+that exactly.
 
 Two identities replace enumerations, each pinned to a recursion oracle:
 
 - kbar(omega; zeta) = (exp*(-k) * D_omega rho)(zeta), and exp*(-k) is the
   star-inverse of the Boltzmann table rho (Ruelle 1969, ch. 4), so kbar needs
-  rho^{*-1} on the subsets of zeta only; oracle `kbar_recursive`.
+  rho^{*-1} (`starcalc.star_inverse_batch`) on the subsets of zeta only;
+  oracle `kbar_recursive`.
 - Sums over labeled trees, and over forests with one anchor per tree, are
   minors of the |Mayer| Laplacian (all-minors matrix-tree theorem, Chaiken
   1982), evaluated by subtraction-free elimination; oracle
@@ -21,7 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import Callable, Sequence
 
 import numpy as np
@@ -61,6 +63,14 @@ def _combined_arrays(model: ModelSpec, fixed: FiniteConfiguration,
         positions = np.concatenate([fpos, positions], axis=1)
         marks = np.concatenate([fmarks, marks], axis=1)
     return positions, marks
+
+
+def _one_row(model: ModelSpec, cfg: FiniteConfiguration
+             ) -> tuple[np.ndarray, np.ndarray]:
+    """A configuration as a one-row batch: (1, n, d), (1, n)."""
+    n = len(cfg)
+    return (cfg.positions_array().reshape(1, n, model.space.dimension),
+            cfg.marks_array().reshape(1, n))
 
 
 def _rho_table(bfac: np.ndarray) -> np.ndarray:
@@ -120,69 +130,30 @@ def _connected_rows(adj_bits: np.ndarray, mask: int) -> np.ndarray:
     return comp == mask
 
 
-def _ursell_table_batch(rho: np.ndarray, adj_bits: np.ndarray | None = None
-                        ) -> np.ndarray:
-    """Ursell values on all subsets from the Boltzmann table: (K, 2^M).
-
-    Anchored recursion: with x0 the lowest index of V,
-    k(V) = rho(V) - sum over proper subsets S of V containing x0 of k(S) rho(V\\S).
-    """
-    k_rows, size = rho.shape
-    out = np.zeros((k_rows, size))
-    for mask in range(1, size):
-        low_bit = mask & -mask
-        rest = mask ^ low_bit
-        if rest == 0:
-            out[:, mask] = rho[:, mask]
-            continue
-        acc = rho[:, mask].copy()
-        u = (rest - 1) & rest
-        while True:
-            t = u | low_bit
-            acc -= out[:, t] * rho[:, mask ^ t]
-            if u == 0:
-                break
-            u = (u - 1) & rest
-        if adj_bits is not None:
-            acc = np.where(_connected_rows(adj_bits, mask), acc, 0.0)
-        out[:, mask] = acc
-    return out
-
-
-def _star_inverse_batch(rho: np.ndarray) -> np.ndarray:
-    """Star-inverse of a (K, 2^M) table with rho[:, 0] = 1: (K, 2^M).
-
-    inv(S) = -sum over proper subsets T of S of inv(T) rho(S\\T).
-    """
-    out = np.empty_like(rho)
-    out[:, 0] = 1.0
-    for mask in range(1, rho.shape[1]):
-        acc = -rho[:, mask]
-        t = (mask - 1) & mask
-        while t:
-            acc -= out[:, t] * rho[:, mask ^ t]
-            t = (t - 1) & mask
-        out[:, mask] = acc
-    return out
-
-
 def _pair_tables(model: ModelSpec, positions: np.ndarray, marks: np.ndarray
-                 ) -> tuple[np.ndarray, np.ndarray]:
-    phi_m = pair_phi_matrix(model.potential, positions, marks)
-    return boltzmann_factor_batch(phi_m, model.beta), phi_m
+                 ) -> np.ndarray:
+    """Pair Boltzmann factors of each row: (K, M, M)."""
+    return boltzmann_factor_batch(pair_phi_matrix(model.potential, positions, marks),
+                                  model.beta)
+
+
+def _ursell_tables(model: ModelSpec, positions: np.ndarray, marks: np.ndarray
+                   ) -> np.ndarray:
+    """Ursell values on every subset of each row's points: (K, 2^M).
+
+    ln* of the Boltzmann table, zeroed on range-disconnected subsets.
+    """
+    bfac = _pair_tables(model, positions, marks)
+    adj_bits = _adjacency_bits(model, positions)
+    connected = None if adj_bits is None else partial(_connected_rows, adj_bits)
+    return starcalc.star_log_batch(_rho_table(bfac), connected)
 
 
 def ursell_batch(model: ModelSpec, fixed: FiniteConfiguration,
                  positions: np.ndarray, marks: np.ndarray) -> np.ndarray:
     """k(fixed + nodes) for a batch of node tuples: returns (K,)."""
     positions, marks = _combined_arrays(model, fixed, positions, marks)
-    m_total = positions.shape[1]
-    if m_total == 0:
-        return np.zeros(positions.shape[0])
-    bfac, _ = _pair_tables(model, positions, marks)
-    rho = _rho_table(bfac)
-    table = _ursell_table_batch(rho, _adjacency_bits(model, positions))
-    return table[:, (1 << m_total) - 1]
+    return _ursell_tables(model, positions, marks)[:, -1]
 
 
 def kbar_batch_split(model: ModelSpec, positions: np.ndarray, marks: np.ndarray,
@@ -204,7 +175,7 @@ def kbar_batch_split(model: ModelSpec, positions: np.ndarray, marks: np.ndarray,
     n = positions.shape[1] - m
     if m == 0:
         return np.full(k_rows, 1.0 if n == 0 else 0.0)
-    bfac, _ = _pair_tables(model, positions, marks)
+    bfac = _pair_tables(model, positions, marks)
     rho = _rho_table(bfac[:, m:, m:])
     cross = bfac[:, :m, m:].prod(axis=1)
     attached = np.empty_like(rho)
@@ -217,18 +188,15 @@ def kbar_batch_split(model: ModelSpec, positions: np.ndarray, marks: np.ndarray,
     iu, ju = np.triu_indices(m, 1)
     rho_omega = bfac[:, iu, ju].prod(axis=-1)
     complement = ((1 << n) - 1) ^ np.arange(1 << n)
-    return rho_omega * (_star_inverse_batch(rho) * attached[:, complement]).sum(axis=1)
+    inverse = starcalc.star_inverse_batch(rho)
+    return rho_omega * (inverse * attached[:, complement]).sum(axis=1)
 
 
 def kbar_batch(model: ModelSpec, fixed: FiniteConfiguration,
                positions: np.ndarray, marks: np.ndarray) -> np.ndarray:
     """kbar of a fixed anchor configuration against node batches: (K,)."""
-    m = len(fixed)
-    if m == 0:
-        n = positions.shape[1]
-        return np.full(positions.shape[0], 1.0 if n == 0 else 0.0)
     positions, marks = _combined_arrays(model, fixed, positions, marks)
-    return kbar_batch_split(model, positions, marks, m)
+    return kbar_batch_split(model, positions, marks, len(fixed))
 
 
 # ---------------------------------------------------------------------------
@@ -259,13 +227,8 @@ class UrsellTable:
 def boltzmann_functional(omega: FiniteConfiguration, model: ModelSpec
                          ) -> starcalc.ConfigFunctional:
     """Subset table of Gibbs factors exp(-beta E) on the ground configuration."""
-    n = len(omega)
-    if n == 0:
-        return starcalc.unit(0)
-    pos = omega.positions_array()[None, :, :]
-    mks = omega.marks_array()[None, :]
-    bfac, _ = _pair_tables(model, pos, mks)
-    return starcalc.ConfigFunctional(n, _rho_table(bfac)[0])
+    bfac = _pair_tables(model, *_one_row(model, omega))
+    return starcalc.ConfigFunctional(len(omega), _rho_table(bfac)[0])
 
 
 def ursell_direct(omega: FiniteConfiguration, model: ModelSpec) -> float:
@@ -295,14 +258,7 @@ def ursell_table(omega: FiniteConfiguration, model: ModelSpec,
     n = len(omega)
     if n > size_cap:
         raise SizeLimit(f"ground of {n} points exceeds the cap {size_cap}")
-    if n == 0:
-        return UrsellTable(omega, np.zeros(1))
-    pos = omega.positions_array()[None, :, :]
-    mks = omega.marks_array()[None, :]
-    bfac, _ = _pair_tables(model, pos, mks)
-    rho = _rho_table(bfac)
-    table = _ursell_table_batch(rho, _adjacency_bits(model, pos))
-    return UrsellTable(omega, table[0])
+    return UrsellTable(omega, _ursell_tables(model, *_one_row(model, omega))[0])
 
 
 def _split_disjoint(omega: FiniteConfiguration, zeta: FiniteConfiguration):
@@ -320,10 +276,7 @@ def kbar(omega: FiniteConfiguration, zeta: FiniteConfiguration,
     _split_disjoint(omega, zeta)
     if len(omega) + len(zeta) > KBAR_GROUND_CAP:
         raise SizeLimit(f"combined ground exceeds {KBAR_GROUND_CAP}")
-    n = len(zeta)
-    positions = zeta.positions_array().reshape(1, n, model.space.dimension)
-    return float(kbar_batch(model, omega, positions,
-                            zeta.marks_array().reshape(1, n))[0])
+    return float(kbar_batch(model, omega, *_one_row(model, zeta))[0])
 
 
 def kbar_recursive(omega: FiniteConfiguration, zeta: FiniteConfiguration,
@@ -782,10 +735,8 @@ class LocalDensityProfile:
         """k integrated against collar configurations, truncated at the order."""
         if config.is_empty:
             return 0.0
-        base = float(ursell_batch(self.model,
-                                  FiniteConfiguration(),
-                                  config.positions_array()[None, :, :],
-                                  config.marks_array()[None, :])[0])
+        base = float(ursell_batch(self.model, FiniteConfiguration(),
+                                  *_one_row(self.model, config))[0])
         if self.collar is None:
             return base
         total = base

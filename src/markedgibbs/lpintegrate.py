@@ -178,7 +178,8 @@ def _single_nodes(model, domain: SlotDomain, per_axis: int, scheme
     weights = np.repeat(pw, nmark) * np.tile(mw, npos)
     if domain.indicator is not None:
         weights = weights * domain.indicator(positions)
-    return positions, marks, weights
+    keep = weights != 0.0
+    return positions[keep], marks[keep], weights[keep]
 
 
 def _multisets(size: int, k: int) -> tuple[np.ndarray, np.ndarray]:
@@ -217,8 +218,10 @@ def product_node_batches(model: ModelSpec, domains: Sequence[SlotDomain],
     multinomial count of ordered tuples it stands for. The integrand must be
     symmetric under permutations within each block; the sum then equals the
     full ordered product with about prod(run length!) fewer rows. Give slots
-    that are not interchangeable distinct domain objects. Monte Carlo draws
-    ordered slots and needs no symmetry.
+    that are not interchangeable distinct domain objects. Single-slot nodes of
+    weight zero are dropped, and the node budget counts the nodes kept; if a
+    slot keeps none, nothing is yielded. Monte Carlo draws ordered slots and
+    needs no symmetry.
     """
     n = len(domains)
     d = model.space.dimension
@@ -238,6 +241,8 @@ def product_node_batches(model: ModelSpec, domains: Sequence[SlotDomain],
             raise SchemeMismatch(
                 f"tensor grid would enumerate {total} nodes at order n={n}; "
                 "lower points_per_axis for this order or use Monte Carlo")
+        if total == 0:  # a slot without nodes of nonzero weight: the integral is 0
+            return
         tables = [_multisets(s[2].size, len(run)) for s, run in zip(singles, runs)]
         sizes = [idx.shape[0] for idx, _ in tables]
         rows = math.prod(sizes)

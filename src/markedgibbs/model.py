@@ -123,6 +123,10 @@ class MarkSpace:
                 raise ValueError("discrete marks need matching labels and weights")
             if any(w < 0 for w in self.weights) or sum(self.weights) <= 0:
                 raise ValueError("discrete weights must be nonnegative with positive sum")
+            # the cumulative weights, built as numpy's Generator.choice builds them
+            cdf = (np.asarray(self.weights) / self.total_mass).cumsum()
+            cdf /= cdf[-1]
+            object.__setattr__(self, "_labels_cdf", (np.asarray(self.labels), cdf))
         elif self.kind == "circle":
             if self.mass is None or self.mass <= 0:
                 raise ValueError("circle marks need a positive total mass")
@@ -156,10 +160,10 @@ class MarkSpace:
         return float(self.mass)
 
     def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
-        """Draw marks from the normalized mark measure."""
+        """Draw marks from the normalized mark measure (discrete: inverse CDF)."""
         if self.kind == "discrete":
-            probs = np.asarray(self.weights) / self.total_mass
-            return rng.choice(np.asarray(self.labels), size=size, p=probs)
+            labels, cdf = self._labels_cdf
+            return labels[cdf.searchsorted(rng.random(size), side="right")]
         if self.kind == "circle":
             return rng.uniform(0.0, 2.0 * math.pi, size=size)
         return rng.uniform(self.lower, self.upper, size=size)

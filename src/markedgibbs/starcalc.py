@@ -4,6 +4,11 @@ A functional assigns a real to every subset of {0,...,n-1}, stored densely as
 a table of 2**n values indexed by bitmask. The product is the subset
 convolution, its unit is the indicator of the empty set, and the exponential
 and logarithm are finite sums computed by anchored subset recursion.
+
+The production kernels `star_exp_batch`, `star_log_batch` (Ursell tables)
+and `star_inverse_batch` (kbar) act on (K, 2**n) tables, one functional per
+row; `star_exp` and `star_log` are their K = 1 rows. Oracles for tests:
+`star_mul` (with `math.fsum`), `star_exp_series` and `star_log_series`.
 """
 from __future__ import annotations
 
@@ -91,55 +96,85 @@ def star_mul(a: ConfigFunctional, b: ConfigFunctional) -> ConfigFunctional:
     return ConfigFunctional(n, out)
 
 
-def star_exp(psi: ConfigFunctional) -> ConfigFunctional:
-    """Finite star-exponential of a functional vanishing at the empty set.
+def star_exp_batch(psi: np.ndarray) -> np.ndarray:
+    """Star-exponential of each row of a (K, 2^M) table with psi[:, 0] = 0.
 
-    Computed by the anchored recursion over the block containing the lowest
-    ground index; identical to the literal power series, which stays available
-    as :func:`star_exp_series` for cross-checks.
+    Anchored recursion over the block holding the lowest index x0 of S:
+    exp*(psi)(S) = sum over T subset S with x0 in T of psi(T) exp*(psi)(S\\T).
     """
+    out = np.empty_like(psi, dtype=float)
+    out[:, 0] = 1.0
+    for mask in range(1, psi.shape[1]):
+        low_bit = mask & -mask
+        rest = mask ^ low_bit
+        acc = psi[:, mask].copy()
+        u = rest
+        while u:
+            u = (u - 1) & rest
+            t = u | low_bit
+            acc += psi[:, t] * out[:, mask ^ t]
+        out[:, mask] = acc
+    return out
+
+
+def star_log_batch(f: np.ndarray,
+                   connected: Callable[[int], np.ndarray] | None = None
+                   ) -> np.ndarray:
+    """Star-logarithm of each row of a (K, 2^M) table with f[:, 0] = 1.
+
+    Anchored recursion, with x0 the lowest index of S:
+    ln*(f)(S) = f(S) - sum over proper T subset S with x0 in T of
+    ln*(f)(T) f(S\\T). On the Boltzmann table this is the Ursell table.
+    ``connected(mask)`` says per row whether the subset is connected; where it
+    is not, the value is exactly 0.0 (range-disconnected Ursell values).
+    """
+    out = np.zeros(f.shape)
+    for mask in range(1, f.shape[1]):
+        low_bit = mask & -mask
+        rest = mask ^ low_bit
+        acc = f[:, mask].copy()
+        u = rest
+        while u:
+            u = (u - 1) & rest
+            t = u | low_bit
+            acc -= out[:, t] * f[:, mask ^ t]
+        if connected is not None and rest:
+            acc = np.where(connected(mask), acc, 0.0)
+        out[:, mask] = acc
+    return out
+
+
+def star_inverse_batch(f: np.ndarray) -> np.ndarray:
+    """Star-inverse of each row of a (K, 2^M) table with f[:, 0] = 1.
+
+    inv(S) = -sum over proper subsets T of S of inv(T) f(S\\T).
+    """
+    out = np.empty_like(f, dtype=float)
+    out[:, 0] = 1.0
+    for mask in range(1, f.shape[1]):
+        acc = -f[:, mask]
+        t = (mask - 1) & mask
+        while t:
+            acc -= out[:, t] * f[:, mask ^ t]
+            t = (t - 1) & mask
+        out[:, mask] = acc
+    return out
+
+
+def star_exp(psi: ConfigFunctional) -> ConfigFunctional:
+    """Star-exponential of a functional vanishing at the empty set: one row of
+    :func:`star_exp_batch` (oracle: the literal series :func:`star_exp_series`)."""
     if psi.values[0] != 0.0:
         raise NotInIdeal("star_exp needs psi(empty) = 0")
-    n = psi.ground_size
-    v = psi.values
-    out = np.empty(1 << n)
-    out[0] = 1.0
-    for s in range(1, 1 << n):
-        anchor = s & (-s)
-        rest = s ^ anchor
-        terms = []
-        u = rest
-        while True:
-            t = u | anchor
-            terms.append(v[t] * out[s ^ t])
-            if u == 0:
-                break
-            u = (u - 1) & rest
-        out[s] = math.fsum(terms)
-    return ConfigFunctional(n, out)
+    return ConfigFunctional(psi.ground_size, star_exp_batch(psi.values[None])[0])
 
 
 def star_log(f: ConfigFunctional) -> ConfigFunctional:
-    """Inverse of star_exp on functionals with f(empty) = 1."""
+    """Inverse of star_exp on functionals with f(empty) = 1: one row of
+    :func:`star_log_batch` (oracle: :func:`star_log_series`)."""
     if f.values[0] != 1.0:
         raise NotNormalized("star_log needs f(empty) = 1")
-    n = f.ground_size
-    v = f.values
-    out = np.zeros(1 << n)
-    for s in range(1, 1 << n):
-        anchor = s & (-s)
-        rest = s ^ anchor
-        terms = [v[s]]
-        u = rest
-        while True:
-            t = u | anchor
-            if t != s:
-                terms.append(-out[t] * v[s ^ t])
-            if u == 0:
-                break
-            u = (u - 1) & rest
-        out[s] = math.fsum(terms)
-    return ConfigFunctional(n, out)
+    return ConfigFunctional(f.ground_size, star_log_batch(f.values[None])[0])
 
 
 def star_exp_series(psi: ConfigFunctional) -> ConfigFunctional:

@@ -7,8 +7,9 @@ import pytest
 from markedgibbs.errors import SchemeMismatch
 from markedgibbs.lpintegrate import (TENSOR_NODE_BUDGET, IntegralEstimate,
                                      QuadratureScheme, SlotDomain, _multisets,
-                                     _single_nodes, lp_integral,
-                                     marked_point_nodes, philox_rng,
+                                     _position_nodes, _single_nodes, lp_integral,
+                                     mark_nodes_weights, marked_point_nodes,
+                                     philox_rng,
                                      product_node_batches,
                                      product_region_integral, scalar_integrand)
 from markedgibbs.model import Box, FiniteConfiguration
@@ -227,10 +228,11 @@ def test_infinite_integrand_rejected(toy_model, value):
 # symmetric tensor grids against the full ordered product
 
 
-def ordered_product_integral(model, domains, integrand, scheme):
+def ordered_product_integral(model, domains, integrand, scheme,
+                             node_rule=_single_nodes):
     """Brute-force oracle: every ordered tuple of single-slot nodes."""
     n = len(domains)
-    singles = [_single_nodes(model, dom, scheme.grid_points_for(n), scheme)
+    singles = [node_rule(model, dom, scheme.grid_points_for(n), scheme)
                for dom in domains]
     idx = np.array(list(itertools.product(*(range(w.size) for _, _, w in singles))))
     positions = np.stack([pos[idx[:, j]] for j, (pos, _, _) in enumerate(singles)],
@@ -336,3 +338,66 @@ def test_tensor_budget_counts_the_full_ordered_product(toy_model):
                            match=f"enumerate {(2 * too_many) ** n} nodes"):
             next(product_node_batches(toy_model, domains,
                                       QuadratureScheme.tensor(too_many)))
+
+
+def indicator_weighted_nodes(model, domain, per_axis, scheme):
+    """Every position x mark node of a slot, weighted by the indicator (zeros kept)."""
+    pos, pw = _position_nodes(domain.box, per_axis)
+    mv, mw = mark_nodes_weights(model, scheme)
+    positions = np.repeat(pos, mv.size, axis=0)
+    weights = np.repeat(pw, mv.size) * np.tile(mw, pw.size)
+    if domain.indicator is not None:
+        weights = weights * domain.indicator(positions)
+    return positions, np.tile(mv, pw.size), weights
+
+
+def test_zero_weight_nodes_never_reach_the_integrand():
+    # the collar's indicator zeroes its nodes inside the region; those nodes
+    # are dropped, and the integral is still the indicator-weighted sum over
+    # every ordered tuple of all nodes
+    from markedgibbs.cluster import _collar_domain, ursell_batch
+
+    model = build_model("toy-repulsive-spin-rc", z=0.05, beta=1.0, range_cut=0.25)
+    region = Box((0.3,), (0.7,))
+    collar = _collar_domain(model, region)
+    domains = [SlotDomain(region)] + [collar] * 2
+    scheme = QuadratureScheme.tensor(6)
+    assert np.any(indicator_weighted_nodes(model, collar, 6, scheme)[2] == 0.0)
+
+    def integrand(n, positions, marks):
+        return ursell_batch(model, FiniteConfiguration(), positions, marks)
+
+    def collar_outside_region(n, positions, marks):
+        assert not np.any(region.contains_batch(positions[:, 1:, :]))
+        return integrand(n, positions, marks)
+
+    for _, _, weights in product_node_batches(model, domains, scheme):
+        assert np.all(weights != 0.0)
+    value, _ = product_region_integral(model, domains, collar_outside_region, scheme)
+    oracle = ordered_product_integral(model, domains, integrand, scheme,
+                                      node_rule=indicator_weighted_nodes)
+    assert oracle != 0.0
+    assert abs(value - oracle) <= 1e-13 * abs(oracle), (value, oracle)
+
+
+def test_slot_without_nonzero_nodes_integrates_to_zero():
+    # one node per axis on the collar box sits at its centre 0.5, inside the
+    # region: the slot keeps no node and the integral is exactly 0.0
+    from markedgibbs.cluster import (_collar_domain, limit_density_profile,
+                                     ursell_batch)
+
+    model = build_model("toy-repulsive-spin-rc", z=0.05, beta=1.0, range_cut=0.25)
+    region = Box((0.3,), (0.7,))
+    collar = _collar_domain(model, region)
+    single = QuadratureScheme.tensor(1)
+    assert list(product_node_batches(model, [SlotDomain(region), collar], single)) == []
+
+    def integrand(n, positions, marks):
+        return ursell_batch(model, FiniteConfiguration(), positions, marks)
+
+    value, err = product_region_integral(model, [SlotDomain(region), collar],
+                                         integrand, single)
+    assert value == 0.0 and err == 0.0
+    # the same empty coarse collar grid inside a limit-density profile
+    profile = limit_density_profile(model, region, 2, QuadratureScheme.tensor((3, 2)))
+    assert math.isfinite(profile.log_normalizer)

@@ -4,6 +4,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from markedgibbs.errors import DuplicatePosition, RegionOutOfBounds
+from markedgibbs.lpintegrate import philox_rng
 from markedgibbs.model import (Box, FiniteConfiguration, MarkSpace, MarkedPoint,
                                PositionSpace, canonicalize, restrict)
 
@@ -98,6 +99,25 @@ def test_mark_space_masses():
     assert circ.total_mass == 2.0
     inter = MarkSpace.interval(-1.0, 1.0, mass=1.0)
     assert inter.total_mass == 1.0
+
+
+@pytest.mark.parametrize("labels,weights", [
+    ([1.0, -1.0], [0.5, 0.5]),
+    ([1.0, 2.0, 3.0], [1 / 3, 1 / 3, 1 / 3]),
+    ([0.0, 1.5, -2.0, 7.0], [0.1, 0.0, 2.5, 0.4]),
+])
+def test_discrete_mark_draws_equal_generator_choice(labels, weights):
+    # inverse-CDF draws equal rng.choice on a twin generator, and both
+    # generators stay in lockstep
+    marks = MarkSpace.discrete(labels, weights)
+    probs = np.asarray(weights) / marks.total_mass
+    for seed in range(20):
+        rng, twin = philox_rng(seed), philox_rng(seed)
+        for size in (1, 3, 0, 257):
+            np.testing.assert_array_equal(
+                marks.sample(rng, size),
+                twin.choice(np.asarray(labels), size=size, p=probs))
+        assert rng.random() == twin.random()
 
 
 def test_mark_space_mass_matches_quadrature():

@@ -7,7 +7,8 @@ from hypothesis import strategies as st
 
 from markedgibbs.errors import GroundMismatch, NotInIdeal, NotNormalized
 from markedgibbs.starcalc import (ConfigFunctional, d_shift, indicator,
-                                  star_exp, star_exp_series, star_log,
+                                  star_exp, star_exp_batch, star_exp_series,
+                                  star_inverse_batch, star_log, star_log_batch,
                                   star_log_series, star_mul, unit)
 
 
@@ -117,6 +118,68 @@ def test_recursion_matches_literal_series(n, seed):
     f = random_functional(rng, n, unit_empty=True)
     np.testing.assert_allclose(star_log(f).values, star_log_series(f).values,
                                rtol=1e-11, atol=1e-11)
+
+
+def random_tables(rng, rows, n, empty):
+    vals = rng.normal(size=(rows, 1 << n))
+    vals[:, 0] = empty
+    return vals
+
+
+def test_batch_rows_equal_single_row_calls(rng):
+    # a row of a K > 1 batch is bit-for-bit the K = 1 call on that row, and
+    # the ConfigFunctional ops are those K = 1 rows
+    for n in range(0, 7):
+        psi = random_tables(rng, 5, n, 0.0)
+        f = random_tables(rng, 5, n, 1.0)
+        for kernel, table in ((star_exp_batch, psi), (star_log_batch, f),
+                              (star_inverse_batch, f)):
+            batch = kernel(table)
+            assert batch.shape == table.shape
+            for row in range(table.shape[0]):
+                np.testing.assert_array_equal(batch[row], kernel(table[row:row + 1])[0])
+        np.testing.assert_array_equal(star_exp(ConfigFunctional(n, psi[2])).values,
+                                      star_exp_batch(psi)[2])
+        np.testing.assert_array_equal(star_log(ConfigFunctional(n, f[3])).values,
+                                      star_log_batch(f)[3])
+
+
+def test_batch_roundtrip_and_inverse(rng):
+    worst_trip = worst_inv = 0.0
+    for n in range(0, 7):
+        psi = random_tables(rng, 20, n, 0.0)
+        f = random_tables(rng, 20, n, 1.0)
+        worst_trip = max(worst_trip,
+                         float(np.max(np.abs(star_log_batch(star_exp_batch(psi)) - psi))),
+                         float(np.max(np.abs(star_exp_batch(star_log_batch(f)) - f))))
+        inverse = star_inverse_batch(f)
+        for row in range(f.shape[0]):
+            prod = star_mul(ConfigFunctional(n, inverse[row]), ConfigFunctional(n, f[row]))
+            worst_inv = max(worst_inv, float(np.max(np.abs(prod.values - unit(n).values))))
+    assert worst_trip <= 1e-10
+    assert worst_inv <= 1e-12
+
+
+def test_star_log_batch_zeroes_disconnected_subsets(rng):
+    # the predicate is asked once per subset of two or more points, and the
+    # rows it calls disconnected get exactly 0.0 there; other rows are
+    # untouched
+    f = random_tables(rng, 4, 4, 1.0)
+    disconnected = (0b0101, 0b1011)
+    asked = []
+
+    def connected(mask):
+        asked.append(mask)
+        rows = np.ones(4, dtype=bool)
+        if mask in disconnected:
+            rows[[1, 3]] = False
+        return rows
+
+    out = star_log_batch(f, connected)
+    assert asked == [mask for mask in range(1, 16) if mask & (mask - 1)]
+    for mask in disconnected:
+        assert np.all(out[[1, 3], mask] == 0.0)
+    np.testing.assert_array_equal(out[[0, 2]], star_log_batch(f)[[0, 2]])
 
 
 def test_d_shift_empty_is_identity(rng):
