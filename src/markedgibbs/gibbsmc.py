@@ -249,30 +249,71 @@ def rejection_sample_batch(model: ModelSpec, region: Box,
         batch = max(1024, int(1.5 * (count - len(out))))
         ns = rng.poisson(lam, size=batch)
         us = rng.random(batch)
-        accepted: list[FiniteConfiguration | None] = [None] * batch
-        for n in np.unique(ns):
-            rows = np.where(ns == n)[0]
+        # an empty proposal has weight 1 and is always accepted
+        accepted = ns == 0
+        slot = np.empty(batch, dtype=np.intp)  # a row's index in its size group
+        groups = {}
+        for n in np.unique(ns[ns > 0]).tolist():
+            rows = np.flatnonzero(ns == n)
             k = rows.size
-            if n == 0:
-                for row in rows:
-                    accepted[row] = FiniteConfiguration()
-                continue
-            pos = lo + rng.random((k, int(n), d)) * (hi - lo)
-            marks = model.marks.sample(rng, k * int(n)).reshape(k, int(n))
+            pos = lo + rng.random((k, n, d)) * (hi - lo)
+            marks = model.marks.sample(rng, k * n).reshape(k, n)
             weights = boltzmann_weight_batch(model, pos, marks, bpos, bmarks)
-            accept = us[rows] < weights * math.exp(-beta * b_prime * int(n))
-            for group_idx in np.where(accept)[0]:
-                pts = [MarkedPoint(tuple(pos[group_idx, j]), float(marks[group_idx, j]))
-                       for j in range(int(n))]
-                if len({p.position for p in pts}) == int(n):
-                    accepted[rows[group_idx]] = canonicalize(pts)
-        # keep proposal order so the kept prefix stays an i.i.d. sample
-        out.extend(cfg for cfg in accepted if cfg is not None)
-    return out[:count]
+            iu, ju = np.triu_indices(n, 1)
+            collision = (pos[:, iu] == pos[:, ju]).all(axis=-1).any(axis=-1)
+            accepted[rows] = ((us[rows] < weights * math.exp(-beta * b_prime * n))
+                              & ~collision)
+            slot[rows] = np.arange(k)
+            groups[n] = (pos, marks)
+        # keep proposal order so the kept prefix stays an i.i.d. sample; only
+        # the rows of that prefix become configurations
+        for row in np.flatnonzero(accepted)[:count - len(out)].tolist():
+            n = int(ns[row])
+            if n == 0:
+                out.append(FiniteConfiguration())
+                continue
+            pos, marks = groups[n]
+            g = slot[row]
+            out.append(canonicalize([MarkedPoint(tuple(pos[g, j]), float(marks[g, j]))
+                                     for j in range(n)]))
+    return out
 
 
 # ---------------------------------------------------------------------------
 # grand-canonical MCMC
+
+
+def _pair_statistics(model: ModelSpec, region: Box, counts: np.ndarray,
+                     positions: np.ndarray, marks: np.ndarray | None = None
+                     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Pair-distance histogram and pair energies of a ragged sample stream.
+
+    Sample i holds the ``counts[i]`` rows of the flat ``positions`` (and
+    ``marks``) that follow those of the samples before it. Pairs are taken
+    from the upper triangle, one group of same-size samples at a time, and
+    binned into 32 equal bins up to the region's longest side. Returns the
+    bin edges, the bin counts and the energies: 0.0 without ``marks`` and
+    below two points, +inf where any pair is.
+    """
+    pair_bins = np.linspace(0.0, max(u - l for l, u in zip(region.lower, region.upper)),
+                            33)
+    hist = np.zeros(len(pair_bins) - 1)
+    energies = np.zeros(counts.size)
+    starts = np.cumsum(counts) - counts
+    for n in np.unique(counts[counts >= 2]).tolist():
+        rows = np.flatnonzero(counts == n)
+        idx = starts[rows, None] + np.arange(n)
+        pos = positions[idx]
+        iu, ju = np.triu_indices(n, 1)
+        hist += np.histogram(model.space.distance_batch(pos[:, iu], pos[:, ju]),
+                             bins=pair_bins)[0]
+        if marks is not None:
+            # contiguous rows, so each row sums in the order of a 1-D sum
+            vals = np.ascontiguousarray(
+                pair_phi_matrix(model.potential, pos, marks[idx])[:, iu, ju])
+            energies[rows] = np.where(np.isinf(vals).any(axis=1), math.inf,
+                                      vals.sum(axis=1))
+    return pair_bins, hist, energies
 
 
 def _tau_int(series: np.ndarray) -> float:
@@ -314,6 +355,10 @@ def mcmc_run(model: ModelSpec, region: Box, boundary: BoundaryCondition,
     checked whenever the chain empties (against the last point's local
     energy) and recomputed once at the end; a gap above 1e-9 * max(1, |E|)
     raises EnergyDrift. Reproducible for a fixed config.
+
+    The kept states are recorded as their point counts plus one flat
+    position buffer; the pair histogram is built from that stream after the
+    chain, one group of same-size states at a time.
     """
     boundary.validate_for(region)
     rng = philox_rng(sampler.seed)
@@ -334,9 +379,7 @@ def mcmc_run(model: ModelSpec, region: Box, boundary: BoundaryCondition,
     accepts = {"birth": 0, "death": 0, "move": 0, "mark": 0}
     counts = []
     energies = []
-    pair_bins = np.linspace(0.0, max(u - l for l, u in zip(region.lower, region.upper)),
-                            33)
-    pair_counts = np.zeros(len(pair_bins) - 1)
+    kept_positions = bytearray()  # the kept states' rows, back to back
 
     def local_energy(pos: np.ndarray, mark: float, keep=slice(None)) -> float:
         """Interaction of one point with the state rows ``keep`` and the boundary."""
@@ -408,11 +451,7 @@ def mcmc_run(model: ModelSpec, region: Box, boundary: BoundaryCondition,
         if sweep >= sampler.burn_in and (sweep - sampler.burn_in) % sampler.thinning == 0:
             counts.append(marks.size)
             energies.append(energy)
-            if marks.size >= 2:
-                dist = model.space.distance_batch(positions[:, None, :],
-                                                  positions[None, :, :])
-                iu, ju = np.triu_indices(marks.size, 1)
-                pair_counts += np.histogram(dist[iu, ju], bins=pair_bins)[0]
+            kept_positions += positions.tobytes()
             if sample_sink is not None:
                 sample_sink(canonicalize([MarkedPoint(tuple(p), m) for p, m in
                                           zip(positions.tolist(), marks.tolist())]))
@@ -421,6 +460,9 @@ def mcmc_run(model: ModelSpec, region: Box, boundary: BoundaryCondition,
                   + _interaction_sum(model, positions, marks, bpos, bmarks))
 
     kept = len(counts)
+    pair_bins, pair_counts, _ = _pair_statistics(
+        model, region, np.asarray(counts),
+        np.frombuffer(kept_positions).reshape(-1, d))
     counts_arr = np.asarray(counts, dtype=float)
     energy_arr = np.asarray(energies, dtype=float)
     tau = _tau_int(counts_arr)
@@ -443,24 +485,23 @@ def mcmc_run(model: ModelSpec, region: Box, boundary: BoundaryCondition,
 
 def summarize_samples(samples: Sequence[FiniteConfiguration], model: ModelSpec,
                       region: Box) -> ChainStats:
-    """ChainStats-shaped summary for i.i.d. samples (tau = 1)."""
-    counts = np.asarray([len(s) for s in samples], dtype=float)
-    energies = []
-    pair_bins = np.linspace(0.0, max(u - l for l, u in zip(region.lower, region.upper)),
-                            33)
-    pair_counts = np.zeros(len(pair_bins) - 1)
-    for s in samples:
-        if len(s) >= 2:
-            pos = s.positions_array()
-            dist = model.space.distance_batch(pos[:, None, :], pos[None, :, :])
-            iu, ju = np.triu_indices(len(s), 1)
-            pair_counts += np.histogram(dist[iu, ju], bins=pair_bins)[0]
-        energies.append(_config_energy_arrays(model, s.positions_array(),
-                                              s.marks_array()))
-    energies = np.asarray(energies)
-    k = counts.size
+    """ChainStats-shaped summary for i.i.d. samples (tau = 1).
+
+    Pair histogram and pair energies are computed per group of same-size
+    samples. At least 2 samples are needed for a standard error.
+    """
+    k = len(samples)
+    if k < 2:
+        raise ValueError("summarize_samples needs at least 2 samples")
+    counts = np.asarray([len(s) for s in samples])
+    points = [p for s in samples for p in s.points]
+    positions = np.asarray([p.position for p in points], dtype=float)
+    pair_bins, pair_counts, energies = _pair_statistics(
+        model, region, counts, positions.reshape(-1, region.dimension),
+        np.asarray([p.mark for p in points], dtype=float))
+    counts = counts.astype(float)
     denom = model.z * model.mass(region)
-    se = float(counts.std(ddof=1)) / math.sqrt(k) if k > 1 else 0.0
+    se = float(counts.std(ddof=1)) / math.sqrt(k)
     return ChainStats(
         sweeps=k, burn_in=0, thinning=1, sample_count=k,
         attempts={"birth": 0, "death": 0, "move": 0, "mark": 0},
@@ -468,8 +509,8 @@ def summarize_samples(samples: Sequence[FiniteConfiguration], model: ModelSpec,
         mean_count=float(counts.mean()),
         rho_hat=float(counts.mean()) / denom, rho_hat_se=se / denom,
         tau_int=1.0,
-        mean_energy=float(energies.mean()) if k else 0.0,
-        mean_energy_se=float(energies.std(ddof=1)) / math.sqrt(k) if k > 1 else 0.0,
+        mean_energy=float(energies.mean()),
+        mean_energy_se=float(energies.std(ddof=1)) / math.sqrt(k),
         pair_histogram_edges=tuple(pair_bins.tolist()),
         pair_histogram_counts=tuple(pair_counts.tolist()),
     )

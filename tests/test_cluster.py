@@ -88,6 +88,27 @@ def test_oracle_triangle(toy_model, rng):
     assert worst <= 1e-10
 
 
+@pytest.mark.parametrize("name, params", [
+    ("toy-repulsive-spin", {}),
+    ("toy-repulsive-spin-rc", {"range_cut": 0.2}),
+])
+def test_oracle_triangle_independent_log_leg(name, params, rng):
+    # the ln* leg runs the literal alternating series, not the recursion
+    # behind ursell_table, so all three legs are independent routes
+    model = build_model(name, z=0.05, beta=1.0, **params)
+    worst = 0.0
+    for _ in range(60):
+        n = int(rng.integers(1, 6))
+        cfg = random_config(model, n, rng)
+        direct = ursell_direct(cfg, model)
+        table = ursell_table(cfg, model).full
+        via_log = starcalc.star_log_series(boltzmann_functional(cfg, model))((1 << n) - 1)
+        scale = triangle_scale(model, cfg, direct, table, via_log)
+        worst = max(worst, abs(direct - table) / scale, abs(direct - via_log) / scale,
+                    abs(table - via_log) / scale)
+    assert worst <= 1e-10
+
+
 def test_cluster_decomposition_reconstructs_gibbs_factor(toy_model, rng):
     for _ in range(60):
         n = int(rng.integers(1, 9))

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from conftest import random_config
 from markedgibbs import gibbsmc
 from markedgibbs.errors import (AcceptanceTooLow, EnergyDrift,
                                 RegionOutOfBounds, RequiresFiniteRange)
@@ -15,7 +16,7 @@ from markedgibbs.gibbsmc import (EMPTY_BOUNDARY, BoundaryCondition,
                                  summarize_samples, write_sample_file)
 from markedgibbs.lpintegrate import philox_rng
 from markedgibbs.model import Box, FiniteConfiguration, MarkedPoint, canonicalize
-from markedgibbs.potential import build_model
+from markedgibbs.potential import build_model, pair_phi_matrix
 
 
 def test_poisson_mean_and_marks(toy_model, rng):
@@ -261,3 +262,167 @@ def test_sample_file_roundtrip(toy_model, rng, tmp_path):
     assert len(back) == len(samples)
     for a, b in zip(samples, back):
         assert a.points == b.points
+
+
+# ---------------------------------------------------------------------------
+# grouped pair statistics and kept-prefix rejection against per-sample oracles
+
+
+def _pair_bins(region):
+    return np.linspace(0.0, max(u - l for l, u in zip(region.lower, region.upper)), 33)
+
+
+def _pair_histogram_reference(samples, model, region):
+    """Sum over samples of the histogram of each one's pair distances."""
+    bins = _pair_bins(region)
+    counts = np.zeros(len(bins) - 1)
+    for s in samples:
+        if len(s) >= 2:
+            pos = s.positions_array()
+            dist = model.space.distance_batch(pos[:, None, :], pos[None, :, :])
+            iu, ju = np.triu_indices(len(s), 1)
+            counts += np.histogram(dist[iu, ju], bins=bins)[0]
+    return tuple(counts.tolist())
+
+
+def _summarize_reference(samples, model, region):
+    """summarize_samples as one loop over the samples."""
+    counts = np.asarray([len(s) for s in samples], dtype=float)
+    energies = []
+    for s in samples:
+        e = 0.0
+        if len(s) >= 2:
+            phi = pair_phi_matrix(model.potential, s.positions_array()[None],
+                                  s.marks_array()[None])[0]
+            vals = phi[np.triu_indices(len(s), 1)]
+            e = math.inf if np.any(np.isinf(vals)) else float(np.sum(vals))
+        energies.append(e)
+    energies = np.asarray(energies)
+    k = counts.size
+    denom = model.z * model.mass(region)
+    return gibbsmc.ChainStats(
+        sweeps=k, burn_in=0, thinning=1, sample_count=k,
+        attempts={"birth": 0, "death": 0, "move": 0, "mark": 0},
+        accepts={"birth": 0, "death": 0, "move": 0, "mark": 0},
+        mean_count=float(counts.mean()),
+        rho_hat=float(counts.mean()) / denom,
+        rho_hat_se=float(counts.std(ddof=1)) / math.sqrt(k) / denom,
+        tau_int=1.0,
+        mean_energy=float(energies.mean()),
+        mean_energy_se=float(energies.std(ddof=1)) / math.sqrt(k),
+        pair_histogram_edges=tuple(_pair_bins(region).tolist()),
+        pair_histogram_counts=_pair_histogram_reference(samples, model, region))
+
+
+@pytest.mark.parametrize("model", [
+    build_model("toy-repulsive-spin", z=0.05),
+    build_model("hard-core", z=0.05, r0=0.1),
+    build_model("toy-repulsive-spin", z=0.05, dimension=2, boundary="periodic"),
+], ids=["toy", "hard-core", "toy-2d-periodic"])
+def test_summarize_samples_matches_per_sample_loop(model, rng):
+    # every size from 0 to 9, shuffled; hard-core samples include +inf energies
+    sizes = rng.permutation(np.repeat(np.arange(10), 7))
+    samples = [random_config(model, int(n), rng) for n in sizes]
+    got = summarize_samples(samples, model, model.space.box)
+    want = _summarize_reference(samples, model, model.space.box)
+    assert repr(got) == repr(want)
+    if model.potential.name == "hard-core":
+        assert got.mean_energy == math.inf
+
+
+@pytest.mark.parametrize("samples", [[], [FiniteConfiguration()]], ids=["0", "1"])
+def test_summarize_samples_needs_two_samples(toy_model, samples):
+    # one sample would claim a standard error of 0.0, none a NaN density
+    with pytest.raises(ValueError):
+        summarize_samples(samples, toy_model, toy_model.space.box)
+
+
+@pytest.mark.parametrize("case", ["toy-1d", "toy-2d-periodic", "boundary"])
+def test_mcmc_pair_histogram_matches_its_samples(case):
+    if case == "toy-1d":
+        model = build_model("toy-repulsive-spin", z=3.0)
+        boundary = EMPTY_BOUNDARY
+    elif case == "toy-2d-periodic":
+        model = build_model("toy-repulsive-spin", z=3.0, dimension=2,
+                            boundary="periodic")
+        boundary = EMPTY_BOUNDARY
+    else:
+        model = build_model("hard-core", z=2.0, r0=0.1, side=1.5)
+        boundary = BoundaryCondition(canonicalize([MarkedPoint((1.05,), 1.0)]))
+    region = Box((0.0,) * model.space.dimension, (1.0,) * model.space.dimension)
+    kept = []
+    chain = mcmc_run(model, region, boundary,
+                     SamplerConfig(seed=6, sweeps=3000, burn_in=200, thinning=3),
+                     sample_sink=kept.append)
+    assert max(len(s) for s in kept) >= 3
+    assert chain.pair_histogram_edges == tuple(_pair_bins(region).tolist())
+    assert chain.pair_histogram_counts == _pair_histogram_reference(kept, model, region)
+    assert sum(chain.pair_histogram_counts) > 0
+
+
+def _rejection_sample_batch_reference(model, region, boundary, count, rng):
+    """rejection_sample_batch building a configuration for every accepted row."""
+    b_prime = gibbsmc._boundary_inflation(model, region, boundary)
+    lam = model.z * math.exp(model.beta * b_prime) * model.mass(region)
+    lo, hi, d = np.asarray(region.lower), np.asarray(region.upper), region.dimension
+    bpos = boundary.exterior.positions_array()
+    bmarks = boundary.exterior.marks_array()
+    out = []
+    while len(out) < count:
+        batch = max(1024, int(1.5 * (count - len(out))))
+        ns = rng.poisson(lam, size=batch)
+        us = rng.random(batch)
+        accepted = [None] * batch
+        for n in np.unique(ns):
+            rows = np.where(ns == n)[0]
+            k = rows.size
+            if n == 0:
+                for row in rows:
+                    accepted[row] = FiniteConfiguration()
+                continue
+            pos = lo + rng.random((k, int(n), d)) * (hi - lo)
+            marks = model.marks.sample(rng, k * int(n)).reshape(k, int(n))
+            weights = gibbsmc.boltzmann_weight_batch(model, pos, marks, bpos, bmarks)
+            accept = us[rows] < weights * math.exp(-model.beta * b_prime * int(n))
+            for g in np.where(accept)[0]:
+                pts = [MarkedPoint(tuple(pos[g, j]), float(marks[g, j]))
+                       for j in range(int(n))]
+                if len({p.position for p in pts}) == int(n):
+                    accepted[rows[g]] = canonicalize(pts)
+        out.extend(cfg for cfg in accepted if cfg is not None)
+    return out[:count]
+
+
+class _CoarseRng:
+    """A generator whose uniforms lie on a grid of eighths, so proposals with
+    coinciding positions are common."""
+
+    def __init__(self, seed):
+        self._rng = philox_rng(seed)
+
+    def poisson(self, lam, size=None):
+        return self._rng.poisson(lam, size=size)
+
+    def random(self, size=None):
+        return np.floor(self._rng.random(size) * 8.0) / 8.0
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+@pytest.mark.parametrize("case", ["free", "boundary", "collisions"])
+def test_rejection_batch_matches_construction_loop(seed, case):
+    # at z = 3 the first proposal batch accepts too few, so a second one runs
+    model = build_model("toy-repulsive-spin-rc", z=3.0, range_cut=0.2)
+    region, boundary = model.space.box, EMPTY_BOUNDARY
+    if case == "boundary":
+        region = Box((0.25,), (0.75,))
+        boundary = BoundaryCondition(canonicalize(
+            [MarkedPoint((0.1,), 1.0), MarkedPoint((0.8,), -1.0),
+             MarkedPoint((0.95,), 1.0)]))
+    make_rng = _CoarseRng if case == "collisions" else philox_rng
+    rng_a, rng_b = make_rng(seed), make_rng(seed)
+    got = rejection_sample_batch(model, region, boundary, 1500, rng_a)
+    want = _rejection_sample_batch_reference(model, region, boundary, 1500, rng_b)
+    assert [[(p.position, p.mark) for p in c] for c in got] == \
+        [[(p.position, p.mark) for p in c] for c in want]
+    # both consumed the same draws
+    assert rng_a.random() == rng_b.random()
