@@ -124,18 +124,37 @@ def poisson_sample(model: ModelSpec, region: Box,
 # specification weight and energies
 
 
+def _size_groups(counts: np.ndarray):
+    """Same-size groups of a ragged sample stream with at least 2 points.
+
+    Sample i holds the ``counts[i]`` flat rows that follow those of the
+    samples before it. Yields ``(n, rows, idx)`` per point count n: the
+    samples with n points and their (len(rows), n) flat row indices.
+    """
+    starts = np.cumsum(counts) - counts
+    for n in np.unique(counts[counts >= 2]).tolist():
+        rows = np.flatnonzero(counts == n)
+        yield n, rows, starts[rows, None] + np.arange(n)
+
+
+def _pair_energy_batch(model: ModelSpec, positions: np.ndarray,
+                       marks: np.ndarray) -> np.ndarray:
+    """Pair energies of a (K, n, d), (K, n) batch: 0.0 below two points,
+    +inf where any pair is."""
+    k, n = marks.shape
+    if n < 2:
+        return np.zeros(k)
+    iu, ju = np.triu_indices(n, 1)
+    # contiguous rows, so each row sums in the order of a 1-D sum
+    vals = np.ascontiguousarray(
+        pair_phi_matrix(model.potential, positions, marks)[:, iu, ju])
+    return np.where(np.isinf(vals).any(axis=1), math.inf, vals.sum(axis=1))
+
+
 def _config_energy_arrays(model: ModelSpec, positions: np.ndarray,
                           marks: np.ndarray) -> float:
     """Pair energy of one configuration given as arrays (may be +inf)."""
-    n = positions.shape[0]
-    if n < 2:
-        return 0.0
-    phi_m = pair_phi_matrix(model.potential, positions[None], marks[None])[0]
-    iu, ju = np.triu_indices(n, 1)
-    vals = phi_m[iu, ju]
-    if np.any(np.isinf(vals)):
-        return math.inf
-    return float(np.sum(vals))
+    return float(_pair_energy_batch(model, positions[None], marks[None])[0])
 
 
 def _interaction_sum(model: ModelSpec, positions: np.ndarray, marks: np.ndarray,
@@ -283,37 +302,23 @@ def rejection_sample_batch(model: ModelSpec, region: Box,
 # grand-canonical MCMC
 
 
-def _pair_statistics(model: ModelSpec, region: Box, counts: np.ndarray,
-                     positions: np.ndarray, marks: np.ndarray | None = None
-                     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Pair-distance histogram and pair energies of a ragged sample stream.
+def _pair_bins(region: Box) -> np.ndarray:
+    """Edges of 32 equal pair-distance bins up to the region's longest side."""
+    return np.linspace(0.0, max(u - l for l, u in zip(region.lower, region.upper)),
+                       33)
 
-    Sample i holds the ``counts[i]`` rows of the flat ``positions`` (and
-    ``marks``) that follow those of the samples before it. Pairs are taken
-    from the upper triangle, one group of same-size samples at a time, and
-    binned into 32 equal bins up to the region's longest side. Returns the
-    bin edges, the bin counts and the energies: 0.0 without ``marks`` and
-    below two points, +inf where any pair is.
-    """
-    pair_bins = np.linspace(0.0, max(u - l for l, u in zip(region.lower, region.upper)),
-                            33)
+
+def _pair_histogram(model: ModelSpec, pair_bins: np.ndarray, counts: np.ndarray,
+                    positions: np.ndarray) -> np.ndarray:
+    """Upper-triangle pair-distance counts of a ragged sample stream (counts
+    plus flat positions), one group of same-size samples at a time."""
     hist = np.zeros(len(pair_bins) - 1)
-    energies = np.zeros(counts.size)
-    starts = np.cumsum(counts) - counts
-    for n in np.unique(counts[counts >= 2]).tolist():
-        rows = np.flatnonzero(counts == n)
-        idx = starts[rows, None] + np.arange(n)
+    for n, _, idx in _size_groups(counts):
         pos = positions[idx]
         iu, ju = np.triu_indices(n, 1)
         hist += np.histogram(model.space.distance_batch(pos[:, iu], pos[:, ju]),
                              bins=pair_bins)[0]
-        if marks is not None:
-            # contiguous rows, so each row sums in the order of a 1-D sum
-            vals = np.ascontiguousarray(
-                pair_phi_matrix(model.potential, pos, marks[idx])[:, iu, ju])
-            energies[rows] = np.where(np.isinf(vals).any(axis=1), math.inf,
-                                      vals.sum(axis=1))
-    return pair_bins, hist, energies
+    return hist
 
 
 def _tau_int(series: np.ndarray) -> float:
@@ -340,6 +345,10 @@ def _check_energy(tracked: float, exact: float) -> None:
                           f"recomputed {exact!r}")
 
 
+# points plus pairs of kept states that mcmc_run buffers before binning them
+_FLUSH_PAIRS = 1 << 17
+
+
 def mcmc_run(model: ModelSpec, region: Box, boundary: BoundaryCondition,
              sampler: SamplerConfig,
              sample_sink: Callable[[FiniteConfiguration], None] | None = None
@@ -357,8 +366,10 @@ def mcmc_run(model: ModelSpec, region: Box, boundary: BoundaryCondition,
     raises EnergyDrift. Reproducible for a fixed config.
 
     The kept states are recorded as their point counts plus one flat
-    position buffer; the pair histogram is built from that stream after the
-    chain, one group of same-size states at a time.
+    position buffer. The pair histogram is built from that stream one group
+    of same-size states at a time, whenever the buffer holds about
+    ``_FLUSH_PAIRS`` points plus pairs and once after the chain, so memory
+    stays bounded on long chains.
     """
     boundary.validate_for(region)
     rng = philox_rng(sampler.seed)
@@ -379,7 +390,17 @@ def mcmc_run(model: ModelSpec, region: Box, boundary: BoundaryCondition,
     accepts = {"birth": 0, "death": 0, "move": 0, "mark": 0}
     counts = []
     energies = []
-    kept_positions = bytearray()  # the kept states' rows, back to back
+    pair_bins = _pair_bins(region)
+    pair_counts = np.zeros(len(pair_bins) - 1)
+    kept_positions = bytearray()  # rows of the kept states not yet binned
+    binned = 0  # kept states already in pair_counts
+    pending = 0  # points plus pairs in kept_positions
+
+    def bin_kept() -> None:
+        nonlocal pair_counts, kept_positions, binned, pending
+        pair_counts += _pair_histogram(model, pair_bins, np.asarray(counts[binned:]),
+                                       np.frombuffer(kept_positions).reshape(-1, d))
+        kept_positions, binned, pending = bytearray(), len(counts), 0
 
     def local_energy(pos: np.ndarray, mark: float, keep=slice(None)) -> float:
         """Interaction of one point with the state rows ``keep`` and the boundary."""
@@ -449,9 +470,13 @@ def mcmc_run(model: ModelSpec, region: Box, boundary: BoundaryCondition,
                     accepts[kind] += 1
 
         if sweep >= sampler.burn_in and (sweep - sampler.burn_in) % sampler.thinning == 0:
-            counts.append(marks.size)
+            n = marks.size
+            counts.append(n)
             energies.append(energy)
             kept_positions += positions.tobytes()
+            pending += n + n * (n - 1) // 2
+            if pending >= _FLUSH_PAIRS:
+                bin_kept()
             if sample_sink is not None:
                 sample_sink(canonicalize([MarkedPoint(tuple(p), m) for p, m in
                                           zip(positions.tolist(), marks.tolist())]))
@@ -459,10 +484,8 @@ def mcmc_run(model: ModelSpec, region: Box, boundary: BoundaryCondition,
     _check_energy(energy, _config_energy_arrays(model, positions, marks)
                   + _interaction_sum(model, positions, marks, bpos, bmarks))
 
+    bin_kept()
     kept = len(counts)
-    pair_bins, pair_counts, _ = _pair_statistics(
-        model, region, np.asarray(counts),
-        np.frombuffer(kept_positions).reshape(-1, d))
     counts_arr = np.asarray(counts, dtype=float)
     energy_arr = np.asarray(energies, dtype=float)
     tau = _tau_int(counts_arr)
@@ -495,10 +518,14 @@ def summarize_samples(samples: Sequence[FiniteConfiguration], model: ModelSpec,
         raise ValueError("summarize_samples needs at least 2 samples")
     counts = np.asarray([len(s) for s in samples])
     points = [p for s in samples for p in s.points]
-    positions = np.asarray([p.position for p in points], dtype=float)
-    pair_bins, pair_counts, energies = _pair_statistics(
-        model, region, counts, positions.reshape(-1, region.dimension),
-        np.asarray([p.mark for p in points], dtype=float))
+    positions = np.asarray([p.position for p in points],
+                           dtype=float).reshape(-1, region.dimension)
+    marks = np.asarray([p.mark for p in points], dtype=float)
+    pair_bins = _pair_bins(region)
+    pair_counts = _pair_histogram(model, pair_bins, counts, positions)
+    energies = np.zeros(k)
+    for _, rows, idx in _size_groups(counts):
+        energies[rows] = _pair_energy_batch(model, positions[idx], marks[idx])
     counts = counts.astype(float)
     denom = model.z * model.mass(region)
     se = float(counts.std(ddof=1)) / math.sqrt(k)

@@ -360,6 +360,40 @@ def test_mcmc_pair_histogram_matches_its_samples(case):
     assert sum(chain.pair_histogram_counts) > 0
 
 
+@pytest.mark.parametrize("flush", [1, 7, 50])
+def test_mcmc_pair_histogram_binned_in_parts(flush, monkeypatch):
+    # binning the kept states in parts mid-chain changes no output byte
+    model = build_model("toy-repulsive-spin", z=3.0, dimension=2, boundary="periodic")
+    region = model.space.box
+    sampler = SamplerConfig(seed=4, sweeps=2000, burn_in=100, thinning=2)
+    whole = mcmc_run(model, region, EMPTY_BOUNDARY, sampler)
+    monkeypatch.setattr(gibbsmc, "_FLUSH_PAIRS", flush)
+    kept = []
+    parts = mcmc_run(model, region, EMPTY_BOUNDARY, sampler, sample_sink=kept.append)
+    assert repr(parts) == repr(whole)
+    assert parts.pair_histogram_counts == _pair_histogram_reference(kept, model, region)
+
+
+@pytest.mark.parametrize("model", [
+    build_model("toy-repulsive-spin", z=0.05),
+    build_model("hard-core", z=0.05, r0=0.1),
+], ids=["toy", "hard-core"])
+def test_config_energy_is_a_row_of_the_batch(model, rng):
+    # the scalar energy equals the 1-D sum over the upper triangle, +inf included
+    for n in range(10):
+        for _ in range(5):
+            s = random_config(model, n, rng)
+            e = 0.0
+            if n >= 2:
+                phi = pair_phi_matrix(model.potential, s.positions_array()[None],
+                                      s.marks_array()[None])[0]
+                vals = phi[np.triu_indices(n, 1)]
+                e = math.inf if np.any(np.isinf(vals)) else float(np.sum(vals))
+            got = gibbsmc._config_energy_arrays(model, s.positions_array(),
+                                                s.marks_array())
+            assert got == e
+
+
 def _rejection_sample_batch_reference(model, region, boundary, count, rng):
     """rejection_sample_batch building a configuration for every accepted row."""
     b_prime = gibbsmc._boundary_inflation(model, region, boundary)
