@@ -16,12 +16,12 @@ from pathlib import Path
 
 from . import verify as verify_mod
 from .cluster import (convergence_radius, correlation_truncated,
-                      log_partition_truncated)
-from .errors import ConfigError, MarkedGibbsError
+                      default_series_scheme, log_partition_truncated)
+from .errors import ConfigError, DuplicatePosition, MarkedGibbsError
 from .gibbsmc import (EMPTY_BOUNDARY, SamplerConfig, mcmc_run,
                       write_sample_file)
 from .lpintegrate import QuadratureScheme
-from .model import Box, FiniteConfiguration, MarkedPoint, ModelSpec
+from .model import Box, FiniteConfiguration, MarkedPoint, ModelSpec, canonicalize
 from .potential import model_from_dict
 
 SCHEMA_VERSION = "markedgibbs-report-v1"
@@ -53,7 +53,17 @@ class RunConfig:
     points: list = field(default_factory=list)
     sampler_cfg: dict = field(default_factory=dict)
     sample_file: str | None = None
-    raw: dict = field(default_factory=dict)
+    reference_grid_size: int = 48
+
+
+def _int_entry(data: dict, key: str, default: int, minimum: int) -> int:
+    try:
+        value = int(data.get(key, default))
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{key} must be an integer: {exc}") from exc
+    if value < minimum:
+        raise ConfigError(f"{key} must be at least {minimum}, got {value}")
+    return value
 
 
 def load_config(path: str | None, overrides: dict) -> RunConfig:
@@ -79,43 +89,65 @@ def load_config(path: str | None, overrides: dict) -> RunConfig:
         command=command,
         model_cfg=model_cfg,
         region=data.get("region"),
-        order=int(data.get("order", 4)),
+        order=_int_entry(data, "order", 4, 1 if command == "expand" else 0),
         scheme_cfg=data.get("scheme", {}),
-        seed=int(data.get("seed", 0)),
+        seed=_int_entry(data, "seed", 0, 0),
         out=data.get("out"),
         format=fmt,
         points=data.get("points", []),
         sampler_cfg=data.get("sampler", {}),
         sample_file=data.get("sample_file"),
-        raw=data,
+        reference_grid_size=_int_entry(data, "reference_grid_size",
+                                       48 if command == "radius" else 24, 1),
     )
 
 
 def _build_scheme(cfg: dict, seed: int) -> QuadratureScheme:
-    kind = cfg.get("kind", "tensor_grid")
+    """The default series scheme with the config's entries in place of its own."""
+    plan = default_series_scheme(int(cfg.get("seed", seed)))
+    common = {"seed": plan.seed, "mark_rule": cfg.get("mark_rule", plan.mark_rule),
+              "mark_nodes": int(cfg.get("mark_nodes", plan.mark_nodes))}
+    kind = cfg.get("kind", plan.kind)
     if kind == "monte_carlo":
         return QuadratureScheme.monte_carlo(
-            int(cfg.get("samples", 20000)), seed=int(cfg.get("seed", seed)),
-            mark_rule=cfg.get("mark_rule", "auto"),
-            mark_nodes=int(cfg.get("mark_nodes", 16)))
-    pts = cfg.get("points_per_axis", (96, 48, 24, 14, 8, 6))
+            int(cfg.get("samples", plan.mc_fallback_samples)), **common)
+    pts = cfg.get("points_per_axis", plan.points_per_axis)
     if isinstance(pts, list):
         pts = tuple(int(p) for p in pts)
+    fallback = cfg.get("mc_fallback_samples", plan.mc_fallback_samples)
     return QuadratureScheme(
-        kind=kind, points_per_axis=pts, mark_rule=cfg.get("mark_rule", "auto"),
-        mark_nodes=int(cfg.get("mark_nodes", 16)),
-        mc_fallback_samples=cfg.get("mc_fallback_samples", 20000),
-        seed=int(cfg.get("seed", seed)))
+        kind=kind, points_per_axis=pts,
+        mc_fallback_samples=None if fallback is None else int(fallback), **common)
 
 
 def _region_box(model: ModelSpec, cfg: dict | None) -> Box:
     if cfg is None:
         return model.space.box
     try:
-        return Box(tuple(float(x) for x in cfg["lower"]),
-                   tuple(float(x) for x in cfg["upper"]))
+        box = Box(tuple(float(x) for x in cfg["lower"]),
+                  tuple(float(x) for x in cfg["upper"]))
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"bad region: {exc}") from exc
+    if box.dimension != model.space.dimension or not model.space.box.contains_box(box):
+        raise ConfigError(f"region {box} leaves the model's box")
+    return box
+
+
+def _point_sets(model: ModelSpec, region: Box, row_sets) -> list[FiniteConfiguration]:
+    """Correlate's point sets: lists of [x..., mark] rows at distinct positions
+    inside the region."""
+    d = model.space.dimension
+    try:
+        if any(len(row) != d + 1 for rows in row_sets for row in rows):
+            raise ValueError(f"a point row needs {d} coordinates plus a mark")
+        sets = [canonicalize([MarkedPoint(tuple(row[:d]), row[d]) for row in rows])
+                for rows in row_sets]
+    except (TypeError, ValueError, DuplicatePosition) as exc:
+        raise ConfigError(f"bad correlate points: {exc}") from exc
+    if not sets or not all(region.contains_point(p.position) for s in sets for p in s):
+        raise ConfigError("correlate needs a 'points' list of sets of [x..., mark] "
+                          "rows inside the region")
+    return sets
 
 
 def _provenance(model: ModelSpec, run: RunConfig, scheme: QuadratureScheme | None) -> dict:
@@ -137,7 +169,7 @@ def _provenance(model: ModelSpec, run: RunConfig, scheme: QuadratureScheme | Non
 
 
 def _cmd_radius(model: ModelSpec, run: RunConfig) -> dict:
-    report = convergence_radius(model, int(run.raw.get("reference_grid_size", 48)))
+    report = convergence_radius(model, run.reference_grid_size)
     return {"radius": report.to_dict()}
 
 
@@ -149,22 +181,12 @@ def _cmd_expand(model: ModelSpec, run: RunConfig, region: Box,
 
 def _cmd_correlate(model: ModelSpec, run: RunConfig, region: Box,
                    scheme: QuadratureScheme) -> dict:
-    if not run.points:
-        raise ConfigError("correlate needs a 'points' list of [x..., mark] rows")
     results = []
-    d = model.space.dimension
-    for row_set in run.points:
-        pts = []
-        for row in row_set:
-            if len(row) != d + 1:
-                raise ConfigError(f"point row needs {d} coordinates plus a mark")
-            pts.append(MarkedPoint(tuple(row[:d]), float(row[d])))
-        est = correlation_truncated(FiniteConfiguration(tuple(sorted(
-            pts, key=lambda p: p.position))), model, region, run.order, scheme)
+    for row_set, points in zip(run.points, _point_sets(model, region, run.points)):
+        est = correlation_truncated(points, model, region, run.order, scheme)
         results.append({"points": row_set, "rho": est.value, "error": est.error,
                         "terms": list(est.terms)})
-    certificate = convergence_radius(model, int(run.raw.get(
-        "reference_grid_size", 24))).to_dict()
+    certificate = convergence_radius(model, run.reference_grid_size).to_dict()
     return {"correlations": results,
             "truncation_order": run.order,
             "certificate": certificate,
@@ -185,8 +207,7 @@ def _cmd_sample(model: ModelSpec, run: RunConfig, region: Box) -> dict:
     stats = mcmc_run(model, region, EMPTY_BOUNDARY, sampler, sample_sink=sink)
     if run.sample_file:
         write_sample_file(run.sample_file, collected, model.space.dimension)
-    certificate = convergence_radius(model, int(run.raw.get(
-        "reference_grid_size", 24))).to_dict()
+    certificate = convergence_radius(model, run.reference_grid_size).to_dict()
     return {"chain": stats.to_dict(),
             "sample_file": run.sample_file,
             "certificate": certificate,

@@ -24,7 +24,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache, partial
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -33,9 +33,8 @@ from .combinat import enumerate_connected_graphs
 from .errors import (InfiniteCBeta, IntegrationFailure, NonFiniteIntegrand,
                      OutsideRadius, OverlappingConfigurations,
                      RequiresFiniteRange, SizeLimit)
-from .lpintegrate import (IntegralEstimate, QuadratureScheme, SlotDomain,
-                          lp_integral, product_region_integral,
-                          resolve_scheme_for_order)
+from .lpintegrate import (BatchIntegrand, IntegralEstimate, QuadratureScheme,
+                          SlotDomain, lp_integral)
 from .model import Box, FiniteConfiguration, MarkedPoint, ModelSpec
 from .potential import (boltzmann_factor_batch, boltzmann_weight_batch,
                         check_integrability, mayer_factor, mayer_factor_batch,
@@ -506,28 +505,39 @@ def tail_bound(model: ModelSpec, from_order: int,
     return prefactor * q ** from_order / (1.0 - q)
 
 
-def _default_series_scheme(seed: int = 0) -> QuadratureScheme:
+def default_series_scheme(seed: int = 0) -> QuadratureScheme:
     return QuadratureScheme.tensor((96, 48, 24, 14, 8, 6),
                                    mc_fallback_samples=20000, seed=seed)
+
+
+def _series(what: str, f: BatchIntegrand, model: ModelSpec,
+            domain: Box | SlotDomain, N: int, scheme: QuadratureScheme | None,
+            fixed: Sequence[SlotDomain] = ()) -> IntegralEstimate:
+    """One truncated Lebesgue-Poisson series (`lp_integral`) on the given or
+    the default scheme; a NaN or infinite integrand is an IntegrationFailure."""
+    try:
+        return lp_integral(f, model, domain, N, scheme or default_series_scheme(),
+                           fixed)
+    except NonFiniteIntegrand as exc:
+        raise IntegrationFailure(f"{what} integral failed: {exc}") from exc
+
+
+def _ursell_integrand(model: ModelSpec, fixed: FiniteConfiguration,
+                      absolute: bool = False) -> BatchIntegrand:
+    """k(fixed + nodes), or |k|, as a batch integrand; k of no points is 0."""
+    def integrand(n, positions, marks):
+        vals = ursell_batch(model, fixed, positions, marks)
+        return np.abs(vals) if absolute else vals
+    return integrand
 
 
 def ursell_series_terms(model: ModelSpec, region: Box, N: int,
                         scheme: QuadratureScheme | None = None,
                         absolute: bool = False) -> IntegralEstimate:
     """Truncated series sum_n (z^n/n!) Int k (or |k|) over n region points."""
-    scheme = scheme or _default_series_scheme()
-    empty = FiniteConfiguration()
-
-    def integrand(n, positions, marks):
-        if n == 0:
-            return np.zeros(positions.shape[0])
-        vals = ursell_batch(model, empty, positions, marks)
-        return np.abs(vals) if absolute else vals
-
-    try:
-        return lp_integral(integrand, model, region, N, scheme)
-    except NonFiniteIntegrand as exc:
-        raise IntegrationFailure(f"coefficient integral failed: {exc}") from exc
+    return _series("coefficient",
+                   _ursell_integrand(model, FiniteConfiguration(), absolute),
+                   model, region, N, scheme)
 
 
 @dataclass(frozen=True)
@@ -602,17 +612,13 @@ def partition_direct_truncated(model: ModelSpec, region: Box,
     """
     if N < 0:
         raise ValueError("need N >= 0")
-    scheme = scheme or _default_series_scheme()
     bpos = boundary.positions_array()
     bmarks = boundary.marks_array()
 
     def integrand(n, positions, marks):
         return boltzmann_weight_batch(model, positions, marks, bpos, bmarks)
 
-    try:
-        return lp_integral(integrand, model, region, N, scheme)
-    except NonFiniteIntegrand as exc:
-        raise IntegrationFailure(f"direct series integral failed: {exc}") from exc
+    return _series("direct series", integrand, model, region, N, scheme)
 
 
 def correlation_truncated(points: FiniteConfiguration, model: ModelSpec,
@@ -627,15 +633,11 @@ def correlation_truncated(points: FiniteConfiguration, model: ModelSpec,
     for p in points:
         if not region.contains_point(p.position):
             raise ValueError(f"correlation point {p.position} outside the region")
-    scheme = scheme or _default_series_scheme()
 
     def integrand(n, positions, marks):
         return kbar_batch(model, points, positions, marks)
 
-    try:
-        return lp_integral(integrand, model, region, N, scheme)
-    except NonFiniteIntegrand as exc:
-        raise IntegrationFailure(f"correlation integral failed: {exc}") from exc
+    return _series("correlation", integrand, model, region, N, scheme)
 
 
 def averaged_correlation(model: ModelSpec, region: Box, m: int, N: int,
@@ -646,29 +648,18 @@ def averaged_correlation(model: ModelSpec, region: Box, m: int, N: int,
     region mass to the m-th power; for m = 1 this equals the expected count
     divided by z times the mass.
     """
-    scheme = scheme or _default_series_scheme()
-    d = model.space.dimension
-    terms = []
-    errors = []
-    for n in range(0, N + 1):
-        sch = resolve_scheme_for_order(scheme, d, m + n)
-        # kbar(omega; zeta) is symmetric within omega and within zeta, not
-        # across them: two domain objects make two symmetric blocks
-        domains = [SlotDomain(region)] * m + [SlotDomain(region)] * n
+    def integrand(total, positions, marks):
+        return kbar_batch_split(model, positions, marks, m)
 
-        def integrand(total, positions, marks):
-            return kbar_batch_split(model, positions, marks, m)
-
-        value, err = product_region_integral(model, domains, integrand, sch)
-        factor = model.z ** n / math.factorial(n)
-        terms.append(factor * value)
-        errors.append(factor * err)
+    # kbar(omega; zeta) is symmetric within omega and within zeta, not across
+    # them: the fixed slots are one block, lp_integral's varying slots another
+    est = _series("averaged correlation", integrand, model, region, N, scheme,
+                  fixed=[SlotDomain(region)] * m)
     norm = model.mass(region) ** m
-    return IntegralEstimate(value=float(np.sum(np.asarray(terms))) / norm,
-                            error=float(np.sum(np.asarray(errors))) / norm,
-                            scheme_echo=scheme.echo(),
-                            terms=tuple(t / norm for t in terms),
-                            term_errors=tuple(e / norm for e in errors))
+    return IntegralEstimate(value=est.value / norm, error=est.error / norm,
+                            scheme_echo=est.scheme_echo,
+                            terms=tuple(t / norm for t in est.terms),
+                            term_errors=tuple(e / norm for e in est.term_errors))
 
 
 def correlation_tail_bound(model: ModelSpec, from_order: int,
@@ -735,20 +726,10 @@ class LocalDensityProfile:
         """k integrated against collar configurations, truncated at the order."""
         if config.is_empty:
             return 0.0
-        base = float(ursell_batch(self.model, FiniteConfiguration(),
-                                  *_one_row(self.model, config))[0])
-        if self.collar is None:
-            return base
-        total = base
-        d = self.model.space.dimension
-        for j in range(1, self.order + 1):
-            def integrand(n, positions, marks, _cfg=config):
-                return ursell_batch(self.model, _cfg, positions, marks)
-            sch = resolve_scheme_for_order(self.scheme, d, j)
-            value, _ = product_region_integral(self.model, [self.collar] * j,
-                                               integrand, sch)
-            total += self.model.z ** j / math.factorial(j) * value
-        return total
+        # without a collar only the n = 0 term, k(config), is left
+        return _series("exterior Ursell", _ursell_integrand(self.model, config),
+                       self.model, self.collar or self.region,
+                       self.order if self.collar else 0, self.scheme).value
 
     def density(self, config: FiniteConfiguration) -> float:
         """Density of the limiting measure at the configuration, w.r.t. the
@@ -772,24 +753,16 @@ def limit_density_profile(model: ModelSpec, region: Box, N: int,
                           scheme: QuadratureScheme | None = None
                           ) -> LocalDensityProfile:
     """Build the local density profile, computing its normalizer once."""
-    scheme = scheme or _default_series_scheme()
+    scheme = scheme or default_series_scheme()
     collar = _collar_domain(model, region)
-    log_norm_terms = []
-    empty = FiniteConfiguration()
-    d = model.space.dimension
-    for m in range(1, N + 1):
-        for j in range(0, N + 1):
-            if collar is None and j > 0:
-                continue
-            domains = [SlotDomain(region)] * m + ([collar] * j if collar else [])
-
-            def integrand(n, positions, marks):
-                return ursell_batch(model, empty, positions, marks)
-
-            sch = resolve_scheme_for_order(scheme, d, m + j)
-            value, _ = product_region_integral(model, domains, integrand, sch)
-            log_norm_terms.append(model.z ** (m + j) /
-                                  (math.factorial(m) * math.factorial(j)) * value)
+    integrand = _ursell_integrand(model, FiniteConfiguration())
+    # sum over m region points of (z^m/m!) times the collar series of k over
+    # them; without a collar only its n = 0 term is left
+    log_norm_terms = [
+        model.z ** m / math.factorial(m) *
+        _series("normalizer", integrand, model, collar or region,
+                N if collar else 0, scheme, fixed=[SlotDomain(region)] * m).value
+        for m in range(1, N + 1)]
     return LocalDensityProfile(model=model, region=region, order=N, scheme=scheme,
                                collar=collar,
                                log_normalizer=float(np.sum(np.asarray(log_norm_terms))))

@@ -173,24 +173,19 @@ def specification_weight(candidate: FiniteConfiguration,
                          region: Box) -> float:
     """Unnormalized conditional density exp(-beta E_region(boundary + candidate)).
 
-    For finite-range potentials only boundary points within the range collar
-    contribute; farther points add exact zeros, so the weight is bit-identical
-    under any perturbation outside the collar.
+    The K=1 row of `boltzmann_weight_batch`, a sequential product of pair and
+    cross Boltzmann factors. A boundary point beyond the range collar adds
+    factors of exactly 1.0, the float identity, so the weight is bit-identical
+    under any change outside the collar; exp(-beta*(E+W)) is not, since a
+    pairwise-summed W regroups its terms when exact zeros are added.
     """
     for p in candidate:
         if not region.contains_point(p.position):
             raise RegionOutOfBounds("candidate point outside the region")
     boundary.validate_for(region)
-    e_local = _config_energy_arrays(model, candidate.positions_array(),
-                                    candidate.marks_array())
-    if math.isinf(e_local):
-        return 0.0
-    w = _interaction_sum(model, candidate.positions_array(), candidate.marks_array(),
-                         boundary.exterior.positions_array(),
-                         boundary.exterior.marks_array())
-    if math.isinf(w):
-        return 0.0
-    return math.exp(-model.beta * (e_local + w))
+    return float(boltzmann_weight_batch(
+        model, candidate.positions_array()[None], candidate.marks_array()[None],
+        boundary.exterior.positions_array(), boundary.exterior.marks_array())[0])
 
 
 # ---------------------------------------------------------------------------
@@ -511,7 +506,8 @@ def summarize_samples(samples: Sequence[FiniteConfiguration], model: ModelSpec,
     """ChainStats-shaped summary for i.i.d. samples (tau = 1).
 
     Pair histogram and pair energies are computed per group of same-size
-    samples. At least 2 samples are needed for a standard error.
+    samples. At least 2 samples are needed for a standard error; a sample with
+    an infinite pair energy (which the samplers never emit) is a ValueError.
     """
     k = len(samples)
     if k < 2:
@@ -526,6 +522,9 @@ def summarize_samples(samples: Sequence[FiniteConfiguration], model: ModelSpec,
     energies = np.zeros(k)
     for _, rows, idx in _size_groups(counts):
         energies[rows] = _pair_energy_batch(model, positions[idx], marks[idx])
+    infinite = np.flatnonzero(np.isinf(energies))
+    if infinite.size:
+        raise ValueError(f"sample {infinite[0]} has an infinite pair energy")
     counts = counts.astype(float)
     denom = model.z * model.mass(region)
     se = float(counts.std(ddof=1)) / math.sqrt(k)

@@ -68,6 +68,8 @@ class QuadratureScheme:
                 raise ValueError("monte_carlo needs a positive sample count")
         if self.mark_nodes <= 0:
             raise ValueError("mark node count must be positive")
+        if self.mc_fallback_samples is not None and self.mc_fallback_samples <= 0:
+            raise ValueError("mc_fallback_samples must be positive")
         if self.mark_rule != "auto" and self.mark_rule not in MARK_RULE_KINDS:
             raise ValueError(f"unknown mark rule {self.mark_rule!r}")
 
@@ -376,20 +378,22 @@ def product_region_integral(model: ModelSpec, domains: Sequence[SlotDomain],
     return value, math.sqrt(var * count)
 
 
-def lp_integral(f: BatchIntegrand, model: ModelSpec, region: Box, N: int,
-                scheme: QuadratureScheme) -> IntegralEstimate:
+def lp_integral(f: BatchIntegrand, model: ModelSpec, domain: Box | SlotDomain,
+                N: int, scheme: QuadratureScheme,
+                fixed: Sequence[SlotDomain] = ()) -> IntegralEstimate:
     """Truncated Lebesgue-Poisson integral sum_{n<=N} (z^n/n!) I_n(f).
 
-    The n = 0 term is the integrand's value on the empty configuration.
+    I_n integrates f over the ``fixed`` slots (no activity factor), then n
+    slots on one fresh ``SlotDomain`` of ``domain``: f must be symmetric within
+    those n slots and within each run of fixed slots sharing a domain object.
+    Every order, n = 0 included, is one ``product_region_integral``.
     """
     d = model.space.dimension
-    empty = np.asarray(f(0, np.zeros((1, 0, d)), np.zeros((1, 0))), dtype=float)
-    terms = [float(empty[0])]
-    errors = [0.0]
-    for n in range(1, N + 1):
-        sch = resolve_scheme_for_order(scheme, d, n)
-        domains = [SlotDomain(region)] * n
-        value, err = product_region_integral(model, domains, f, sch)
+    slot = replace(domain) if isinstance(domain, SlotDomain) else SlotDomain(domain)
+    terms, errors = [], []
+    for n in range(N + 1):
+        sch = resolve_scheme_for_order(scheme, d, len(fixed) + n)
+        value, err = product_region_integral(model, [*fixed, *[slot] * n], f, sch)
         factor = model.z ** n / math.factorial(n)
         terms.append(factor * value)
         errors.append(factor * err)

@@ -164,10 +164,37 @@ def test_cli_entrypoint_error_paths(tmp_path):
      "sampler": {"sweeps": 10, "burn_in": 50}},
     {"command": "sample", "model": BASE_MODEL,
      "sampler": {"sweeps": -5, "burn_in": -1}},
+    {"command": "expand", "model": BASE_MODEL, "order": "abc"},
+    {"command": "radius", "model": BASE_MODEL, "seed": "x"},
+    {"command": "radius", "model": BASE_MODEL, "reference_grid_size": "big"},
+    {"command": "expand", "model": BASE_MODEL, "order": 0},
+    {"command": "expand", "model": BASE_MODEL, "order": 1,
+     "scheme": {"kind": "tensor_grid", "points_per_axis": 8,
+                "mc_fallback_samples": "many"}},
+    {"command": "expand", "model": BASE_MODEL, "order": 1,
+     "scheme": {"kind": "tensor_grid", "points_per_axis": 8,
+                "mc_fallback_samples": 0}},
+    {"command": "correlate", "model": BASE_MODEL, "order": 1,
+     "points": [[["a", 1.0]]]},
+    {"command": "correlate", "model": BASE_MODEL, "order": 1,
+     "points": [[0.5, 1.0]]},
+    # grid 0 and grid 2*0 are one grid, so the refinement delta would read 0
+    {"command": "radius", "model": BASE_MODEL, "reference_grid_size": 0},
+    {"command": "correlate", "model": BASE_MODEL, "order": 1,
+     "points": [[[0.5, 1.0], [0.5, -1.0]]]},
+    {"command": "expand", "model": BASE_MODEL, "order": 1,
+     "region": {"lower": [0.5], "upper": [3.0]}},
+    {"command": "sample", "model": BASE_MODEL,
+     "region": {"lower": [0.5], "upper": [3.0]},
+     "sampler": {"sweeps": 50, "burn_in": 10}},
 ], ids=["points_per_axis_0", "unknown_mark_rule", "unknown_sampler_key",
         "probabilities_not_summing_to_1", "negative_activity",
         "unknown_scheme_kind", "thinning_0", "burn_in_past_sweeps",
-        "negative_burn_in"])
+        "negative_burn_in", "order_not_a_number", "seed_not_a_number",
+        "grid_not_a_number", "expand_order_0", "fallback_not_a_number", "fallback_0",
+        "coordinate_not_a_number", "flat_row_list", "grid_0",
+        "coinciding_points", "expand_region_outside_box",
+        "sample_region_outside_box"])
 def test_cli_malformed_values_are_config_errors(tmp_path, capsys, payload):
     assert main(["--config", write_config(tmp_path, payload)]) == 2
     assert capsys.readouterr().err.startswith("config error")

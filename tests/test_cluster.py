@@ -15,9 +15,13 @@ from markedgibbs.cluster import (_abs_mayer_matrix, averaged_correlation,
                                  tree_abs_sum_batch, tree_bound_q,
                                  tree_bound_q_multi, tree_bound_recursive,
                                  ursell_batch, ursell_direct, ursell_table)
-from markedgibbs.errors import (OutsideRadius, OverlappingConfigurations,
+from markedgibbs import cluster
+from markedgibbs.errors import (IntegrationFailure, OutsideRadius,
+                                OverlappingConfigurations,
                                 RequiresFiniteRange, SizeLimit)
-from markedgibbs.lpintegrate import QuadratureScheme
+from markedgibbs.lpintegrate import (QuadratureScheme, SlotDomain,
+                                     product_region_integral,
+                                     resolve_scheme_for_order)
 from markedgibbs.model import (Box, FiniteConfiguration, MarkedPoint,
                                canonicalize)
 from markedgibbs.potential import build_model, energy, interaction
@@ -509,6 +513,86 @@ def test_limit_density_matches_exact_sampler():
         emp = float(np.mean(counts == j))
         se = math.sqrt(emp * (1 - emp) / counts.size)
         assert abs(emp - pred) <= 3.0 * se + 1e-3
+
+
+def _exterior_ursell_loop(profile, config):
+    """Oracle: k(config) plus one collar integral per order, summed in turn."""
+    model, d = profile.model, profile.model.space.dimension
+    total = float(ursell_batch(model, FiniteConfiguration(),
+                               config.positions_array().reshape(1, -1, d),
+                               config.marks_array().reshape(1, -1))[0])
+    if profile.collar is None:
+        return total
+    for j in range(1, profile.order + 1):
+        def integrand(n, positions, marks):
+            return ursell_batch(model, config, positions, marks)
+        sch = resolve_scheme_for_order(profile.scheme, d, j)
+        value, _ = product_region_integral(model, [profile.collar] * j,
+                                           integrand, sch)
+        total += model.z ** j / math.factorial(j) * value
+    return total
+
+
+def _log_normalizer_loop(model, region, collar, N, scheme):
+    """Oracle: the normalizer as one double loop over region and collar counts."""
+    def integrand(n, positions, marks):
+        return ursell_batch(model, FiniteConfiguration(), positions, marks)
+
+    terms = []
+    for m in range(1, N + 1):
+        for j in range(0, N + 1 if collar else 1):
+            domains = [SlotDomain(region)] * m + [collar] * j
+            sch = resolve_scheme_for_order(scheme, model.space.dimension, m + j)
+            value, _ = product_region_integral(model, domains, integrand, sch)
+            terms.append(model.z ** (m + j) /
+                         (math.factorial(m) * math.factorial(j)) * value)
+    return float(np.sum(np.asarray(terms)))
+
+
+@pytest.mark.parametrize("N", [2, 3, 4])
+@pytest.mark.parametrize("name, params", [
+    ("toy-repulsive-spin-rc", {"range_cut": 0.2}),
+    ("ideal", {}),
+    ("hard-core", {"r0": 0.1}),
+], ids=["toy-rc", "ideal", "hard-core"])
+def test_limit_density_series_match_order_loops(name, params, N):
+    model = build_model(name, z=0.3, **params)
+    region = Box((0.3,), (0.6,))
+    scheme = QuadratureScheme.tensor((24, 12, 8, 6, 4), mc_fallback_samples=500,
+                                     seed=2)
+    profile = limit_density_profile(model, region, N, scheme)
+    assert (profile.collar is None) == (name == "ideal")
+    want = _log_normalizer_loop(model, region, profile.collar, N, scheme)
+    assert profile.log_normalizer == pytest.approx(want, rel=1e-14, abs=0.0)
+    for rows in ([(0.4, 1.0)], [(0.35, 1.0), (0.42, -1.0)],
+                 [(0.31, -1.0), (0.45, 1.0), (0.58, 1.0)]):
+        config = canonicalize([MarkedPoint((x,), mk) for x, mk in rows])
+        assert profile.exterior_ursell(config) == pytest.approx(
+            _exterior_ursell_loop(profile, config), rel=1e-14, abs=0.0)
+
+
+def _nan_first_row(fn):
+    def patched(*args, **kwargs):
+        out = np.array(fn(*args, **kwargs), dtype=float)
+        out[0] = np.nan
+        return out
+    return patched
+
+
+def test_region_series_nan_is_integration_failure(monkeypatch):
+    model = build_model("toy-repulsive-spin-rc", z=0.05, range_cut=0.2)
+    region = Box((0.3,), (0.6,))
+    scheme = QuadratureScheme.tensor(8)
+    profile = limit_density_profile(model, region, 2, scheme)
+    monkeypatch.setattr(cluster, "kbar_batch_split",
+                        _nan_first_row(cluster.kbar_batch_split))
+    monkeypatch.setattr(cluster, "ursell_batch", _nan_first_row(cluster.ursell_batch))
+    with pytest.raises(IntegrationFailure):
+        averaged_correlation(model, region, 1, 2, scheme)
+    with pytest.raises(IntegrationFailure):
+        limit_density_profile(model, region, 2, scheme)
+    with pytest.raises(IntegrationFailure):
+        profile.density(canonicalize([MarkedPoint((0.4,), 1.0)]))
 
 
 def test_ursell_batch_matches_scalar(toy_model, rng):

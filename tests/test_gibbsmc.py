@@ -64,15 +64,24 @@ def test_specification_weight_cases(toy_model):
 
 
 def test_specification_weight_far_boundary_identical():
-    model = build_model("toy-repulsive-spin-rc", range_cut=0.2)
-    region = Box((0.0,), (0.4,))
-    candidate = canonicalize([MarkedPoint((0.1,), 1.0), MarkedPoint((0.3,), -1.0)])
-    near = canonicalize([MarkedPoint((0.5,), 1.0)])
-    far_extra = canonicalize([MarkedPoint((0.5,), 1.0), MarkedPoint((0.9,), -1.0)])
-    w_near = specification_weight(candidate, BoundaryCondition(near), model, region)
-    w_far = specification_weight(candidate, BoundaryCondition(far_extra),
-                                 model, region)
-    assert w_near == w_far  # bit identical
+    # the second case has 4 x 3 cross pairs with the far point: a pairwise
+    # summed interaction energy regroups them and moves the last bit
+    cases = [
+        (0.2, Box((0.0,), (0.4,)), [(0.1, 1.0), (0.3, -1.0)], [(0.5, 1.0)],
+         [(0.9, -1.0)]),
+        (0.25, Box((0.3,), (0.7,)),
+         [(0.31, -1.0), (0.37, 1.0), (0.43, -1.0), (0.63, 1.0)],
+         [(0.2, 1.0), (0.8, -1.0)], [(0.02, 1.0)]),
+    ]
+    for range_cut, region, cand, near, far in cases:
+        model = build_model("toy-repulsive-spin-rc", range_cut=range_cut)
+        candidate, near, far = (canonicalize([MarkedPoint((x,), m) for x, m in pts])
+                                for pts in (cand, near, far))
+        w_near = specification_weight(candidate, BoundaryCondition(near), model,
+                                      region)
+        w_far = specification_weight(candidate, BoundaryCondition(canonicalize(
+            near.points + far.points)), model, region)
+        assert w_near == w_far  # bit identical
 
 
 def test_collar_locality_randomized():
@@ -285,19 +294,20 @@ def _pair_histogram_reference(samples, model, region):
     return tuple(counts.tolist())
 
 
+def _energy_reference(model, s):
+    """Pair energy of one sample as a 1-D sum, +inf where any pair is."""
+    if len(s) < 2:
+        return 0.0
+    phi = pair_phi_matrix(model.potential, s.positions_array()[None],
+                          s.marks_array()[None])[0]
+    vals = phi[np.triu_indices(len(s), 1)]
+    return math.inf if np.any(np.isinf(vals)) else float(np.sum(vals))
+
+
 def _summarize_reference(samples, model, region):
     """summarize_samples as one loop over the samples."""
     counts = np.asarray([len(s) for s in samples], dtype=float)
-    energies = []
-    for s in samples:
-        e = 0.0
-        if len(s) >= 2:
-            phi = pair_phi_matrix(model.potential, s.positions_array()[None],
-                                  s.marks_array()[None])[0]
-            vals = phi[np.triu_indices(len(s), 1)]
-            e = math.inf if np.any(np.isinf(vals)) else float(np.sum(vals))
-        energies.append(e)
-    energies = np.asarray(energies)
+    energies = np.asarray([_energy_reference(model, s) for s in samples])
     k = counts.size
     denom = model.z * model.mass(region)
     return gibbsmc.ChainStats(
@@ -320,14 +330,20 @@ def _summarize_reference(samples, model, region):
     build_model("toy-repulsive-spin", z=0.05, dimension=2, boundary="periodic"),
 ], ids=["toy", "hard-core", "toy-2d-periodic"])
 def test_summarize_samples_matches_per_sample_loop(model, rng):
-    # every size from 0 to 9, shuffled; hard-core samples include +inf energies
+    # every size from 0 to 9, shuffled; hard-core samples include +inf
+    # energies, which are an error naming the first such sample
     sizes = rng.permutation(np.repeat(np.arange(10), 7))
     samples = [random_config(model, int(n), rng) for n in sizes]
+    if model.potential.name == "hard-core":
+        energies = [_energy_reference(model, s) for s in samples]
+        first = energies.index(math.inf)
+        with pytest.raises(ValueError, match=rf"^sample {first} "):
+            summarize_samples(samples, model, model.space.box)
+        samples = [s for s, e in zip(samples, energies) if e < math.inf]
+        assert max(len(s) for s in samples) >= 3
     got = summarize_samples(samples, model, model.space.box)
     want = _summarize_reference(samples, model, model.space.box)
     assert repr(got) == repr(want)
-    if model.potential.name == "hard-core":
-        assert got.mean_energy == math.inf
 
 
 @pytest.mark.parametrize("samples", [[], [FiniteConfiguration()]], ids=["0", "1"])

@@ -195,12 +195,14 @@ def test_negative_error_rejected():
         IntegralEstimate(value=1.0, error=-1.0, scheme_echo={})
 
 
-def test_nan_integrand_rejected(toy_model):
+@pytest.mark.parametrize("order", [0, 2])
+def test_nan_integrand_rejected(toy_model, order):
+    # order 0 is the integrand on the empty configuration
     from markedgibbs.errors import NonFiniteIntegrand
 
     def bad(n, positions, marks):
         out = np.ones(positions.shape[0])
-        if n == 2:
+        if n == order:
             out[0] = np.nan
         return out
 
