@@ -15,8 +15,8 @@ from .cluster import (ExpansionReport, UrsellTable, convergence_radius,
                       log_partition_truncated, partition_direct_truncated,
                       tail_bound, tree_bound_q, tree_bound_q_multi,
                       tree_bound_recursive, ursell_direct, ursell_table)
-from .gibbsmc import (BoundaryCondition, ChainStats, SamplerConfig, dlr_check,
-                      mcmc_run, poisson_sample, rejection_sample,
+from .gibbsmc import (BoundaryCondition, ChainStats, SampleStream, SamplerConfig,
+                      dlr_check, mcmc_run, poisson_sample, rejection_sample,
                       specification_weight)
 
 __version__ = "0.1.0"

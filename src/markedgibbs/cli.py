@@ -18,7 +18,7 @@ from . import verify as verify_mod
 from .cluster import (convergence_radius, correlation_truncated,
                       default_series_scheme, log_partition_truncated)
 from .errors import ConfigError, DuplicatePosition, MarkedGibbsError
-from .gibbsmc import (EMPTY_BOUNDARY, SamplerConfig, mcmc_run,
+from .gibbsmc import (EMPTY_BOUNDARY, SampleStream, SamplerConfig, mcmc_run,
                       write_sample_file)
 from .lpintegrate import QuadratureScheme
 from .model import Box, FiniteConfiguration, MarkedPoint, ModelSpec, canonicalize
@@ -147,6 +147,10 @@ def _point_sets(model: ModelSpec, region: Box, row_sets) -> list[FiniteConfigura
     if not sets or not all(region.contains_point(p.position) for s in sets for p in s):
         raise ConfigError("correlate needs a 'points' list of sets of [x..., mark] "
                           "rows inside the region")
+    bad = [p.mark for s in sets for p in s if not model.marks.contains(p.mark)]
+    if bad:
+        raise ConfigError(f"bad correlate points: mark {bad[0]!r} is not in the "
+                          f"model's {model.marks.kind} mark space")
     return sets
 
 
@@ -200,13 +204,10 @@ def _cmd_sample(model: ModelSpec, run: RunConfig, region: Box) -> dict:
         sampler = SamplerConfig(**cfg)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad sampler: {exc}") from exc
-    sink = None
-    collected: list[FiniteConfiguration] = []
+    stream = SampleStream(model.space.dimension) if run.sample_file else None
+    stats = mcmc_run(model, region, EMPTY_BOUNDARY, sampler, stream=stream)
     if run.sample_file:
-        sink = collected.append
-    stats = mcmc_run(model, region, EMPTY_BOUNDARY, sampler, sample_sink=sink)
-    if run.sample_file:
-        write_sample_file(run.sample_file, collected, model.space.dimension)
+        write_sample_file(run.sample_file, stream, model.space.dimension)
     certificate = convergence_radius(model, run.reference_grid_size).to_dict()
     return {"chain": stats.to_dict(),
             "sample_file": run.sample_file,

@@ -14,13 +14,13 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import (AcceptanceTooLow, EnergyDrift, RegionOutOfBounds,
-                     RequiresFiniteRange)
+from .errors import (AcceptanceTooLow, DuplicatePosition, EnergyDrift,
+                     RegionOutOfBounds, RequiresFiniteRange)
 from .lpintegrate import philox_rng
 from .model import (Box, FiniteConfiguration, MarkedPoint, ModelSpec,
                     canonicalize, restrict)
 from .potential import (boltzmann_weight_batch, cross_phi_matrix,
-                        pair_phi_matrix)
+                        pair_phi_matrix, upper_pairs)
 
 
 @dataclass(frozen=True)
@@ -121,7 +121,7 @@ def poisson_sample(model: ModelSpec, region: Box,
 
 
 # ---------------------------------------------------------------------------
-# specification weight and energies
+# ragged sample streams
 
 
 def _size_groups(counts: np.ndarray):
@@ -137,6 +137,111 @@ def _size_groups(counts: np.ndarray):
         yield n, rows, starts[rows, None] + np.arange(n)
 
 
+def _grown(buf: np.ndarray, filled: int, rows: int) -> np.ndarray:
+    """A buffer with ``rows`` leading rows that starts with buf's first
+    ``filled`` rows."""
+    out = np.empty((rows,) + buf.shape[1:])
+    out[:filled] = buf[:filled]
+    return out
+
+
+class SampleStream:
+    """Samples as one ragged stream: counts, flat positions and flat marks.
+
+    Sample i is the ``counts[i]`` rows of ``positions`` (rows, d) and
+    ``marks`` (rows,) that follow those of the samples before it, in the
+    order they were appended. The buffers grow by doubling; the array
+    properties are read-only views of the filled part.
+    """
+
+    def __init__(self, dimension: int):
+        self.dimension = dimension
+        self._counts: list[int] = []
+        self._positions = np.empty((16, dimension))
+        self._marks = np.empty(16)
+        self._rows = 0
+
+    def __len__(self) -> int:
+        return len(self._counts)
+
+    def append(self, positions: np.ndarray, marks: np.ndarray) -> None:
+        """Add one sample given as (n, d) positions and (n,) marks."""
+        end = self._rows + marks.shape[0]
+        if end > self._marks.size:
+            cap = max(end, 2 * self._marks.size)
+            self._positions = _grown(self._positions, self._rows, cap)
+            self._marks = _grown(self._marks, self._rows, cap)
+        self._positions[self._rows:end] = positions
+        self._marks[self._rows:end] = marks
+        self._counts.append(end - self._rows)
+        self._rows = end
+
+    @classmethod
+    def from_configurations(cls, samples: Sequence[FiniteConfiguration],
+                            dimension: int) -> "SampleStream":
+        """The configurations as a stream, each one's points in its own order."""
+        stream = cls(dimension)
+        samples = list(samples)
+        points = [p for s in samples for p in s.points]
+        stream._counts = [len(s) for s in samples]
+        stream._positions = np.asarray([p.position for p in points],
+                                       dtype=float).reshape(-1, dimension)
+        stream._marks = np.asarray([p.mark for p in points], dtype=float)
+        stream._rows = len(points)
+        return stream
+
+    @property
+    def counts(self) -> np.ndarray:
+        return np.asarray(self._counts, dtype=np.intp)
+
+    @property
+    def positions(self) -> np.ndarray:
+        view = self._positions[:self._rows]
+        view.flags.writeable = False
+        return view
+
+    @property
+    def marks(self) -> np.ndarray:
+        view = self._marks[:self._rows]
+        view.flags.writeable = False
+        return view
+
+    def canonical_rows(self) -> np.ndarray:
+        """Flat row order that sorts every sample's points by position, as
+        `canonicalize` sorts them, one group of same-size samples at a time.
+        A sample with coinciding positions is a DuplicatePosition error."""
+        positions = self.positions
+        order = np.arange(self._rows)
+        for _, _, idx in _size_groups(self.counts):
+            pos = positions[idx]
+            # lexsort's last key is the primary one: coordinate 0
+            perm = np.lexsort(pos.transpose(2, 0, 1)[::-1], axis=-1)
+            rows = np.take_along_axis(idx, perm, axis=1)
+            ordered = positions[rows]
+            if (ordered[:, 1:] == ordered[:, :-1]).all(axis=-1).any():
+                raise DuplicatePosition("a sample has coinciding positions")
+            order[idx] = rows
+        return order
+
+    def configurations(self) -> list[FiniteConfiguration]:
+        """The samples as canonical configurations."""
+        order = self.canonical_rows()
+        positions = self.positions[order].tolist()
+        marks = self.marks[order].tolist()
+        out = []
+        start = 0
+        for n in self._counts:
+            out.append(FiniteConfiguration(tuple(
+                MarkedPoint(tuple(p), m) for p, m in
+                zip(positions[start:start + n], marks[start:start + n]))))
+            start += n
+        return out
+
+
+# ---------------------------------------------------------------------------
+# specification weight and energies
+
+
 def _pair_energy_batch(model: ModelSpec, positions: np.ndarray,
                        marks: np.ndarray) -> np.ndarray:
     """Pair energies of a (K, n, d), (K, n) batch: 0.0 below two points,
@@ -144,7 +249,7 @@ def _pair_energy_batch(model: ModelSpec, positions: np.ndarray,
     k, n = marks.shape
     if n < 2:
         return np.zeros(k)
-    iu, ju = np.triu_indices(n, 1)
+    iu, ju = upper_pairs(n)
     # contiguous rows, so each row sums in the order of a 1-D sum
     vals = np.ascontiguousarray(
         pair_phi_matrix(model.potential, positions, marks)[:, iu, ju])
@@ -258,22 +363,23 @@ def rejection_sample_batch(model: ModelSpec, region: Box,
     d = region.dimension
     bpos = boundary.exterior.positions_array()
     bmarks = boundary.exterior.marks_array()
-    out: list[FiniteConfiguration] = []
-    while len(out) < count:
-        batch = max(1024, int(1.5 * (count - len(out))))
+    kept = SampleStream(d)
+    while len(kept) < count:
+        batch = max(1024, int(1.5 * (count - len(kept))))
         ns = rng.poisson(lam, size=batch)
         us = rng.random(batch)
         # an empty proposal has weight 1 and is always accepted
         accepted = ns == 0
-        slot = np.empty(batch, dtype=np.intp)  # a row's index in its size group
-        groups = {}
+        # a row's index in its size group; empty proposals are row 0 of group 0
+        slot = np.zeros(batch, dtype=np.intp)
+        groups = {0: (np.empty((1, 0, d)), np.empty((1, 0)))}
         for n in np.unique(ns[ns > 0]).tolist():
             rows = np.flatnonzero(ns == n)
             k = rows.size
             pos = lo + rng.random((k, n, d)) * (hi - lo)
             marks = model.marks.sample(rng, k * n).reshape(k, n)
             weights = boltzmann_weight_batch(model, pos, marks, bpos, bmarks)
-            iu, ju = np.triu_indices(n, 1)
+            iu, ju = upper_pairs(n)
             collision = (pos[:, iu] == pos[:, ju]).all(axis=-1).any(axis=-1)
             accepted[rows] = ((us[rows] < weights * math.exp(-beta * b_prime * n))
                               & ~collision)
@@ -281,16 +387,10 @@ def rejection_sample_batch(model: ModelSpec, region: Box,
             groups[n] = (pos, marks)
         # keep proposal order so the kept prefix stays an i.i.d. sample; only
         # the rows of that prefix become configurations
-        for row in np.flatnonzero(accepted)[:count - len(out)].tolist():
-            n = int(ns[row])
-            if n == 0:
-                out.append(FiniteConfiguration())
-                continue
-            pos, marks = groups[n]
-            g = slot[row]
-            out.append(canonicalize([MarkedPoint(tuple(pos[g, j]), float(marks[g, j]))
-                                     for j in range(n)]))
-    return out
+        for row in np.flatnonzero(accepted)[:count - len(kept)].tolist():
+            pos, marks = groups[int(ns[row])]
+            kept.append(pos[slot[row]], marks[slot[row]])
+    return kept.configurations()
 
 
 # ---------------------------------------------------------------------------
@@ -310,7 +410,7 @@ def _pair_histogram(model: ModelSpec, pair_bins: np.ndarray, counts: np.ndarray,
     hist = np.zeros(len(pair_bins) - 1)
     for n, _, idx in _size_groups(counts):
         pos = positions[idx]
-        iu, ju = np.triu_indices(n, 1)
+        iu, ju = upper_pairs(n)
         hist += np.histogram(model.space.distance_batch(pos[:, iu], pos[:, ju]),
                              bins=pair_bins)[0]
     return hist
@@ -342,29 +442,52 @@ def _check_energy(tracked: float, exact: float) -> None:
 
 # points plus pairs of kept states that mcmc_run buffers before binning them
 _FLUSH_PAIRS = 1 << 17
+# state points that mcmc_run's buffers hold before they double
+_STATE_CAPACITY = 16
+
+
+def _energy_of(values: np.ndarray) -> float:
+    """Sum of pair values, +inf if any is."""
+    if np.isinf(values).any():
+        return math.inf
+    return float(values.sum())
+
+
+def _without(row: np.ndarray, idx: int) -> np.ndarray:
+    """A pair-value row without entry idx, in order."""
+    return np.concatenate([row[:idx], row[idx + 1:]])
 
 
 def mcmc_run(model: ModelSpec, region: Box, boundary: BoundaryCondition,
-             sampler: SamplerConfig,
-             sample_sink: Callable[[FiniteConfiguration], None] | None = None
+             sampler: SamplerConfig, stream: SampleStream | None = None
              ) -> ChainStats:
     """Metropolis-Hastings chain targeting the finite-volume specification.
 
     Birth, death, move, and mark-resample proposals with the standard
     grand-canonical acceptance ratios; detailed balance holds w.r.t. the
     specification. A move and a mark resample each draw a candidate for one
-    point and share one Metropolis replace step. The state is an (n, d)
-    position array and an (n,) mark array. The energy is tracked
-    incrementally from the local energy of each accepted proposal. It is
-    checked whenever the chain empties (against the last point's local
-    energy) and recomputed once at the end; a gap above 1e-9 * max(1, |E|)
-    raises EnergyDrift. Reproducible for a fixed config.
+    point and share one Metropolis replace step. Reproducible for a fixed
+    config.
 
-    The kept states are recorded as their point counts plus one flat
-    position buffer. The pair histogram is built from that stream one group
-    of same-size states at a time, whenever the buffer holds about
-    ``_FLUSH_PAIRS`` points plus pairs and once after the chain, so memory
-    stays bounded on long chains.
+    The state is a position and a mark buffer, the n state rows followed by
+    the boundary rows, plus a cache ``pair[i, :n + nb]`` of point i's pair
+    values with every state and boundary row (0 at i). A birth, move or mark
+    proposal evaluates the potential once, against all rows; an accepted one
+    writes that row and its column into the cache (the potential is symmetric).
+    A death's delta and a replace step's old value are sums of cached rows.
+    The buffers double when the state outgrows them.
+
+    The energy is tracked incrementally from the local energy of each
+    accepted proposal. It is recomputed from scratch, without the cache, at
+    kept states 1, 2, 4, 8, ... and at the end, and checked against the last
+    point's local energy whenever the chain empties; a gap above
+    1e-9 * max(1, |E|) raises EnergyDrift.
+
+    Each kept state is appended to ``stream`` when one is given. The chain
+    also records the kept point counts plus one flat position buffer, and
+    builds the pair histogram from it one group of same-size states at a
+    time, whenever the buffer holds about ``_FLUSH_PAIRS`` points plus pairs
+    and once after the chain, so memory stays bounded on long chains.
     """
     boundary.validate_for(region)
     rng = philox_rng(sampler.seed)
@@ -379,8 +502,12 @@ def mcmc_run(model: ModelSpec, region: Box, boundary: BoundaryCondition,
         step = 0.1 * min(model.space.side_lengths)
     bpos = boundary.exterior.positions_array().reshape(-1, d)
     bmarks = boundary.exterior.marks_array()
-    positions = np.empty((0, d))
-    marks = np.empty(0)
+    nb = bmarks.size
+    n = 0
+    cap = _STATE_CAPACITY
+    pts = _grown(bpos, nb, cap + nb)
+    mks = _grown(bmarks, nb, cap + nb)
+    pair = np.zeros((cap, cap + nb))
     attempts = {"birth": 0, "death": 0, "move": 0, "mark": 0}
     accepts = {"birth": 0, "death": 0, "move": 0, "mark": 0}
     counts = []
@@ -397,18 +524,14 @@ def mcmc_run(model: ModelSpec, region: Box, boundary: BoundaryCondition,
                                        np.frombuffer(kept_positions).reshape(-1, d))
         kept_positions, binned, pending = bytearray(), len(counts), 0
 
-    def local_energy(pos: np.ndarray, mark: float, keep=slice(None)) -> float:
-        """Interaction of one point with the state rows ``keep`` and the boundary."""
-        others_mark = np.concatenate([marks[keep], bmarks])
-        if not others_mark.size:
-            return 0.0
-        cross = cross_phi_matrix(model.potential, pos[None, None, :],
-                                 np.asarray([[mark]]),
-                                 np.concatenate([positions[keep], bpos]),
-                                 others_mark)[0, 0]
-        if np.isinf(cross).any():
-            return math.inf
-        return float(cross.sum())
+    def cross_row(pos: np.ndarray, mark: float) -> np.ndarray:
+        """Pair values of one point with every state and boundary row."""
+        return cross_phi_matrix(model.potential, pos[None, None, :],
+                                np.asarray([[mark]]), pts[:n + nb], mks[:n + nb])[0, 0]
+
+    def check_state() -> None:
+        _check_energy(energy, _config_energy_arrays(model, pts[:n], mks[:n])
+                      + _interaction_sum(model, pts[:n], mks[:n], bpos, bmarks))
 
     # The chain starts empty and rejects every proposal into infinite energy,
     # so the state energy, a death's delta and a replace step's old value
@@ -418,35 +541,52 @@ def mcmc_run(model: ModelSpec, region: Box, boundary: BoundaryCondition,
     for sweep in range(sampler.sweeps):
         kind = ("birth", "death", "move", "mark")[bisect_right(thresholds, rng.random())]
         attempts[kind] += 1
-        n = marks.size
         if kind == "birth":
             pos = lo + rng.random(d) * (hi - lo)
             mark = float(model.marks.sample(rng, 1)[0])
             # an exact position collision is a null proposal
-            if not (positions == pos).all(axis=1).any():
-                delta = local_energy(pos, mark)
+            if not (pts[:n] == pos).all(axis=1).any():
+                row = cross_row(pos, mark) if n + nb else np.zeros(0)
+                delta = _energy_of(row)
                 ratio = (model.z * mass / (n + 1)) * \
                     (0.0 if math.isinf(delta) else math.exp(-beta * delta))
                 if rng.random() < min(1.0, ratio * sampler.p_death / sampler.p_birth):
-                    positions = np.vstack([positions, pos])
-                    marks = np.append(marks, mark)
+                    if n == cap:
+                        cap *= 2
+                        pts = _grown(pts, n + nb, cap + nb)
+                        mks = _grown(mks, n + nb, cap + nb)
+                        grown = np.zeros((cap, cap + nb))
+                        grown[:n, :n + nb] = pair[:n, :n + nb]
+                        pair = grown
+                    # row n becomes the new point; the boundary rows move up one
+                    pts[n + 1:n + 1 + nb] = pts[n:n + nb]
+                    mks[n + 1:n + 1 + nb] = mks[n:n + nb]
+                    pair[:n, n + 1:n + 1 + nb] = pair[:n, n:n + nb]
+                    pts[n], mks[n] = pos, mark
+                    pair[:n, n] = pair[n, :n] = row[:n]
+                    pair[n, n] = 0.0
+                    pair[n, n + 1:n + 1 + nb] = row[n:]
+                    n += 1
                     energy += delta
                     accepts[kind] += 1
         elif kind == "death" and n > 0:
             idx = int(rng.integers(n))
-            keep = np.arange(n) != idx
-            delta = local_energy(positions[idx], marks[idx], keep)
+            delta = float(_without(pair[idx, :n + nb], idx).sum())
             ratio = (n / (model.z * mass)) * math.exp(beta * delta)
             if rng.random() < min(1.0, ratio * sampler.p_birth / sampler.p_death):
-                positions, marks = positions[keep], marks[keep]
-                if n == 1:
+                pts[idx:n + nb - 1] = pts[idx + 1:n + nb]
+                mks[idx:n + nb - 1] = mks[idx + 1:n + nb]
+                pair[idx:n - 1, :n + nb] = pair[idx + 1:n, :n + nb]
+                pair[:n - 1, idx:n + nb - 1] = pair[:n - 1, idx + 1:n + nb]
+                n -= 1
+                if n == 0:
                     # the last point's local energy is the whole state energy
                     _check_energy(energy, delta)
-                energy = energy - delta if n > 1 else 0.0
+                energy = energy - delta if n else 0.0
                 accepts[kind] += 1
         elif n > 0:
             idx = int(rng.integers(n))
-            new_pos, new_mark = positions[idx], marks[idx]
+            new_pos, new_mark = pts[idx], mks[idx]
             if kind == "move":
                 new_pos = new_pos + (rng.random(d) - 0.5) * 2.0 * step
                 if model.space.boundary == "periodic":
@@ -455,29 +595,33 @@ def mcmc_run(model: ModelSpec, region: Box, boundary: BoundaryCondition,
                 new_mark = float(model.marks.sample(rng, 1)[0])
             # a move out of the region is a null proposal
             if region.contains_point(tuple(new_pos)):
-                keep = np.arange(n) != idx
-                old = local_energy(positions[idx], marks[idx], keep)
-                new = local_energy(new_pos, new_mark, keep)
+                # entry idx of the candidate's row pairs it with the point it
+                # replaces; neither energy counts it
+                row = cross_row(new_pos, new_mark)
+                old = float(_without(pair[idx, :n + nb], idx).sum())
+                new = _energy_of(_without(row, idx))
                 log_ratio = -math.inf if math.isinf(new) else -beta * (new - old)
                 if math.log(max(rng.random(), 1e-300)) < log_ratio:
-                    positions[idx], marks[idx] = new_pos, new_mark
+                    pts[idx], mks[idx] = new_pos, new_mark
+                    row[idx] = 0.0
+                    pair[idx, :n + nb] = row
+                    pair[:n, idx] = row[:n]
                     energy += new - old
                     accepts[kind] += 1
 
         if sweep >= sampler.burn_in and (sweep - sampler.burn_in) % sampler.thinning == 0:
-            n = marks.size
             counts.append(n)
             energies.append(energy)
-            kept_positions += positions.tobytes()
+            kept_positions += pts[:n].tobytes()
             pending += n + n * (n - 1) // 2
             if pending >= _FLUSH_PAIRS:
                 bin_kept()
-            if sample_sink is not None:
-                sample_sink(canonicalize([MarkedPoint(tuple(p), m) for p, m in
-                                          zip(positions.tolist(), marks.tolist())]))
+            if stream is not None:
+                stream.append(pts[:n], mks[:n])
+            if len(counts) & (len(counts) - 1) == 0:  # kept states 1, 2, 4, ...
+                check_state()
 
-    _check_energy(energy, _config_energy_arrays(model, positions, marks)
-                  + _interaction_sum(model, positions, marks, bpos, bmarks))
+    check_state()
 
     bin_kept()
     kept = len(counts)
@@ -512,11 +656,8 @@ def summarize_samples(samples: Sequence[FiniteConfiguration], model: ModelSpec,
     k = len(samples)
     if k < 2:
         raise ValueError("summarize_samples needs at least 2 samples")
-    counts = np.asarray([len(s) for s in samples])
-    points = [p for s in samples for p in s.points]
-    positions = np.asarray([p.position for p in points],
-                           dtype=float).reshape(-1, region.dimension)
-    marks = np.asarray([p.mark for p in points], dtype=float)
+    stream = SampleStream.from_configurations(samples, region.dimension)
+    counts, positions, marks = stream.counts, stream.positions, stream.marks
     pair_bins = _pair_bins(region)
     pair_counts = _pair_histogram(model, pair_bins, counts, positions)
     energies = np.zeros(k)
@@ -665,16 +806,26 @@ def collar_locality_trials(model: ModelSpec, region: Box, trials: int = 1000,
     return violations
 
 
-def write_sample_file(path, samples: Sequence[FiniteConfiguration], dimension: int):
-    """Line-delimited sample spill: count then per-point coordinates and mark."""
+def write_sample_file(path, samples: SampleStream | Sequence[FiniteConfiguration],
+                      dimension: int):
+    """Line-delimited sample spill: count then per-point coordinates and mark,
+    each sample's points in canonical order. ``samples`` is a SampleStream or
+    a sequence of configurations, which is written as its stream."""
+    if not isinstance(samples, SampleStream):
+        samples = SampleStream.from_configurations(samples, dimension)
+    if samples.dimension != dimension:
+        raise ValueError(f"a {samples.dimension}-d stream written as d={dimension}")
+    order = samples.canonical_rows()
+    width = dimension + 1
+    fields = list(map(repr, np.column_stack(
+        [samples.positions[order], samples.marks[order]]).ravel().tolist()))
     with open(path, "w") as fh:
         fh.write(f"# markedgibbs-samples v1 d={dimension}\n")
-        for cfg in samples:
-            fields = [str(len(cfg))]
-            for p in cfg.points:
-                fields.extend(f"{x!r}" for x in p.position)
-                fields.append(f"{p.mark!r}")
-            fh.write(" ".join(fields) + "\n")
+        start = 0
+        for n in samples.counts.tolist():
+            end = start + n * width
+            fh.write(" ".join([str(n), *fields[start:end]]) + "\n")
+            start = end
 
 
 def read_sample_file(path) -> list[FiniteConfiguration]:

@@ -159,6 +159,15 @@ class MarkSpace:
             return float(sum(self.weights))
         return float(self.mass)
 
+    def contains(self, mark: float) -> bool:
+        """Whether ``mark`` is a point of the space: one of the discrete
+        labels, a finite angle on the circle, or a value in [lower, upper]."""
+        if self.kind == "discrete":
+            return mark in self.labels
+        if self.kind == "circle":
+            return math.isfinite(mark)
+        return self.lower <= mark <= self.upper
+
     def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
         """Draw marks from the normalized mark measure (discrete: inverse CDF)."""
         if self.kind == "discrete":

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from functools import reduce
+from functools import lru_cache, reduce
 from typing import Callable
 
 import numpy as np
@@ -81,6 +81,16 @@ def mayer_factor_batch(phi: np.ndarray, beta: float) -> np.ndarray:
     return np.expm1(-beta * phi)
 
 
+@lru_cache(maxsize=64)
+def upper_pairs(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """``np.triu_indices(n, 1)``, the i < j pairs of n points, cached and
+    read-only because every caller shares them."""
+    iu, ju = np.triu_indices(n, 1)
+    iu.flags.writeable = False
+    ju.flags.writeable = False
+    return iu, ju
+
+
 def pair_phi_matrix(phi: PairPotential, positions: np.ndarray,
                     marks: np.ndarray) -> np.ndarray:
     """All pair values for a batch: (K, M, d), (K, M) -> (K, M, M), zero diagonal."""
@@ -109,7 +119,7 @@ def boltzmann_weight_batch(model: ModelSpec, positions: np.ndarray, marks: np.nd
     if n > 1:
         bf = boltzmann_factor_batch(pair_phi_matrix(model.potential, positions, marks),
                                     model.beta)
-        iu, ju = np.triu_indices(n, 1)
+        iu, ju = upper_pairs(n)
         weights = bf[:, iu, ju].prod(axis=-1)
     if n and bmarks.size:
         cross = cross_phi_matrix(model.potential, positions, marks, bpos, bmarks)

@@ -187,6 +187,10 @@ def test_cli_entrypoint_error_paths(tmp_path):
     {"command": "sample", "model": BASE_MODEL,
      "region": {"lower": [0.5], "upper": [3.0]},
      "sampler": {"sweeps": 50, "burn_in": 10}},
+    {"command": "correlate", "model": BASE_MODEL, "order": 1,
+     "points": [[[0.5, 0.3]]]},
+    {"command": "correlate", "model": {"name": "ferrofluid", "z": 0.05}, "order": 1,
+     "points": [[[0.5, 1.5]]]},
 ], ids=["points_per_axis_0", "unknown_mark_rule", "unknown_sampler_key",
         "probabilities_not_summing_to_1", "negative_activity",
         "unknown_scheme_kind", "thinning_0", "burn_in_past_sweeps",
@@ -194,7 +198,7 @@ def test_cli_entrypoint_error_paths(tmp_path):
         "grid_not_a_number", "expand_order_0", "fallback_not_a_number", "fallback_0",
         "coordinate_not_a_number", "flat_row_list", "grid_0",
         "coinciding_points", "expand_region_outside_box",
-        "sample_region_outside_box"])
+        "sample_region_outside_box", "mark_not_a_label", "mark_outside_interval"])
 def test_cli_malformed_values_are_config_errors(tmp_path, capsys, payload):
     assert main(["--config", write_config(tmp_path, payload)]) == 2
     assert capsys.readouterr().err.startswith("config error")

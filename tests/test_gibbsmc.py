@@ -6,10 +6,11 @@ import pytest
 
 from conftest import random_config
 from markedgibbs import gibbsmc
-from markedgibbs.errors import (AcceptanceTooLow, EnergyDrift,
+from markedgibbs.errors import (AcceptanceTooLow, DuplicatePosition, EnergyDrift,
                                 RegionOutOfBounds, RequiresFiniteRange)
 from markedgibbs.gibbsmc import (EMPTY_BOUNDARY, BoundaryCondition,
-                                 SamplerConfig, collar_locality_trials,
+                                 SampleStream, SamplerConfig,
+                                 collar_locality_trials,
                                  dlr_check, mcmc_run, poisson_sample,
                                  read_sample_file, rejection_sample,
                                  rejection_sample_batch, specification_weight,
@@ -201,12 +202,12 @@ def test_mcmc_with_boundary_hard_core(rng):
     region = Box((0.0,), (1.0,))
     wall = MarkedPoint((1.05,), 1.0)
     boundary = BoundaryCondition(canonicalize([wall]))
-    kept = []
+    stream = SampleStream(1)
     chain = mcmc_run(model, region, boundary,
                      SamplerConfig(seed=13, sweeps=20000, burn_in=1000),
-                     sample_sink=kept.append)
-    assert len(kept) == chain.sample_count
-    xs = [p.position[0] for cfg in kept for p in cfg]
+                     stream=stream)
+    assert len(stream) == chain.sample_count
+    xs = stream.positions[:, 0].tolist()
     assert max(xs) <= 1.05 - 0.1
     assert max(xs) > 0.9  # the chain does reach the excluded zone's edge
     draws = rejection_sample_batch(model, region, boundary, 5000, rng)
@@ -234,12 +235,12 @@ def test_mcmc_energy_drift_is_detected_when_chain_empties(toy_model, monkeypatch
     calls = itertools.count()
     monkeypatch.setattr(gibbsmc, "cross_phi_matrix",
                         lambda *args: true_cross(*args) + 1e-3 * next(calls))
-    kept = []
+    stream = SampleStream(1)
     with pytest.raises(EnergyDrift):
         mcmc_run(toy_model.replace(z=2.0), toy_model.space.box, EMPTY_BOUNDARY,
                  SamplerConfig(seed=4, sweeps=400, burn_in=0),
-                 sample_sink=kept.append)
-    assert max(len(c) for c in kept) >= 2
+                 stream=stream)
+    assert stream.counts.max() >= 2
 
 
 def test_dlr_requires_finite_range(toy_model):
@@ -366,11 +367,12 @@ def test_mcmc_pair_histogram_matches_its_samples(case):
         model = build_model("hard-core", z=2.0, r0=0.1, side=1.5)
         boundary = BoundaryCondition(canonicalize([MarkedPoint((1.05,), 1.0)]))
     region = Box((0.0,) * model.space.dimension, (1.0,) * model.space.dimension)
-    kept = []
+    stream = SampleStream(model.space.dimension)
     chain = mcmc_run(model, region, boundary,
                      SamplerConfig(seed=6, sweeps=3000, burn_in=200, thinning=3),
-                     sample_sink=kept.append)
-    assert max(len(s) for s in kept) >= 3
+                     stream=stream)
+    assert stream.counts.max() >= 3
+    kept = stream.configurations()
     assert chain.pair_histogram_edges == tuple(_pair_bins(region).tolist())
     assert chain.pair_histogram_counts == _pair_histogram_reference(kept, model, region)
     assert sum(chain.pair_histogram_counts) > 0
@@ -384,10 +386,91 @@ def test_mcmc_pair_histogram_binned_in_parts(flush, monkeypatch):
     sampler = SamplerConfig(seed=4, sweeps=2000, burn_in=100, thinning=2)
     whole = mcmc_run(model, region, EMPTY_BOUNDARY, sampler)
     monkeypatch.setattr(gibbsmc, "_FLUSH_PAIRS", flush)
-    kept = []
-    parts = mcmc_run(model, region, EMPTY_BOUNDARY, sampler, sample_sink=kept.append)
+    stream = SampleStream(2)
+    parts = mcmc_run(model, region, EMPTY_BOUNDARY, sampler, stream=stream)
     assert repr(parts) == repr(whole)
-    assert parts.pair_histogram_counts == _pair_histogram_reference(kept, model, region)
+    assert parts.pair_histogram_counts == _pair_histogram_reference(
+        stream.configurations(), model, region)
+
+
+@pytest.mark.parametrize("case", ["toy-2d-periodic", "hard-core-wall",
+                                  "continuum-potts", "toy-past-capacity"])
+def test_chain_energies_match_kept_states(case):
+    # the energy tracked from the chain's cached pair values, averaged over
+    # the kept states, equals the mean of their energies computed afresh
+    boundary = EMPTY_BOUNDARY
+    region = None
+    if case == "toy-2d-periodic":
+        model = build_model("toy-repulsive-spin", z=3.0, dimension=2,
+                            boundary="periodic")
+    elif case == "hard-core-wall":
+        model = build_model("hard-core", z=2.0, r0=0.1, side=1.5)
+        region = Box((0.0,), (1.0,))
+        boundary = BoundaryCondition(canonicalize([MarkedPoint((1.05,), 1.0)]))
+    elif case == "continuum-potts":
+        model = build_model("continuum-potts", z=4.0)
+    else:
+        model = build_model("toy-repulsive-spin", z=20.0, side=4.0)
+    region = region or model.space.box
+    d = model.space.dimension
+    stream = SampleStream(d)
+    chain = mcmc_run(model, region, boundary,
+                     SamplerConfig(seed=6, sweeps=4000, burn_in=200, thinning=2),
+                     stream=stream)
+    counts, positions, marks = stream.counts, stream.positions, stream.marks
+    if case == "toy-past-capacity":
+        assert counts.max() > gibbsmc._STATE_CAPACITY
+    energies = np.zeros(len(stream))
+    for _, rows, idx in gibbsmc._size_groups(counts):
+        energies[rows] = gibbsmc._pair_energy_batch(model, positions[idx], marks[idx])
+    bpos = boundary.exterior.positions_array().reshape(-1, d)
+    bmarks = boundary.exterior.marks_array()
+    for i, start in enumerate((np.cumsum(counts) - counts).tolist()):
+        rows = slice(start, start + counts[i])
+        energies[i] += gibbsmc._interaction_sum(model, positions[rows], marks[rows],
+                                                bpos, bmarks)
+    assert np.isfinite(energies).all()
+    assert math.isclose(energies.mean(), chain.mean_energy, rel_tol=1e-12)
+
+
+def _write_sample_file_reference(path, samples, dimension):
+    """The spill written one configuration and one point at a time."""
+    with open(path, "w") as fh:
+        fh.write(f"# markedgibbs-samples v1 d={dimension}\n")
+        for cfg in samples:
+            fields = [str(len(cfg))]
+            for p in cfg.points:
+                fields.extend(f"{x!r}" for x in p.position)
+                fields.append(f"{p.mark!r}")
+            fh.write(" ".join(fields) + "\n")
+
+
+def test_sample_stream_round_trip(rng, tmp_path):
+    # states appended in any point order come back as canonical
+    # configurations, and the spill written from the stream has the bytes of
+    # one written point by point from those configurations
+    model = build_model("toy-repulsive-spin", z=3.0, dimension=2, boundary="periodic")
+    stream = SampleStream(2)
+    want = []
+    for n in rng.permutation(np.repeat(np.arange(8), 6)).tolist():
+        pos = rng.random((n, 2))
+        pos[:, 0] = np.round(4 * pos[:, 0]) / 4  # ties in the first coordinate
+        marks = model.marks.sample(rng, n)
+        stream.append(pos, marks)
+        want.append(canonicalize([MarkedPoint(tuple(p), m)
+                                  for p, m in zip(pos.tolist(), marks.tolist())]))
+    got = stream.configurations()
+    assert [[(p.position, p.mark) for p in c] for c in got] == \
+        [[(p.position, p.mark) for p in c] for c in want]
+    write_sample_file(tmp_path / "stream.txt", stream, 2)
+    _write_sample_file_reference(tmp_path / "reference.txt", want, 2)
+    write_sample_file(tmp_path / "configs.txt", want, 2)
+    spill = (tmp_path / "stream.txt").read_bytes()
+    assert spill == (tmp_path / "reference.txt").read_bytes()
+    assert spill == (tmp_path / "configs.txt").read_bytes()
+    stream.append(np.asarray([[0.5, 0.25], [0.5, 0.25]]), np.asarray([1.0, -1.0]))
+    with pytest.raises(DuplicatePosition):
+        stream.configurations()
 
 
 @pytest.mark.parametrize("model", [

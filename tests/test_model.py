@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -99,6 +101,18 @@ def test_mark_space_masses():
     assert circ.total_mass == 2.0
     inter = MarkSpace.interval(-1.0, 1.0, mass=1.0)
     assert inter.total_mass == 1.0
+
+
+def test_mark_space_contains():
+    disc = MarkSpace.discrete([1.0, -1.0], [0.5, 0.5])
+    assert disc.contains(1.0) and disc.contains(-1.0)
+    assert not disc.contains(0.3)
+    circ = MarkSpace.circle()
+    assert circ.contains(-7.5) and circ.contains(0.0)
+    assert not circ.contains(math.inf) and not circ.contains(math.nan)
+    inter = MarkSpace.interval(-1.0, 1.0)
+    assert inter.contains(-1.0) and inter.contains(1.0) and inter.contains(0.3)
+    assert not inter.contains(1.5) and not inter.contains(math.nan)
 
 
 @pytest.mark.parametrize("labels,weights", [

@@ -32,6 +32,19 @@ def test_symmetry_vectorized(toy_model, rng):
     np.testing.assert_array_equal(mat[:, 0, 1], mat[:, 1, 0])
 
 
+@pytest.mark.parametrize("name", ALL_MODELS)
+def test_cross_phi_matrix_is_bitwise_symmetric(name, rng):
+    # the chain stores each point's cross row as its column in the pair cache
+    for params in ({}, {"dimension": 2, "boundary": "periodic"}):
+        model = build_model(name, **params)
+        d = model.space.dimension
+        a, b = rng.random((50, d)), rng.random((40, d))
+        sa, sb = model.marks.sample(rng, 50), model.marks.sample(rng, 40)
+        np.testing.assert_array_equal(
+            cross_phi_matrix(model.potential, a, sa, b, sb),
+            cross_phi_matrix(model.potential, b, sb, a, sa).T)
+
+
 def test_energy_trivial_cases(toy_model):
     assert energy(FiniteConfiguration(), toy_model.potential) == 0.0
     single = canonicalize([MarkedPoint((0.5,), 1.0)])
