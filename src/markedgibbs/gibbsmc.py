@@ -226,14 +226,14 @@ class SampleStream:
     def configurations(self) -> list[FiniteConfiguration]:
         """The samples as canonical configurations."""
         order = self.canonical_rows()
-        positions = self.positions[order].tolist()
-        marks = self.marks[order].tolist()
         out = []
         start = 0
         for n in self._counts:
+            # one sample's rows at a time, so no list of every row is built
+            rows = order[start:start + n]
             out.append(FiniteConfiguration(tuple(
                 MarkedPoint(tuple(p), m) for p, m in
-                zip(positions[start:start + n], marks[start:start + n]))))
+                zip(self._positions[rows].tolist(), self._marks[rows].tolist()))))
             start += n
         return out
 
@@ -503,6 +503,8 @@ def mcmc_run(model: ModelSpec, region: Box, boundary: BoundaryCondition,
     bpos = boundary.exterior.positions_array().reshape(-1, d)
     bmarks = boundary.exterior.marks_array()
     nb = bmarks.size
+    # rows :n of pts and mks are the state, rows n:n + nb the boundary;
+    # pair[i, :n + nb] holds state point i's values with all of them, 0 at i
     n = 0
     cap = _STATE_CAPACITY
     pts = _grown(bpos, nb, cap + nb)
@@ -817,14 +819,14 @@ def write_sample_file(path, samples: SampleStream | Sequence[FiniteConfiguration
         raise ValueError(f"a {samples.dimension}-d stream written as d={dimension}")
     order = samples.canonical_rows()
     width = dimension + 1
-    fields = list(map(repr, np.column_stack(
-        [samples.positions[order], samples.marks[order]]).ravel().tolist()))
+    values = np.column_stack([samples.positions[order],
+                              samples.marks[order]]).ravel().tolist()
     with open(path, "w") as fh:
         fh.write(f"# markedgibbs-samples v1 d={dimension}\n")
         start = 0
         for n in samples.counts.tolist():
             end = start + n * width
-            fh.write(" ".join([str(n), *fields[start:end]]) + "\n")
+            fh.write(" ".join([str(n), *map(repr, values[start:end])]) + "\n")
             start = end
 
 
