@@ -115,8 +115,6 @@ def main(argv=None) -> int:
     ap.add_argument("--change", default="HEAD")
     ap.add_argument("--pairs", type=workload_seeds, action="append", required=True,
                     metavar="WORKLOAD=SEEDS", help="e.g. sampling=201-210 or series=5,11")
-    ap.add_argument("--seconds", type=float, default=None,
-                    help="run length (default: run_seconds of BENCHMARK.json)")
     ap.add_argument("--traced", type=workload_seeds, action="append", default=[],
                     metavar="WORKLOAD=SEED", help="one --trace 1 run per side")
     ap.add_argument("--trace-metrics", nargs="*", default=[])
@@ -134,7 +132,7 @@ def main(argv=None) -> int:
         for side in SIDES:
             export(commits[side], checkouts[side])
         spec = json.loads((checkouts["change"] / "BENCHMARK.json").read_text())
-        seconds = args.seconds or spec["run_seconds"]
+        seconds = spec["run_seconds"]
         better = {m["name"]: m["better"] for m in spec["end_to_end"]}
         record = {"tag": args.tag, "change": args.change_note,
                   "command": f"python3 perfbench/run.py --workload <w> --seed <s> "

@@ -444,6 +444,9 @@ def _check_energy(tracked: float, exact: float) -> None:
 _FLUSH_PAIRS = 1 << 17
 # state points that mcmc_run's buffers hold before they double
 _STATE_CAPACITY = 16
+# pair values mcmc_run's cache holds at most (8 MiB); a chain whose state
+# outgrows it drops the cache and evaluates the potential instead
+_CACHE_VALUES = 1 << 20
 
 
 def _energy_of(values: np.ndarray) -> float:
@@ -458,6 +461,66 @@ def _without(row: np.ndarray, idx: int) -> np.ndarray:
     return np.concatenate([row[:idx], row[idx + 1:]])
 
 
+class _PairCache:
+    """Pair values between a chain's state points, and with its boundary rows.
+
+    State point i (in chain order) keeps the fixed slot ``order[i]``:
+    ``pair[s, t]`` is the value between the points in slots s and t and
+    ``bpair[s]`` holds slot s's values with the boundary rows. A death frees
+    its slot and removes one entry of ``order``, so no update touches more
+    than O(n + nb) values. The slots double up to ``_CACHE_VALUES`` values.
+    """
+
+    def __init__(self, nb: int):
+        self.n = 0
+        self.order = np.empty(0, dtype=np.intp)
+        self.free: list[int] = []
+        self.pair = np.empty((0, 0))
+        self.bpair = np.empty((0, nb))
+
+    def values(self, idx: int) -> np.ndarray:
+        """State point idx's values with the other state points in chain
+        order, then with the boundary rows."""
+        s = self.order[idx]
+        row = self.pair[s].take(self.order[:self.n])
+        return np.concatenate([row[:idx], row[idx + 1:], self.bpair[s]])
+
+    def _write(self, s: int, row: np.ndarray) -> None:
+        live = self.order[:self.n]
+        self.pair[s, live] = self.pair[live, s] = row[:self.n]
+        self.bpair[s] = row[self.n:]
+
+    def insert(self, row: np.ndarray) -> bool:
+        """Append a point given its values with the state points, then the
+        boundary rows. False, and nothing changes, when the slots are full
+        and doubling them would pass ``_CACHE_VALUES``."""
+        n, nb = self.n, self.bpair.shape[1]
+        if not self.free:
+            cap = max(_STATE_CAPACITY, 2 * n)
+            if cap * (cap + nb) > _CACHE_VALUES:
+                return False
+            pair, bpair = np.empty((cap, cap)), np.empty((cap, nb))
+            pair[:n, :n], bpair[:n] = self.pair, self.bpair
+            order = np.empty(cap, dtype=np.intp)
+            order[:n] = self.order
+            self.pair, self.bpair, self.order = pair, bpair, order
+            self.free = list(range(cap - 1, n - 1, -1))
+        s = self.free.pop()
+        self._write(s, row)
+        self.order[n] = s
+        self.n += 1
+        return True
+
+    def replace(self, idx: int, row: np.ndarray) -> None:
+        """New values of state point idx; ``row[idx]`` is not read."""
+        self._write(self.order[idx], row)
+
+    def delete(self, idx: int) -> None:
+        self.free.append(int(self.order[idx]))
+        self.order[idx:self.n - 1] = self.order[idx + 1:self.n]
+        self.n -= 1
+
+
 def mcmc_run(model: ModelSpec, region: Box, boundary: BoundaryCondition,
              sampler: SamplerConfig, stream: SampleStream | None = None
              ) -> ChainStats:
@@ -470,17 +533,20 @@ def mcmc_run(model: ModelSpec, region: Box, boundary: BoundaryCondition,
     config.
 
     The state is a position and a mark buffer, the n state rows followed by
-    the boundary rows, plus a cache ``pair[i, :n + nb]`` of point i's pair
-    values with every state and boundary row (0 at i). A birth, move or mark
-    proposal evaluates the potential once, against all rows; an accepted one
-    writes that row and its column into the cache (the potential is symmetric).
-    A death's delta and a replace step's old value are sums of cached rows.
-    The buffers double when the state outgrows them.
+    the boundary rows, which double when the state outgrows them, plus a
+    `_PairCache` of the pair values between the state points and with the
+    boundary. A birth, move or mark proposal evaluates the potential once,
+    against all rows; an accepted one stores that row, for both points of
+    each pair (the potential is symmetric). A death's delta and a replace
+    step's old value are sums of cached values. A state that outgrows
+    ``_CACHE_VALUES`` drops the cache for the rest of the chain, which then
+    evaluates those sums, in the same order, with one potential call each.
 
     The energy is tracked incrementally from the local energy of each
     accepted proposal. It is recomputed from scratch, without the cache, at
     kept states 1, 2, 4, 8, ... and at the end, and checked against the last
-    point's local energy whenever the chain empties; a gap above
+    point's local energy whenever the chain empties (a cached one catches a
+    cache that lost track of the values the energy added); a gap above
     1e-9 * max(1, |E|) raises EnergyDrift.
 
     Each kept state is appended to ``stream`` when one is given. The chain
@@ -503,13 +569,12 @@ def mcmc_run(model: ModelSpec, region: Box, boundary: BoundaryCondition,
     bpos = boundary.exterior.positions_array().reshape(-1, d)
     bmarks = boundary.exterior.marks_array()
     nb = bmarks.size
-    # rows :n of pts and mks are the state, rows n:n + nb the boundary;
-    # pair[i, :n + nb] holds state point i's values with all of them, 0 at i
+    # rows :n of pts and mks are the state, rows n:n + nb the boundary
     n = 0
     cap = _STATE_CAPACITY
     pts = _grown(bpos, nb, cap + nb)
     mks = _grown(bmarks, nb, cap + nb)
-    pair = np.zeros((cap, cap + nb))
+    cache: _PairCache | None = _PairCache(nb)
     attempts = {"birth": 0, "death": 0, "move": 0, "mark": 0}
     accepts = {"birth": 0, "death": 0, "move": 0, "mark": 0}
     counts = []
@@ -526,10 +591,21 @@ def mcmc_run(model: ModelSpec, region: Box, boundary: BoundaryCondition,
                                        np.frombuffer(kept_positions).reshape(-1, d))
         kept_positions, binned, pending = bytearray(), len(counts), 0
 
-    def cross_row(pos: np.ndarray, mark: float) -> np.ndarray:
-        """Pair values of one point with every state and boundary row."""
+    def cross_row(pos: np.ndarray, mark: float, others: np.ndarray,
+                  others_mark: np.ndarray) -> np.ndarray:
+        """Pair values of one point with each of the rows ``others``."""
+        if not others_mark.size:
+            return np.zeros(0)
         return cross_phi_matrix(model.potential, pos[None, None, :],
-                                np.asarray([[mark]]), pts[:n + nb], mks[:n + nb])[0, 0]
+                                np.asarray([[mark]]), others, others_mark)[0, 0]
+
+    def held(idx: int) -> np.ndarray:
+        """State point idx's values with the other state rows, then the
+        boundary rows."""
+        if cache is not None:
+            return cache.values(idx)
+        return cross_row(pts[idx], mks[idx], np.delete(pts[:n + nb], idx, axis=0),
+                         np.delete(mks[:n + nb], idx))
 
     def check_state() -> None:
         _check_energy(energy, _config_energy_arrays(model, pts[:n], mks[:n])
@@ -548,7 +624,7 @@ def mcmc_run(model: ModelSpec, region: Box, boundary: BoundaryCondition,
             mark = float(model.marks.sample(rng, 1)[0])
             # an exact position collision is a null proposal
             if not (pts[:n] == pos).all(axis=1).any():
-                row = cross_row(pos, mark) if n + nb else np.zeros(0)
+                row = cross_row(pos, mark, pts[:n + nb], mks[:n + nb])
                 delta = _energy_of(row)
                 ratio = (model.z * mass / (n + 1)) * \
                     (0.0 if math.isinf(delta) else math.exp(-beta * delta))
@@ -557,29 +633,24 @@ def mcmc_run(model: ModelSpec, region: Box, boundary: BoundaryCondition,
                         cap *= 2
                         pts = _grown(pts, n + nb, cap + nb)
                         mks = _grown(mks, n + nb, cap + nb)
-                        grown = np.zeros((cap, cap + nb))
-                        grown[:n, :n + nb] = pair[:n, :n + nb]
-                        pair = grown
                     # row n becomes the new point; the boundary rows move up one
                     pts[n + 1:n + 1 + nb] = pts[n:n + nb]
                     mks[n + 1:n + 1 + nb] = mks[n:n + nb]
-                    pair[:n, n + 1:n + 1 + nb] = pair[:n, n:n + nb]
                     pts[n], mks[n] = pos, mark
-                    pair[:n, n] = pair[n, :n] = row[:n]
-                    pair[n, n] = 0.0
-                    pair[n, n + 1:n + 1 + nb] = row[n:]
+                    if cache is not None and not cache.insert(row):
+                        cache = None
                     n += 1
                     energy += delta
                     accepts[kind] += 1
         elif kind == "death" and n > 0:
             idx = int(rng.integers(n))
-            delta = float(_without(pair[idx, :n + nb], idx).sum())
+            delta = float(held(idx).sum())
             ratio = (n / (model.z * mass)) * math.exp(beta * delta)
             if rng.random() < min(1.0, ratio * sampler.p_birth / sampler.p_death):
                 pts[idx:n + nb - 1] = pts[idx + 1:n + nb]
                 mks[idx:n + nb - 1] = mks[idx + 1:n + nb]
-                pair[idx:n - 1, :n + nb] = pair[idx + 1:n, :n + nb]
-                pair[:n - 1, idx:n + nb - 1] = pair[:n - 1, idx + 1:n + nb]
+                if cache is not None:
+                    cache.delete(idx)
                 n -= 1
                 if n == 0:
                     # the last point's local energy is the whole state energy
@@ -599,15 +670,14 @@ def mcmc_run(model: ModelSpec, region: Box, boundary: BoundaryCondition,
             if region.contains_point(tuple(new_pos)):
                 # entry idx of the candidate's row pairs it with the point it
                 # replaces; neither energy counts it
-                row = cross_row(new_pos, new_mark)
-                old = float(_without(pair[idx, :n + nb], idx).sum())
+                row = cross_row(new_pos, new_mark, pts[:n + nb], mks[:n + nb])
+                old = float(held(idx).sum())
                 new = _energy_of(_without(row, idx))
                 log_ratio = -math.inf if math.isinf(new) else -beta * (new - old)
                 if math.log(max(rng.random(), 1e-300)) < log_ratio:
                     pts[idx], mks[idx] = new_pos, new_mark
-                    row[idx] = 0.0
-                    pair[idx, :n + nb] = row
-                    pair[:n, idx] = row[:n]
+                    if cache is not None:
+                        cache.replace(idx, row)
                     energy += new - old
                     accepts[kind] += 1
 
@@ -808,6 +878,10 @@ def collar_locality_trials(model: ModelSpec, region: Box, trials: int = 1000,
     return violations
 
 
+# samples write_sample_file converts to Python values at a time
+_SPILL_BLOCK = 1024
+
+
 def write_sample_file(path, samples: SampleStream | Sequence[FiniteConfiguration],
                       dimension: int):
     """Line-delimited sample spill: count then per-point coordinates and mark,
@@ -819,15 +893,21 @@ def write_sample_file(path, samples: SampleStream | Sequence[FiniteConfiguration
         raise ValueError(f"a {samples.dimension}-d stream written as d={dimension}")
     order = samples.canonical_rows()
     width = dimension + 1
-    values = np.column_stack([samples.positions[order],
-                              samples.marks[order]]).ravel().tolist()
+    counts = samples.counts.tolist()
+    offsets = np.concatenate([[0], np.cumsum(counts, dtype=np.intp)]).tolist()
     with open(path, "w") as fh:
         fh.write(f"# markedgibbs-samples v1 d={dimension}\n")
-        start = 0
-        for n in samples.counts.tolist():
-            end = start + n * width
-            fh.write(" ".join([str(n), *map(repr, values[start:end])]) + "\n")
-            start = end
+        # one block of samples at a time, so no list of every value is built
+        for first in range(0, len(counts), _SPILL_BLOCK):
+            last = min(first + _SPILL_BLOCK, len(counts))
+            rows = order[offsets[first]:offsets[last]]
+            values = np.column_stack([samples.positions[rows],
+                                      samples.marks[rows]]).ravel().tolist()
+            start = 0
+            for n in counts[first:last]:
+                end = start + n * width
+                fh.write(" ".join([str(n), *map(repr, values[start:end])]) + "\n")
+                start = end
 
 
 def read_sample_file(path) -> list[FiniteConfiguration]:

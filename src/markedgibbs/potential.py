@@ -81,14 +81,25 @@ def mayer_factor_batch(phi: np.ndarray, beta: float) -> np.ndarray:
     return np.expm1(-beta * phi)
 
 
-@lru_cache(maxsize=64)
-def upper_pairs(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """``np.triu_indices(n, 1)``, the i < j pairs of n points, cached and
-    read-only because every caller shares them."""
+# point counts below which upper_pairs keeps its arrays: 0.7 MB for all of
+# them; above it the O(n^2) pair work dwarfs building the indices
+_CACHED_UPPER_PAIRS = 64
+
+
+def _triu(n: int) -> tuple[np.ndarray, np.ndarray]:
     iu, ju = np.triu_indices(n, 1)
     iu.flags.writeable = False
     ju.flags.writeable = False
     return iu, ju
+
+
+_cached_triu = lru_cache(maxsize=None)(_triu)
+
+
+def upper_pairs(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """``np.triu_indices(n, 1)``, the i < j pairs of n points, read-only
+    because callers share them; cached below ``_CACHED_UPPER_PAIRS`` points."""
+    return _cached_triu(n) if n < _CACHED_UPPER_PAIRS else _triu(n)
 
 
 def pair_phi_matrix(phi: PairPotential, positions: np.ndarray,

@@ -230,7 +230,9 @@ def test_mcmc_energy_drift_is_detected(toy_model, monkeypatch):
 def test_mcmc_energy_drift_is_detected_when_chain_empties(toy_model, monkeypatch):
     # local energies that drift with the call count: this chain reaches two
     # points and ends empty, so the end-of-chain recompute alone (0 against 0)
-    # cannot see the drift; the check at the emptying death must
+    # cannot see the drift; the recompute at a kept state 1, 2, 4, ... must
+    # (with the pair cache a death's delta and the tracked energy come from
+    # the same values, so the emptying check sees no drifting potential)
     true_cross = gibbsmc.cross_phi_matrix
     calls = itertools.count()
     monkeypatch.setattr(gibbsmc, "cross_phi_matrix",
@@ -241,6 +243,112 @@ def test_mcmc_energy_drift_is_detected_when_chain_empties(toy_model, monkeypatch
                  SamplerConfig(seed=4, sweeps=400, burn_in=0),
                  stream=stream)
     assert stream.counts.max() >= 2
+
+
+def test_mcmc_emptying_check_catches_a_corrupt_cache(toy_model, monkeypatch):
+    # a cache that stores values other than the ones the tracked energy added
+    # fails the check at the emptying death: the chain empties during burn-in,
+    # before the first kept-state recompute, and keeps no state
+    insert = gibbsmc._PairCache.insert
+    monkeypatch.setattr(gibbsmc._PairCache, "insert",
+                        lambda cache, row: insert(cache, row + 1e-3))
+    stream = SampleStream(1)
+    with pytest.raises(EnergyDrift):
+        mcmc_run(toy_model.replace(z=2.0), toy_model.space.box, EMPTY_BOUNDARY,
+                 SamplerConfig(seed=4, sweeps=400, burn_in=398), stream=stream)
+    assert len(stream) == 0
+
+
+def test_mcmc_drift_is_detected_at_emptying_without_cache(toy_model, monkeypatch):
+    # a chain without its cache evaluates each death's delta afresh, so the
+    # emptying check sees a drifting potential before any kept state
+    true_cross = gibbsmc.cross_phi_matrix
+    calls = itertools.count()
+    monkeypatch.setattr(gibbsmc, "cross_phi_matrix",
+                        lambda *args: true_cross(*args) + 1e-3 * next(calls))
+    monkeypatch.setattr(gibbsmc, "_CACHE_VALUES", 0)
+    stream = SampleStream(1)
+    with pytest.raises(EnergyDrift):
+        mcmc_run(toy_model.replace(z=2.0), toy_model.space.box, EMPTY_BOUNDARY,
+                 SamplerConfig(seed=4, sweeps=400, burn_in=398), stream=stream)
+    assert len(stream) == 0
+
+
+def _chain_case(case):
+    """(model, region, boundary) of a named chain."""
+    if case == "hard-core-wall":
+        model = build_model("hard-core", z=2.0, r0=0.1, side=1.5)
+        return model, Box((0.0,), (1.0,)), BoundaryCondition(
+            canonicalize([MarkedPoint((1.05,), 1.0)]))
+    if case == "toy-rc-sub-region":
+        model = build_model("toy-repulsive-spin-rc", z=4.0, side=3.0)
+        return model, Box((1.0,), (2.0,)), BoundaryCondition(canonicalize(
+            [MarkedPoint((0.8,), 1.0), MarkedPoint((2.1,), -1.0),
+             MarkedPoint((2.6,), 1.0)]))
+    model = build_model("toy-repulsive-spin", z=3.0, side=3.0, dimension=2,
+                        boundary="periodic")
+    return model, model.space.box, EMPTY_BOUNDARY
+
+
+@pytest.mark.parametrize("limit", [0, 16 * 16])
+@pytest.mark.parametrize("case", ["hard-core-wall", "toy-rc-sub-region",
+                                  "toy-2d-periodic"])
+def test_chain_without_cache_matches_cached(case, limit, monkeypatch):
+    # a chain that never caches, or drops its cache when the state passes 16
+    # points, evaluates the same values in the same order: identical output
+    model, region, boundary = _chain_case(case)
+    sampler = SamplerConfig(seed=3, sweeps=3000, burn_in=100, thinning=3)
+    cached_stream = SampleStream(model.space.dimension)
+    cached = mcmc_run(model, region, boundary, sampler, stream=cached_stream)
+    monkeypatch.setattr(gibbsmc, "_CACHE_VALUES", limit)
+    stream = SampleStream(model.space.dimension)
+    uncached = mcmc_run(model, region, boundary, sampler, stream=stream)
+    assert repr(uncached) == repr(cached)
+    np.testing.assert_array_equal(stream.counts, cached_stream.counts)
+    np.testing.assert_array_equal(stream.positions, cached_stream.positions)
+    np.testing.assert_array_equal(stream.marks, cached_stream.marks)
+    if case == "toy-2d-periodic":
+        assert stream.counts.max() > 16
+
+
+def test_pair_cache_matches_dense_reference(rng):
+    # random inserts, replaces and deletes past two doublings: every point's
+    # cached values equal those of a dense matrix kept in chain order
+    nb = 3
+    cache = gibbsmc._PairCache(nb)
+    dense = np.zeros((0, nb))  # state rows: values with the state, then boundary
+    for _ in range(400):
+        n = dense.shape[0]
+        op = rng.random()
+        if n == 0 or op < 0.5:
+            row = rng.random(n + nb)
+            assert cache.insert(row)
+            dense = np.vstack([np.insert(dense, n, row[:n], axis=1),
+                               np.insert(row, n, 0.0)])
+        elif op < 0.75:
+            idx = int(rng.integers(n))
+            row = rng.random(n + nb)
+            cache.replace(idx, row)
+            row[idx] = 0.0
+            dense[idx], dense[:, idx] = row, row[:n]
+        else:
+            idx = int(rng.integers(n))
+            cache.delete(idx)
+            dense = np.delete(np.delete(dense, idx, axis=0), idx, axis=1)
+        for i in range(dense.shape[0]):
+            np.testing.assert_array_equal(cache.values(i),
+                                          np.delete(dense[i], i))
+    assert cache.pair.shape[0] > 2 * gibbsmc._STATE_CAPACITY
+
+
+def test_pair_cache_refuses_to_outgrow_its_limit(monkeypatch):
+    monkeypatch.setattr(gibbsmc, "_CACHE_VALUES", 16 * (16 + 2))
+    cache = gibbsmc._PairCache(2)
+    for n in range(16):
+        assert cache.insert(np.arange(n + 2.0))
+    assert not cache.insert(np.arange(18.0))
+    assert cache.n == 16
+    np.testing.assert_array_equal(cache.values(0)[-2:], [0.0, 1.0])
 
 
 def test_dlr_requires_finite_range(toy_model):
@@ -471,6 +579,21 @@ def test_sample_stream_round_trip(rng, tmp_path):
     stream.append(np.asarray([[0.5, 0.25], [0.5, 0.25]]), np.asarray([1.0, -1.0]))
     with pytest.raises(DuplicatePosition):
         stream.configurations()
+
+
+def test_spill_blocks_change_no_byte(rng, tmp_path, monkeypatch):
+    # the writer converts a block of samples at a time; blocks of 4 samples
+    # (some empty, the last one short) give the bytes of the point-by-point
+    # reference
+    stream = SampleStream(2)
+    for n in rng.integers(0, 6, size=30).tolist():
+        stream.append(rng.random((n, 2)), rng.choice([1.0, -1.0], n))
+    monkeypatch.setattr(gibbsmc, "_SPILL_BLOCK", 4)
+    write_sample_file(tmp_path / "blocks.txt", stream, 2)
+    _write_sample_file_reference(tmp_path / "reference.txt",
+                                 stream.configurations(), 2)
+    assert (tmp_path / "blocks.txt").read_bytes() == \
+        (tmp_path / "reference.txt").read_bytes()
 
 
 @pytest.mark.parametrize("model", [

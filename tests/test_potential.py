@@ -11,7 +11,8 @@ from markedgibbs.potential import (REGISTRY, boltzmann_factor, build_model,
                                    check_integrability, conditional_energy,
                                    cross_phi_matrix, energy, interaction,
                                    mayer_factor, model_from_dict,
-                                   pair_phi_matrix, spot_check_stability)
+                                   pair_phi_matrix, spot_check_stability,
+                                   upper_pairs)
 
 ALL_MODELS = sorted(REGISTRY)
 
@@ -43,6 +44,19 @@ def test_cross_phi_matrix_is_bitwise_symmetric(name, rng):
         np.testing.assert_array_equal(
             cross_phi_matrix(model.potential, a, sa, b, sb),
             cross_phi_matrix(model.potential, b, sb, a, sa).T)
+
+
+def test_upper_pairs_is_triu_indices():
+    # read-only everywhere; only the small sizes are kept, so a chain of
+    # ever new large states does not pile up O(n^2) index arrays
+    for n in (0, 1, 2, 5, 63, 64, 200):
+        iu, ju = upper_pairs(n)
+        want_iu, want_ju = np.triu_indices(n, 1)
+        np.testing.assert_array_equal(iu, want_iu)
+        np.testing.assert_array_equal(ju, want_ju)
+        assert not iu.flags.writeable and not ju.flags.writeable
+    assert upper_pairs(10)[0] is upper_pairs(10)[0]
+    assert upper_pairs(200)[0] is not upper_pairs(200)[0]
 
 
 def test_energy_trivial_cases(toy_model):
