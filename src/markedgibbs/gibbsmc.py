@@ -461,66 +461,6 @@ def _without(row: np.ndarray, idx: int) -> np.ndarray:
     return np.concatenate([row[:idx], row[idx + 1:]])
 
 
-class _PairCache:
-    """Pair values between a chain's state points, and with its boundary rows.
-
-    State point i (in chain order) keeps the fixed slot ``order[i]``:
-    ``pair[s, t]`` is the value between the points in slots s and t and
-    ``bpair[s]`` holds slot s's values with the boundary rows. A death frees
-    its slot and removes one entry of ``order``, so no update touches more
-    than O(n + nb) values. The slots double up to ``_CACHE_VALUES`` values.
-    """
-
-    def __init__(self, nb: int):
-        self.n = 0
-        self.order = np.empty(0, dtype=np.intp)
-        self.free: list[int] = []
-        self.pair = np.empty((0, 0))
-        self.bpair = np.empty((0, nb))
-
-    def values(self, idx: int) -> np.ndarray:
-        """State point idx's values with the other state points in chain
-        order, then with the boundary rows."""
-        s = self.order[idx]
-        row = self.pair[s].take(self.order[:self.n])
-        return np.concatenate([row[:idx], row[idx + 1:], self.bpair[s]])
-
-    def _write(self, s: int, row: np.ndarray) -> None:
-        live = self.order[:self.n]
-        self.pair[s, live] = self.pair[live, s] = row[:self.n]
-        self.bpair[s] = row[self.n:]
-
-    def insert(self, row: np.ndarray) -> bool:
-        """Append a point given its values with the state points, then the
-        boundary rows. False, and nothing changes, when the slots are full
-        and doubling them would pass ``_CACHE_VALUES``."""
-        n, nb = self.n, self.bpair.shape[1]
-        if not self.free:
-            cap = max(_STATE_CAPACITY, 2 * n)
-            if cap * (cap + nb) > _CACHE_VALUES:
-                return False
-            pair, bpair = np.empty((cap, cap)), np.empty((cap, nb))
-            pair[:n, :n], bpair[:n] = self.pair, self.bpair
-            order = np.empty(cap, dtype=np.intp)
-            order[:n] = self.order
-            self.pair, self.bpair, self.order = pair, bpair, order
-            self.free = list(range(cap - 1, n - 1, -1))
-        s = self.free.pop()
-        self._write(s, row)
-        self.order[n] = s
-        self.n += 1
-        return True
-
-    def replace(self, idx: int, row: np.ndarray) -> None:
-        """New values of state point idx; ``row[idx]`` is not read."""
-        self._write(self.order[idx], row)
-
-    def delete(self, idx: int) -> None:
-        self.free.append(int(self.order[idx]))
-        self.order[idx:self.n - 1] = self.order[idx + 1:self.n]
-        self.n -= 1
-
-
 def mcmc_run(model: ModelSpec, region: Box, boundary: BoundaryCondition,
              sampler: SamplerConfig, stream: SampleStream | None = None
              ) -> ChainStats:
@@ -534,12 +474,14 @@ def mcmc_run(model: ModelSpec, region: Box, boundary: BoundaryCondition,
 
     The state is a position and a mark buffer, the n state rows followed by
     the boundary rows, which double when the state outgrows them, plus a
-    `_PairCache` of the pair values between the state points and with the
-    boundary. A birth, move or mark proposal evaluates the potential once,
-    against all rows; an accepted one stores that row, for both points of
-    each pair (the potential is symmetric). A death's delta and a replace
-    step's old value are sums of cached values. A state that outgrows
-    ``_CACHE_VALUES`` drops the cache for the rest of the chain, which then
+    cache of the pair values between the state points and with the boundary.
+    Each state point keeps a fixed cache slot and ``order[:n]`` lists the
+    slots in chain order, so a death moves O(n) entries. A birth, move or
+    mark proposal evaluates the potential once, against all rows; an
+    accepted one stores that row, for both points of each pair (the
+    potential is symmetric). A death's delta and a replace step's old value
+    are sums of cached values. A state that would make the cache outgrow
+    ``_CACHE_VALUES`` drops it for the rest of the chain, which then
     evaluates those sums, in the same order, with one potential call each.
 
     The energy is tracked incrementally from the local energy of each
@@ -574,7 +516,12 @@ def mcmc_run(model: ModelSpec, region: Box, boundary: BoundaryCondition,
     cap = _STATE_CAPACITY
     pts = _grown(bpos, nb, cap + nb)
     mks = _grown(bmarks, nb, cap + nb)
-    cache: _PairCache | None = _PairCache(nb)
+    # cache: state point i keeps slot order[i]; pair[s, t] is the value between
+    # slots s and t and bpair[s] slot s's values with the boundary rows
+    cached = True
+    order = np.empty(0, dtype=np.intp)
+    free: list[int] = []
+    pair, bpair = np.empty((0, 0)), np.empty((0, nb))
     attempts = {"birth": 0, "death": 0, "move": 0, "mark": 0}
     accepts = {"birth": 0, "death": 0, "move": 0, "mark": 0}
     counts = []
@@ -602,10 +549,17 @@ def mcmc_run(model: ModelSpec, region: Box, boundary: BoundaryCondition,
     def held(idx: int) -> np.ndarray:
         """State point idx's values with the other state rows, then the
         boundary rows."""
-        if cache is not None:
-            return cache.values(idx)
+        if cached:
+            s = order[idx]
+            row = pair[s].take(order[:n])
+            return np.concatenate([row[:idx], row[idx + 1:], bpair[s]])
         return cross_row(pts[idx], mks[idx], np.delete(pts[:n + nb], idx, axis=0),
                          np.delete(mks[:n + nb], idx))
+
+    def store(s: int, row: np.ndarray) -> None:
+        live = order[:n]
+        pair[s, live] = pair[live, s] = row[:n]
+        bpair[s] = row[n:]
 
     def check_state() -> None:
         _check_energy(energy, _config_energy_arrays(model, pts[:n], mks[:n])
@@ -637,8 +591,22 @@ def mcmc_run(model: ModelSpec, region: Box, boundary: BoundaryCondition,
                     pts[n + 1:n + 1 + nb] = pts[n:n + nb]
                     mks[n + 1:n + 1 + nb] = mks[n:n + nb]
                     pts[n], mks[n] = pos, mark
-                    if cache is not None and not cache.insert(row):
-                        cache = None
+                    if cached and not free:
+                        slots = max(_STATE_CAPACITY, 2 * n)
+                        if slots * (slots + nb) > _CACHE_VALUES:
+                            cached, pair, bpair = False, None, None
+                        else:
+                            grown = np.empty((slots, slots))
+                            bgrown = np.empty((slots, nb))
+                            grown[:n, :n], bgrown[:n] = pair, bpair
+                            pair, bpair = grown, bgrown
+                            order = np.concatenate(
+                                [order, np.empty(slots - n, dtype=np.intp)])
+                            free = list(range(slots - 1, n - 1, -1))
+                    if cached:
+                        s = free.pop()
+                        store(s, row)
+                        order[n] = s
                     n += 1
                     energy += delta
                     accepts[kind] += 1
@@ -649,8 +617,9 @@ def mcmc_run(model: ModelSpec, region: Box, boundary: BoundaryCondition,
             if rng.random() < min(1.0, ratio * sampler.p_birth / sampler.p_death):
                 pts[idx:n + nb - 1] = pts[idx + 1:n + nb]
                 mks[idx:n + nb - 1] = mks[idx + 1:n + nb]
-                if cache is not None:
-                    cache.delete(idx)
+                if cached:
+                    free.append(int(order[idx]))
+                    order[idx:n - 1] = order[idx + 1:n]
                 n -= 1
                 if n == 0:
                     # the last point's local energy is the whole state energy
@@ -676,8 +645,8 @@ def mcmc_run(model: ModelSpec, region: Box, boundary: BoundaryCondition,
                 log_ratio = -math.inf if math.isinf(new) else -beta * (new - old)
                 if math.log(max(rng.random(), 1e-300)) < log_ratio:
                     pts[idx], mks[idx] = new_pos, new_mark
-                    if cache is not None:
-                        cache.replace(idx, row)
+                    if cached:
+                        store(order[idx], row)
                     energy += new - old
                     accepts[kind] += 1
 

@@ -245,13 +245,12 @@ def test_mcmc_energy_drift_is_detected_when_chain_empties(toy_model, monkeypatch
     assert stream.counts.max() >= 2
 
 
-def test_mcmc_emptying_check_catches_a_corrupt_cache(toy_model, monkeypatch):
-    # a cache that stores values other than the ones the tracked energy added
-    # fails the check at the emptying death: the chain empties during burn-in,
-    # before the first kept-state recompute, and keeps no state
-    insert = gibbsmc._PairCache.insert
-    monkeypatch.setattr(gibbsmc._PairCache, "insert",
-                        lambda cache, row: insert(cache, row + 1e-3))
+def test_mcmc_emptying_check_catches_energy_off_the_cache(toy_model, monkeypatch):
+    # a tracked energy that parted from the cached pair values fails the
+    # check at the emptying death: the chain empties during burn-in, before
+    # the first kept-state recompute, and keeps no state
+    energy_of = gibbsmc._energy_of
+    monkeypatch.setattr(gibbsmc, "_energy_of", lambda values: energy_of(values) + 1e-3)
     stream = SampleStream(1)
     with pytest.raises(EnergyDrift):
         mcmc_run(toy_model.replace(z=2.0), toy_model.space.box, EMPTY_BOUNDARY,
@@ -309,46 +308,6 @@ def test_chain_without_cache_matches_cached(case, limit, monkeypatch):
     np.testing.assert_array_equal(stream.marks, cached_stream.marks)
     if case == "toy-2d-periodic":
         assert stream.counts.max() > 16
-
-
-def test_pair_cache_matches_dense_reference(rng):
-    # random inserts, replaces and deletes past two doublings: every point's
-    # cached values equal those of a dense matrix kept in chain order
-    nb = 3
-    cache = gibbsmc._PairCache(nb)
-    dense = np.zeros((0, nb))  # state rows: values with the state, then boundary
-    for _ in range(400):
-        n = dense.shape[0]
-        op = rng.random()
-        if n == 0 or op < 0.5:
-            row = rng.random(n + nb)
-            assert cache.insert(row)
-            dense = np.vstack([np.insert(dense, n, row[:n], axis=1),
-                               np.insert(row, n, 0.0)])
-        elif op < 0.75:
-            idx = int(rng.integers(n))
-            row = rng.random(n + nb)
-            cache.replace(idx, row)
-            row[idx] = 0.0
-            dense[idx], dense[:, idx] = row, row[:n]
-        else:
-            idx = int(rng.integers(n))
-            cache.delete(idx)
-            dense = np.delete(np.delete(dense, idx, axis=0), idx, axis=1)
-        for i in range(dense.shape[0]):
-            np.testing.assert_array_equal(cache.values(i),
-                                          np.delete(dense[i], i))
-    assert cache.pair.shape[0] > 2 * gibbsmc._STATE_CAPACITY
-
-
-def test_pair_cache_refuses_to_outgrow_its_limit(monkeypatch):
-    monkeypatch.setattr(gibbsmc, "_CACHE_VALUES", 16 * (16 + 2))
-    cache = gibbsmc._PairCache(2)
-    for n in range(16):
-        assert cache.insert(np.arange(n + 2.0))
-    assert not cache.insert(np.arange(18.0))
-    assert cache.n == 16
-    np.testing.assert_array_equal(cache.values(0)[-2:], [0.0, 1.0])
 
 
 def test_dlr_requires_finite_range(toy_model):
