@@ -289,12 +289,13 @@ def _chain_case(case):
     return model, model.space.box, EMPTY_BOUNDARY
 
 
-@pytest.mark.parametrize("limit", [0, 16 * 16])
+@pytest.mark.parametrize("limit", [0, 16 * (16 + 3)])
 @pytest.mark.parametrize("case", ["hard-core-wall", "toy-rc-sub-region",
                                   "toy-2d-periodic"])
 def test_chain_without_cache_matches_cached(case, limit, monkeypatch):
     # a chain that never caches, or drops its cache when the state passes 16
-    # points, evaluates the same values in the same order: identical output
+    # points (16 slots and up to 3 boundary rows fit the second limit; the
+    # 2-D chain passes 16), evaluates the same values in the same order
     model, region, boundary = _chain_case(case)
     sampler = SamplerConfig(seed=3, sweeps=3000, burn_in=100, thinning=3)
     cached_stream = SampleStream(model.space.dimension)
