@@ -10,15 +10,14 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .errors import (AcceptanceTooLow, DuplicatePosition, EnergyDrift,
                      RegionOutOfBounds, RequiresFiniteRange)
 from .lpintegrate import philox_rng
-from .model import (Box, FiniteConfiguration, MarkedPoint, ModelSpec,
-                    canonicalize, restrict)
+from .model import Box, FiniteConfiguration, MarkedPoint, ModelSpec, canonicalize
 from .potential import (boltzmann_weight_batch, cross_phi_matrix,
                         pair_phi_matrix, upper_pairs)
 
@@ -52,8 +51,12 @@ class SamplerConfig:
 
     def __post_init__(self):
         probs = (self.p_birth, self.p_death, self.p_move, self.p_mark)
-        if any(p < 0 for p in probs) or abs(sum(probs) - 1.0) > 1e-12:
-            raise ValueError("proposal probabilities must be nonnegative and sum to 1")
+        # comparisons that a NaN or an infinity fails
+        if not (all(p >= 0 for p in probs) and abs(sum(probs) - 1.0) <= 1e-12):
+            raise ValueError("proposal probabilities must be finite, nonnegative "
+                             "and sum to 1")
+        if self.move_step is not None and not 0 < self.move_step < math.inf:
+            raise ValueError(f"move_step must be finite and positive, got {self.move_step}")
         if self.thinning < 1 or self.burn_in < 0:
             raise ValueError("thinning must be >= 1 and burn_in >= 0")
         if len(range(self.burn_in, self.sweeps, self.thinning)) < 2:
@@ -318,6 +321,20 @@ def _boundary_inflation(model: ModelSpec, region: Box,
     return b * (1.0 + 2.0 * near)
 
 
+def _proposal_rate(model: ModelSpec, region: Box, boundary: BoundaryCondition,
+                   acceptance_floor: float) -> tuple[float, float]:
+    """B' and the Poisson mean lambda = z e^{beta B'} |region| of the inflated
+    proposal law, once the boundary is checked to lie outside the region and
+    the guaranteed acceptance exp(-lambda) to clear the floor."""
+    boundary.validate_for(region)
+    b_prime = _boundary_inflation(model, region, boundary)
+    lam = model.z * math.exp(model.beta * b_prime) * model.mass(region)
+    if math.exp(-lam) < acceptance_floor:
+        raise AcceptanceTooLow(
+            f"guaranteed acceptance exp(-{lam:.3g}) below floor {acceptance_floor}")
+    return b_prime, lam
+
+
 def rejection_sample(model: ModelSpec, region: Box,
                      boundary: BoundaryCondition, rng: np.random.Generator,
                      acceptance_floor: float = 1e-6,
@@ -328,13 +345,7 @@ def rejection_sample(model: ModelSpec, region: Box,
     accepts with probability exp(-beta E_region) * exp(-beta B' n) <= 1, so the
     output law is exactly the specification.
     """
-    boundary.validate_for(region)
-    b_prime = _boundary_inflation(model, region, boundary)
-    z_prop = model.z * math.exp(model.beta * b_prime)
-    lam = z_prop * model.mass(region)
-    if math.exp(-lam) < acceptance_floor:
-        raise AcceptanceTooLow(
-            f"guaranteed acceptance exp(-{lam:.3g}) below floor {acceptance_floor}")
+    b_prime, lam = _proposal_rate(model, region, boundary, acceptance_floor)
     for _ in range(max_proposals):
         n = int(rng.poisson(lam))
         cand = _draw_points(model, region, n, rng)
@@ -350,13 +361,7 @@ def rejection_sample_batch(model: ModelSpec, region: Box,
                            acceptance_floor: float = 1e-6
                            ) -> list[FiniteConfiguration]:
     """Vectorized exact draws; energies are evaluated in same-size groups."""
-    boundary.validate_for(region)
-    b_prime = _boundary_inflation(model, region, boundary)
-    z_prop = model.z * math.exp(model.beta * b_prime)
-    lam = z_prop * model.mass(region)
-    if math.exp(-lam) < acceptance_floor:
-        raise AcceptanceTooLow(
-            f"guaranteed acceptance exp(-{lam:.3g}) below floor {acceptance_floor}")
+    b_prime, lam = _proposal_rate(model, region, boundary, acceptance_floor)
     beta = model.beta
     lo = np.asarray(region.lower)
     hi = np.asarray(region.upper)
@@ -432,6 +437,39 @@ def _tau_int(series: np.ndarray) -> float:
             break
         tau += 2.0 * rho
     return tau
+
+
+def _mean_se(values: np.ndarray, tau: float = 1.0) -> tuple[float, float]:
+    """Mean of a series and its standard error, counting k / tau effective
+    samples in k values with integrated autocorrelation time tau."""
+    return (float(values.mean()),
+            float(values.std(ddof=1)) / math.sqrt(values.size / tau))
+
+
+_KINDS = ("birth", "death", "move", "mark")
+
+
+def _chain_stats(model: ModelSpec, region: Box, counts: np.ndarray,
+                 energies: np.ndarray, pair_bins: np.ndarray,
+                 pair_counts: np.ndarray, iid: bool, sweeps: int, burn_in: int,
+                 thinning: int, attempts: dict[str, int],
+                 accepts: dict[str, int]) -> ChainStats:
+    """ChainStats of the kept point counts and energies. Standard errors use
+    each series' integrated autocorrelation time, or tau = 1 for i.i.d.
+    samples."""
+    tau = 1.0 if iid else _tau_int(counts)
+    mean_count, se_count = _mean_se(counts, tau)
+    mean_e, se_e = _mean_se(energies, 1.0 if iid else _tau_int(energies))
+    denom = model.z * model.mass(region)
+    return ChainStats(
+        sweeps=sweeps, burn_in=burn_in, thinning=thinning,
+        sample_count=counts.size, attempts=attempts, accepts=accepts,
+        mean_count=mean_count,
+        rho_hat=mean_count / denom, rho_hat_se=se_count / denom,
+        tau_int=tau, mean_energy=mean_e, mean_energy_se=se_e,
+        pair_histogram_edges=tuple(pair_bins.tolist()),
+        pair_histogram_counts=tuple(pair_counts.tolist()),
+    )
 
 
 def _check_energy(tracked: float, exact: float) -> None:
@@ -522,8 +560,8 @@ def mcmc_run(model: ModelSpec, region: Box, boundary: BoundaryCondition,
     order = np.empty(0, dtype=np.intp)
     free: list[int] = []
     pair, bpair = np.empty((0, 0)), np.empty((0, nb))
-    attempts = {"birth": 0, "death": 0, "move": 0, "mark": 0}
-    accepts = {"birth": 0, "death": 0, "move": 0, "mark": 0}
+    attempts = dict.fromkeys(_KINDS, 0)
+    accepts = dict.fromkeys(_KINDS, 0)
     counts = []
     energies = []
     pair_bins = _pair_bins(region)
@@ -571,7 +609,7 @@ def mcmc_run(model: ModelSpec, region: Box, boundary: BoundaryCondition,
     energy = 0.0
     thresholds = np.cumsum([sampler.p_birth, sampler.p_death, sampler.p_move]).tolist()
     for sweep in range(sampler.sweeps):
-        kind = ("birth", "death", "move", "mark")[bisect_right(thresholds, rng.random())]
+        kind = _KINDS[bisect_right(thresholds, rng.random())]
         attempts[kind] += 1
         if kind == "birth":
             pos = lo + rng.random(d) * (hi - lo)
@@ -665,25 +703,11 @@ def mcmc_run(model: ModelSpec, region: Box, boundary: BoundaryCondition,
     check_state()
 
     bin_kept()
-    kept = len(counts)
-    counts_arr = np.asarray(counts, dtype=float)
-    energy_arr = np.asarray(energies, dtype=float)
-    tau = _tau_int(counts_arr)
-    mean_count = float(counts_arr.mean())
-    se_count = float(counts_arr.std(ddof=1)) / math.sqrt(kept / tau)
-    denom = model.z * mass
-    tau_e = _tau_int(energy_arr)
-    mean_e = float(energy_arr.mean())
-    se_e = float(energy_arr.std(ddof=1)) / math.sqrt(kept / tau_e)
-    return ChainStats(
-        sweeps=sampler.sweeps, burn_in=sampler.burn_in, thinning=sampler.thinning,
-        sample_count=kept, attempts=attempts, accepts=accepts,
-        mean_count=mean_count,
-        rho_hat=mean_count / denom, rho_hat_se=se_count / denom,
-        tau_int=tau, mean_energy=mean_e, mean_energy_se=se_e,
-        pair_histogram_edges=tuple(pair_bins.tolist()),
-        pair_histogram_counts=tuple(pair_counts.tolist()),
-    )
+    return _chain_stats(model, region, np.asarray(counts, dtype=float),
+                        np.asarray(energies, dtype=float), pair_bins, pair_counts,
+                        iid=False, sweeps=sampler.sweeps, burn_in=sampler.burn_in,
+                        thinning=sampler.thinning, attempts=attempts,
+                        accepts=accepts)
 
 
 def summarize_samples(samples: Sequence[FiniteConfiguration], model: ModelSpec,
@@ -707,21 +731,10 @@ def summarize_samples(samples: Sequence[FiniteConfiguration], model: ModelSpec,
     infinite = np.flatnonzero(np.isinf(energies))
     if infinite.size:
         raise ValueError(f"sample {infinite[0]} has an infinite pair energy")
-    counts = counts.astype(float)
-    denom = model.z * model.mass(region)
-    se = float(counts.std(ddof=1)) / math.sqrt(k)
-    return ChainStats(
-        sweeps=k, burn_in=0, thinning=1, sample_count=k,
-        attempts={"birth": 0, "death": 0, "move": 0, "mark": 0},
-        accepts={"birth": 0, "death": 0, "move": 0, "mark": 0},
-        mean_count=float(counts.mean()),
-        rho_hat=float(counts.mean()) / denom, rho_hat_se=se / denom,
-        tau_int=1.0,
-        mean_energy=float(energies.mean()),
-        mean_energy_se=float(energies.std(ddof=1)) / math.sqrt(k),
-        pair_histogram_edges=tuple(pair_bins.tolist()),
-        pair_histogram_counts=tuple(pair_counts.tolist()),
-    )
+    return _chain_stats(model, region, counts.astype(float), energies, pair_bins,
+                        pair_counts, iid=True, sweeps=k, burn_in=0, thinning=1,
+                        attempts=dict.fromkeys(_KINDS, 0),
+                        accepts=dict.fromkeys(_KINDS, 0))
 
 
 # ---------------------------------------------------------------------------
@@ -738,24 +751,18 @@ class DlrReport:
     locality_violations: int
     passed: bool
 
-    def to_dict(self) -> dict:
-        return {"n_samples": self.n_samples, "discrepancies": dict(self.discrepancies),
-                "standard_errors": dict(self.standard_errors),
-                "z_scores": dict(self.z_scores),
-                "locality_trials": self.locality_trials,
-                "locality_violations": self.locality_violations,
-                "passed": self.passed}
-
 
 def dlr_check(model: ModelSpec, inner_region: Box, outer_region: Box,
-              functionals: dict[str, Callable[[FiniteConfiguration], float]] | None = None,
               n_samples: int = 20000, seed: int = 0,
               z_threshold: float = 3.0, locality_trials: int = 200) -> DlrReport:
     """Consistency of nested specifications, checked statistically.
 
     Draws from the outer specification with empty boundary, then resamples the
-    inner region conditionally on each draw's own exterior; for every test
-    functional the paired difference must vanish within the statistical error.
+    inner region conditionally on each draw's own exterior. The statistic,
+    keyed ``inner_count``, is the paired difference of inner point counts,
+    resampled minus drawn; its mean must vanish within the statistical error
+    (at least 2 samples give one). The total count is no second statistic:
+    the resample keeps the exterior, so it moves exactly as the inner count.
     Also asserts the structural locality of the weight: boundary changes
     outside the range collar leave it bit-identical.
     """
@@ -763,54 +770,39 @@ def dlr_check(model: ModelSpec, inner_region: Box, outer_region: Box,
         raise RequiresFiniteRange("the DLR check needs a finite-range potential")
     if not outer_region.contains_box(inner_region):
         raise RegionOutOfBounds("inner region must sit inside the outer region")
-    if functionals is None:
-        functionals = {
-            "inner_count": lambda cfg: float(len(restrict(cfg, inner_region))),
-            "total_count": lambda cfg: float(len(cfg)),
-        }
+    if n_samples < 2:
+        raise ValueError("the DLR check needs at least 2 samples")
     rng = philox_rng(seed, 17)
     draws = rejection_sample_batch(model, outer_region, EMPTY_BOUNDARY,
                                    n_samples, rng)
 
-    # group draws by their exterior-of-inner part so empty exteriors batch up
-    exteriors: dict[tuple, list[int]] = {}
-    exterior_cfgs: dict[tuple, FiniteConfiguration] = {}
+    # group draws by their exterior of the inner region so equal exteriors
+    # batch up; the key holds the marks, which MarkedPoint equality ignores
+    exteriors: dict[tuple, tuple[FiniteConfiguration, list[int]]] = {}
     for i, cfg in enumerate(draws):
         ext = FiniteConfiguration(tuple(
             p for p in cfg.points if not inner_region.contains_point(p.position)))
         key = tuple((p.position, p.mark) for p in ext.points)
-        exteriors.setdefault(key, []).append(i)
-        exterior_cfgs[key] = ext
+        exteriors.setdefault(key, (ext, []))[1].append(i)
 
-    resampled: list[FiniteConfiguration | None] = [None] * len(draws)
-    for key, indices in exteriors.items():
-        ext = exterior_cfgs[key]
-        bc = BoundaryCondition(ext)
-        inner_draws = rejection_sample_batch(model, inner_region, bc,
+    diffs = np.empty(n_samples)
+    for ext, indices in exteriors.values():
+        inner_draws = rejection_sample_batch(model, inner_region,
+                                             BoundaryCondition(ext),
                                              len(indices), rng)
-        for idx, inner in zip(indices, inner_draws):
-            resampled[idx] = FiniteConfiguration(
-                tuple(sorted(ext.points + inner.points, key=lambda p: p.position)))
+        for i, inner in zip(indices, inner_draws):
+            diffs[i] = len(inner) - (len(draws[i]) - len(ext))
 
-    disc, ses, zs = {}, {}, {}
-    ok = True
-    for name, fn in functionals.items():
-        diffs = np.asarray([fn(b) - fn(a) for a, b in zip(draws, resampled)])
-        mean = float(diffs.mean())
-        se = float(diffs.std(ddof=1)) / math.sqrt(diffs.size) if diffs.size > 1 else 0.0
-        disc[name] = mean
-        ses[name] = se
-        zs[name] = abs(mean) / se if se > 0 else 0.0
-        if zs[name] > z_threshold:
-            ok = False
+    mean, se = _mean_se(diffs)
+    z = abs(mean) / se if se > 0 else 0.0
     violations = collar_locality_trials(model, inner_region,
                                         trials=locality_trials, seed=seed + 1)
-    if violations:
-        ok = False
-    return DlrReport(n_samples=n_samples, discrepancies=disc,
-                     standard_errors=ses, z_scores=zs,
+    return DlrReport(n_samples=n_samples, discrepancies={"inner_count": mean},
+                     standard_errors={"inner_count": se},
+                     z_scores={"inner_count": z},
                      locality_trials=locality_trials,
-                     locality_violations=violations, passed=ok)
+                     locality_violations=violations,
+                     passed=z <= z_threshold and not violations)
 
 
 def collar_locality_trials(model: ModelSpec, region: Box, trials: int = 1000,
@@ -880,20 +872,22 @@ def write_sample_file(path, samples: SampleStream | Sequence[FiniteConfiguration
 
 
 def read_sample_file(path) -> list[FiniteConfiguration]:
-    """Inverse of write_sample_file."""
+    """Inverse of write_sample_file. A line whose field count is not
+    1 + n(d+1) for its count n is a ValueError that names it; a sample with
+    coinciding positions is a DuplicatePosition error."""
     out = []
     with open(path) as fh:
         header = fh.readline().strip()
         if not header.startswith("# markedgibbs-samples v1"):
             raise ValueError("unrecognized sample file header")
         d = int(header.split("d=")[1])
-        for line in fh:
+        for lineno, line in enumerate(fh, start=2):
             parts = line.split()
-            n = int(parts[0])
-            pts = []
-            for j in range(n):
-                base = 1 + j * (d + 1)
-                pos = tuple(float(x) for x in parts[base:base + d])
-                pts.append(MarkedPoint(pos, float(parts[base + d])))
-            out.append(FiniteConfiguration(tuple(pts)))
+            if not parts or len(parts) != 1 + int(parts[0]) * (d + 1):
+                raise ValueError(f"sample file line {lineno} has {len(parts)} fields, "
+                                 f"not 1 + n*{d + 1} for a count n")
+            out.append(canonicalize(
+                MarkedPoint(tuple(float(x) for x in parts[base:base + d]),
+                            float(parts[base + d]))
+                for base in range(1, len(parts), d + 1)))
     return out

@@ -304,12 +304,6 @@ def marked_point_nodes(model: ModelSpec, region: Box, n: int,
             yield pts, float(weights[row])
 
 
-def chunked_sum(values_chunks: list[np.ndarray]) -> float:
-    """Fixed-order pairwise reduction over chunks (worker-count invariant)."""
-    partials = np.array([np.sum(chunk) for chunk in values_chunks])
-    return float(np.sum(partials))
-
-
 def resolve_scheme_for_order(scheme: QuadratureScheme, d: int, n: int
                              ) -> QuadratureScheme:
     """Swap a tensor grid for its Monte Carlo fallback above the dimension cap."""
@@ -353,16 +347,17 @@ def product_region_integral(model: ModelSpec, domains: Sequence[SlotDomain],
     n = len(domains)
 
     def run(sch) -> tuple[float, float, int]:
+        # per-chunk partial sums, reduced once in chunk order
         sums, sq, count = [], [], 0
         for positions, marks, weights in product_node_batches(model, domains, sch):
             vals = np.asarray(integrand(n, positions, marks), dtype=float)
             if not np.all(np.isfinite(vals)):
                 raise NonFiniteIntegrand("integrand returned NaN or an infinity")
             contrib = weights * vals
-            sums.append(contrib)
-            sq.append(contrib * contrib)
+            sums.append(np.sum(contrib))
+            sq.append(np.sum(contrib * contrib))
             count += contrib.shape[0]
-        return chunked_sum(sums), chunked_sum(sq), count
+        return float(np.sum(sums)), float(np.sum(sq)), count
 
     if scheme.kind == "tensor_grid":
         value, _, _ = run(scheme)

@@ -269,10 +269,11 @@ class ModelSpec:
     beta: float
 
     def __post_init__(self):
-        if self.z <= 0:
-            raise ValueError("activity z must be positive")
-        if self.beta <= 0:
-            raise ValueError("inverse temperature beta must be positive")
+        if not 0 < self.z < math.inf:  # False for NaN too
+            raise ValueError(f"activity z must be finite and positive, got {self.z}")
+        if not 0 < self.beta < math.inf:
+            raise ValueError(
+                f"inverse temperature beta must be finite and positive, got {self.beta}")
         if not math.isfinite(self.space.volume * self.marks.total_mass):
             raise ValueError("reference mass must be finite")
 

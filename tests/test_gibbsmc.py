@@ -16,7 +16,8 @@ from markedgibbs.gibbsmc import (EMPTY_BOUNDARY, BoundaryCondition,
                                  rejection_sample_batch, specification_weight,
                                  summarize_samples, write_sample_file)
 from markedgibbs.lpintegrate import philox_rng
-from markedgibbs.model import Box, FiniteConfiguration, MarkedPoint, canonicalize
+from markedgibbs.model import (Box, FiniteConfiguration, MarkedPoint, canonicalize,
+                               restrict)
 from markedgibbs.potential import build_model, pair_phi_matrix
 
 
@@ -331,6 +332,56 @@ def test_dlr_toy_range_cut():
         assert z <= 3.0, name
 
 
+def _dlr_differences_reference(model, inner_region, outer_region, n_samples, seed):
+    """Paired inner-count differences made by resampling the inner region,
+    merging the resample with the exterior and restricting both
+    configurations to the inner region."""
+    rng = philox_rng(seed, 17)
+    draws = rejection_sample_batch(model, outer_region, EMPTY_BOUNDARY, n_samples, rng)
+    exteriors, exterior_cfgs = {}, {}
+    for i, cfg in enumerate(draws):
+        ext = FiniteConfiguration(tuple(
+            p for p in cfg.points if not inner_region.contains_point(p.position)))
+        key = tuple((p.position, p.mark) for p in ext.points)
+        exteriors.setdefault(key, []).append(i)
+        exterior_cfgs[key] = ext
+    resampled = [None] * n_samples
+    for key, indices in exteriors.items():
+        ext = exterior_cfgs[key]
+        inner_draws = rejection_sample_batch(model, inner_region, BoundaryCondition(ext),
+                                             len(indices), rng)
+        for idx, inner in zip(indices, inner_draws):
+            resampled[idx] = FiniteConfiguration(
+                tuple(sorted(ext.points + inner.points, key=lambda p: p.position)))
+    inner_count = lambda cfg: float(len(restrict(cfg, inner_region)))  # noqa: E731
+    return np.asarray([inner_count(b) - inner_count(a)
+                       for a, b in zip(draws, resampled)])
+
+
+@pytest.mark.parametrize("seed", [2, 5])
+def test_dlr_statistic_matches_resample_merge_restrict(seed):
+    # the inner-count difference taken from the counts alone equals the one
+    # taken from the merged and restricted configurations, bit for bit
+    model = build_model("toy-repulsive-spin-rc", z=0.35)
+    inner = Box((0.25,), (0.75,))
+    report = dlr_check(model, inner, model.space.box, n_samples=1500, seed=seed,
+                       locality_trials=10)
+    diffs = _dlr_differences_reference(model, inner, model.space.box, 1500, seed)
+    mean = float(diffs.mean())
+    se = float(diffs.std(ddof=1)) / math.sqrt(diffs.size)
+    assert report.discrepancies == {"inner_count": mean}
+    assert report.standard_errors == {"inner_count": se}
+    assert report.z_scores == {"inner_count": abs(mean) / se}
+    assert se > 0
+
+
+def test_dlr_needs_two_samples():
+    # one sample would report a standard error of 0.0 and pass
+    model = build_model("toy-repulsive-spin-rc", z=0.05)
+    with pytest.raises(ValueError):
+        dlr_check(model, Box((0.25,), (0.75,)), model.space.box, n_samples=1)
+
+
 def test_sample_file_roundtrip(toy_model, rng, tmp_path):
     samples = [poisson_sample(toy_model.replace(z=3.0), toy_model.space.box, rng)
                for _ in range(20)]
@@ -340,6 +391,26 @@ def test_sample_file_roundtrip(toy_model, rng, tmp_path):
     assert len(back) == len(samples)
     for a, b in zip(samples, back):
         assert a.points == b.points
+
+
+@pytest.mark.parametrize("line, error", [
+    ("2 0.1 1.0 0.2 -1.0 0.3", ValueError),
+    ("2 0.1 1.0 0.2", ValueError),
+    ("", ValueError),
+    ("2 0.1 1.0 0.1 -1.0", DuplicatePosition),
+], ids=["extra_field", "short_line", "blank_line", "coinciding_positions"])
+def test_read_sample_file_rejects_malformed_lines(tmp_path, line, error):
+    path = tmp_path / "samples.txt"
+    path.write_text(f"# markedgibbs-samples v1 d=1\n1 0.5 1.0\n{line}\n0\n")
+    with pytest.raises(error, match="line 3" if error is ValueError else None):
+        read_sample_file(path)
+
+
+def test_read_sample_file_sorts_points(tmp_path):
+    path = tmp_path / "samples.txt"
+    path.write_text("# markedgibbs-samples v1 d=1\n2 0.7 1.0 0.2 -1.0\n")
+    (cfg,) = read_sample_file(path)
+    assert [(p.position, p.mark) for p in cfg] == [((0.2,), -1.0), ((0.7,), 1.0)]
 
 
 # ---------------------------------------------------------------------------
