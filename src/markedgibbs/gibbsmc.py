@@ -47,7 +47,7 @@ class SamplerConfig:
     p_death: float = 0.3
     p_move: float = 0.3
     p_mark: float = 0.1
-    move_step: float | None = None  # default: 10% of the smallest box side
+    move_step: float | None = None  # default: 10% of the region's smallest side
 
     def __post_init__(self):
         probs = (self.p_birth, self.p_death, self.p_move, self.p_mark)
@@ -545,7 +545,7 @@ def mcmc_run(model: ModelSpec, region: Box, boundary: BoundaryCondition,
     sides = np.asarray(model.space.side_lengths)
     step = sampler.move_step
     if step is None:
-        step = 0.1 * min(model.space.side_lengths)
+        step = 0.1 * float((hi - lo).min())
     bpos = boundary.exterior.positions_array().reshape(-1, d)
     bmarks = boundary.exterior.marks_array()
     nb = bmarks.size

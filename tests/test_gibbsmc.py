@@ -217,6 +217,17 @@ def test_mcmc_with_boundary_hard_core(rng):
     assert abs(exact.rho_hat - chain.rho_hat) <= 4 * se
 
 
+def test_default_move_step_follows_the_region():
+    # the default step is 10% of the sampled region's smallest side, not the
+    # model box's, so a chain on [0, 1) of a side-12 box moves by up to 0.1
+    model = build_model("toy-repulsive-spin", z=3.0, side=12.0)
+    region = Box((0.0,), (1.0,))
+    chains = [mcmc_run(model, region, EMPTY_BOUNDARY,
+                       SamplerConfig(seed=5, sweeps=8000, burn_in=500, move_step=step))
+              for step in (None, 0.1)]
+    assert repr(chains[0]) == repr(chains[1])
+
+
 def test_mcmc_energy_drift_is_detected(toy_model, monkeypatch):
     # local energies that disagree with the pair energies must fail the
     # end-of-chain recomputation instead of passing silently
