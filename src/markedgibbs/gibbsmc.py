@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Sequence
 
 import numpy as np
@@ -86,18 +86,7 @@ class ChainStats:
                 for k in self.attempts}
 
     def to_dict(self) -> dict:
-        return {
-            "sweeps": self.sweeps, "burn_in": self.burn_in,
-            "thinning": self.thinning, "sample_count": self.sample_count,
-            "attempts": dict(self.attempts), "accepts": dict(self.accepts),
-            "acceptance": self.acceptance,
-            "mean_count": self.mean_count,
-            "rho_hat": self.rho_hat, "rho_hat_se": self.rho_hat_se,
-            "tau_int": self.tau_int,
-            "mean_energy": self.mean_energy, "mean_energy_se": self.mean_energy_se,
-            "pair_histogram_edges": list(self.pair_histogram_edges),
-            "pair_histogram_counts": list(self.pair_histogram_counts),
-        }
+        return {**asdict(self), "acceptance": self.acceptance}
 
 
 # ---------------------------------------------------------------------------
@@ -872,9 +861,9 @@ def write_sample_file(path, samples: SampleStream | Sequence[FiniteConfiguration
 
 
 def read_sample_file(path) -> list[FiniteConfiguration]:
-    """Inverse of write_sample_file. A line whose field count is not
-    1 + n(d+1) for its count n is a ValueError that names it; a sample with
-    coinciding positions is a DuplicatePosition error."""
+    """Inverse of write_sample_file. A line that is not a count n followed
+    by n(d+1) values is a ValueError that names it; a sample with coinciding
+    positions is a DuplicatePosition error."""
     out = []
     with open(path) as fh:
         header = fh.readline().strip()
@@ -883,9 +872,10 @@ def read_sample_file(path) -> list[FiniteConfiguration]:
         d = int(header.split("d=")[1])
         for lineno, line in enumerate(fh, start=2):
             parts = line.split()
-            if not parts or len(parts) != 1 + int(parts[0]) * (d + 1):
-                raise ValueError(f"sample file line {lineno} has {len(parts)} fields, "
-                                 f"not 1 + n*{d + 1} for a count n")
+            if not (parts and parts[0].isdecimal()
+                    and len(parts) == 1 + int(parts[0]) * (d + 1)):
+                raise ValueError(f"sample file line {lineno} is not a count n "
+                                 f"followed by n*{d + 1} values")
             out.append(canonicalize(
                 MarkedPoint(tuple(float(x) for x in parts[base:base + d]),
                             float(parts[base + d]))

@@ -408,8 +408,10 @@ def test_sample_file_roundtrip(toy_model, rng, tmp_path):
     ("2 0.1 1.0 0.2 -1.0 0.3", ValueError),
     ("2 0.1 1.0 0.2", ValueError),
     ("", ValueError),
+    ("1.0 0.1 1.0", ValueError),
     ("2 0.1 1.0 0.1 -1.0", DuplicatePosition),
-], ids=["extra_field", "short_line", "blank_line", "coinciding_positions"])
+], ids=["extra_field", "short_line", "blank_line", "count_not_an_integer",
+        "coinciding_positions"])
 def test_read_sample_file_rejects_malformed_lines(tmp_path, line, error):
     path = tmp_path / "samples.txt"
     path.write_text(f"# markedgibbs-samples v1 d=1\n1 0.5 1.0\n{line}\n0\n")
