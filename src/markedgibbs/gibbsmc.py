@@ -862,8 +862,8 @@ def write_sample_file(path, samples: SampleStream | Sequence[FiniteConfiguration
 
 def read_sample_file(path) -> list[FiniteConfiguration]:
     """Inverse of write_sample_file. A line that is not a count n followed
-    by n(d+1) values is a ValueError that names it; a sample with coinciding
-    positions is a DuplicatePosition error."""
+    by n(d+1) finite values is a ValueError that names it; a sample with
+    coinciding positions is a DuplicatePosition error."""
     out = []
     with open(path) as fh:
         header = fh.readline().strip()
@@ -876,8 +876,10 @@ def read_sample_file(path) -> list[FiniteConfiguration]:
                     and len(parts) == 1 + int(parts[0]) * (d + 1)):
                 raise ValueError(f"sample file line {lineno} is not a count n "
                                  f"followed by n*{d + 1} values")
+            values = [float(x) for x in parts[1:]]
+            if not all(map(math.isfinite, values)):
+                raise ValueError(f"sample file line {lineno} holds a NaN or an infinity")
             out.append(canonicalize(
-                MarkedPoint(tuple(float(x) for x in parts[base:base + d]),
-                            float(parts[base + d]))
-                for base in range(1, len(parts), d + 1)))
+                MarkedPoint(tuple(values[base:base + d]), values[base + d])
+                for base in range(0, len(values), d + 1)))
     return out

@@ -364,7 +364,9 @@ def _dlr_differences_reference(model, inner_region, outer_region, n_samples, see
         for idx, inner in zip(indices, inner_draws):
             resampled[idx] = FiniteConfiguration(
                 tuple(sorted(ext.points + inner.points, key=lambda p: p.position)))
-    inner_count = lambda cfg: float(len(restrict(cfg, inner_region)))  # noqa: E731
+
+    def inner_count(cfg):
+        return float(len(restrict(cfg, inner_region)))
     return np.asarray([inner_count(b) - inner_count(a)
                        for a, b in zip(draws, resampled)])
 
@@ -409,9 +411,10 @@ def test_sample_file_roundtrip(toy_model, rng, tmp_path):
     ("2 0.1 1.0 0.2", ValueError),
     ("", ValueError),
     ("1.0 0.1 1.0", ValueError),
+    ("1 nan 1.0", ValueError),
     ("2 0.1 1.0 0.1 -1.0", DuplicatePosition),
 ], ids=["extra_field", "short_line", "blank_line", "count_not_an_integer",
-        "coinciding_positions"])
+        "nan_position", "coinciding_positions"])
 def test_read_sample_file_rejects_malformed_lines(tmp_path, line, error):
     path = tmp_path / "samples.txt"
     path.write_text(f"# markedgibbs-samples v1 d=1\n1 0.5 1.0\n{line}\n0\n")
