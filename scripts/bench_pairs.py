@@ -5,7 +5,7 @@ Example, from the root of the repository:
 
     python scripts/bench_pairs.py --tag sampling_chain --change-note "..." \\
         --pairs sampling=201-210 --pairs series=301-303 --pairs bounds=401-403 \\
-        --traced sampling=501 --trace-metrics potential.cross_phi.calls \\
+        --traced sampling=501-505 --trace-metrics potential.cross_phi.calls \\
         gibbsmc.mcmc.proposals_per_s gibbsmc.spill.s
 
 The committed files of the parent and of the change (default HEAD~1 and HEAD)
@@ -14,14 +14,15 @@ exactly what is committed and the repository gains no worktree. For every
 workload and seed the script runs `perfbench/run.py --trace 0` once per side,
 alternating which side runs first, and records per end-to-end metric each
 side's median and quartiles, the pairs the change won, their median ratio and
-every run. `--traced` adds one `--trace 1` run per side and records the
-`--trace-metrics` per-layer values. The record also holds the environment
-block that perfbench prints.
+every run. `--traced` runs `--trace 1` the same way, every seed on both
+sides, and records per `--trace-metrics` value each side's median, quartiles
+and runs. The record also holds the environment block that perfbench prints.
 """
 from __future__ import annotations
 
 import argparse
 import io
+import itertools
 import json
 import shutil
 import subprocess
@@ -80,6 +81,25 @@ def run_bench(checkout: Path, workload: str, seed: int, seconds: float,
     return json.loads(lines[-1]), json.loads(lines[-2])["env"]
 
 
+def paired_runs(checkouts: dict[str, Path], workload: str, seeds: list[int],
+                seconds: float, trace: int, orders) -> tuple[dict, list[str], dict]:
+    """(runs per side, side run first per seed, env per side): one run per side
+    and seed, the side that runs first taken from the ``orders`` cycle."""
+    runs = {s: [] for s in SIDES}
+    first = []
+    envs = {}
+    for seed in seeds:
+        order = next(orders)
+        first.append(order[0])
+        for side in order:
+            result, envs[side] = run_bench(checkouts[side], workload, seed, seconds, trace)
+            runs[side].append(result)
+            print(f"{workload} seed {seed} trace {trace} {side}: "
+                  f"wall_s {result['metrics']['wall_s']['value']:.4f} "
+                  f"correct {result['correct']}", flush=True)
+    return runs, first, envs
+
+
 def quartiles(values: list[float]) -> dict:
     q1, median, q3 = np.percentile(values, [25, 50, 75]).tolist()
     return {"median": round(median, 4), "q1": round(q1, 4), "q3": round(q3, 4)}
@@ -116,7 +136,8 @@ def main(argv=None) -> int:
     ap.add_argument("--pairs", type=workload_seeds, action="append", required=True,
                     metavar="WORKLOAD=SEEDS", help="e.g. sampling=201-210 or series=5,11")
     ap.add_argument("--traced", type=workload_seeds, action="append", default=[],
-                    metavar="WORKLOAD=SEED", help="one --trace 1 run per side")
+                    metavar="WORKLOAD=SEEDS",
+                    help="--trace 1 runs of every seed on both sides")
     ap.add_argument("--trace-metrics", nargs="*", default=[])
     ap.add_argument("--workdir", type=Path, default=None,
                     help="where the two exports go (default: a temporary directory)")
@@ -140,22 +161,10 @@ def main(argv=None) -> int:
                              f"of each checkout; parent and change alternate which "
                              f"runs first"}
         end_to_end = {}
-        envs = {}
-        turn = 0
+        orders = itertools.cycle([SIDES, SIDES[::-1]])
         for workload, seeds in args.pairs:
-            runs = {s: [] for s in SIDES}
-            first = []
-            for seed in seeds:
-                order = SIDES if turn % 2 == 0 else SIDES[::-1]
-                turn += 1
-                first.append(order[0])
-                for side in order:
-                    result, envs[side] = run_bench(checkouts[side], workload, seed,
-                                                   seconds, 0)
-                    runs[side].append(result)
-                    print(f"{workload} seed {seed} {side}: "
-                          f"wall_s {result['metrics']['wall_s']['value']:.4f} "
-                          f"correct {result['correct']}", flush=True)
+            runs, first, envs = paired_runs(checkouts, workload, seeds, seconds, 0,
+                                            orders)
             end_to_end[workload] = summarize(runs, seeds, first, better)
         record["env"] = {k: v for k, v in envs["parent"].items()
                          if k not in ENV_KEYS_PER_SIDE}
@@ -165,12 +174,14 @@ def main(argv=None) -> int:
         record["change_src_sha256"] = envs["change"]["src_sha256"]
         record["end_to_end"] = end_to_end
         for workload, seeds in args.traced:
-            traced = {"seed": seeds[0]}
-            for side in SIDES:
-                result, _ = run_bench(checkouts[side], workload, seeds[0], seconds, 1)
-                traced[side] = {"correct": result["correct"],
-                                **{name: result["metrics"][name]["value"]
-                                   for name in args.trace_metrics}}
+            runs, first, _ = paired_runs(checkouts, workload, seeds, seconds, 1, orders)
+            traced = {"seeds": seeds, "pairs": len(seeds), "first_in_pair": first,
+                      "all_correct": all(r["correct"] for s in SIDES for r in runs[s])}
+            for name in args.trace_metrics:
+                vals = {s: [r["metrics"][name]["value"] for r in runs[s]] for s in SIDES}
+                traced[name] = {s: {**quartiles(vals[s]),
+                                    "runs": [round(v, 4) for v in vals[s]]}
+                                for s in SIDES}
             record[f"traced_{workload}"] = traced
         record["notes"] = []
     finally:

@@ -6,8 +6,7 @@ from .potential import (PairPotential, build_model, check_integrability,
                         conditional_energy, energy, interaction, model_from_dict,
                         spot_check_stability)
 from .starcalc import ConfigFunctional, d_shift, star_exp, star_log, star_mul, unit
-from .combinat import (LabeledGraph, connected_components,
-                       enumerate_connected_graphs, enumerate_trees, partitions)
+from .combinat import enumerate_connected_graphs, enumerate_trees
 from .lpintegrate import (IntegralEstimate, QuadratureScheme, lp_integral,
                           marked_point_nodes, philox_rng)
 from .cluster import (ExpansionReport, UrsellTable, convergence_radius,

@@ -231,32 +231,29 @@ def boltzmann_functional(omega: FiniteConfiguration, model: ModelSpec
 
 
 def ursell_direct(omega: FiniteConfiguration, model: ModelSpec) -> float:
-    """Oracle: sum over connected graphs of Mayer-factor products (n <= 5)."""
+    """Oracle: sum over connected graphs of Mayer-factor products (n <= 5).
+
+    Each graph is its edge set, so its term is the product of f over the
+    edges; the one-vertex graph has no edges and gives 1.
+    """
     n = len(omega)
-    if n > 5:
-        raise SizeLimit("direct connected-graph sum is capped at 5 points")
     if n == 0:
         return 0.0
-    if n == 1:
-        return 1.0
     pts = omega.points
     f = {}
     for i in range(n):
         for j in range(i + 1, n):
             f[(i, j)] = mayer_factor(model.potential.evaluate(pts[i], pts[j]),
                                      model.beta)
-    terms = []
-    for g in enumerate_connected_graphs(n):
-        terms.append(math.prod(f[e] for e in g.edges))
-    return math.fsum(terms)
+    return math.fsum(math.prod(f[e] for e in edges)
+                     for edges in enumerate_connected_graphs(n))
 
 
-def ursell_table(omega: FiniteConfiguration, model: ModelSpec,
-                 size_cap: int = URSELL_SIZE_CAP) -> UrsellTable:
+def ursell_table(omega: FiniteConfiguration, model: ModelSpec) -> UrsellTable:
     """Ursell values on all subsets via the anchored subset recursion."""
     n = len(omega)
-    if n > size_cap:
-        raise SizeLimit(f"ground of {n} points exceeds the cap {size_cap}")
+    if n > URSELL_SIZE_CAP:
+        raise SizeLimit(f"ground of {n} points exceeds the cap {URSELL_SIZE_CAP}")
     return UrsellTable(omega, _ursell_tables(model, *_one_row(model, omega))[0])
 
 

@@ -1,13 +1,13 @@
-"""Set partitions, labeled graphs, labeled trees, connectivity decomposition.
+"""Labeled trees and connected labeled graphs, as edge sets.
 
-Pure stateless enumerators. Trees stream via Pruefer decoding; connected
-graphs exist only as a small-n oracle by exhaustive filtering.
+A graph on the vertices range(n) is the frozenset of its edges (i, j) with
+i < j. Pure stateless enumerators: trees stream via Pruefer decoding;
+connected graphs exist only as a small-n oracle by exhaustive filtering.
 """
 from __future__ import annotations
 
 import heapq
 import itertools
-from dataclasses import dataclass
 from typing import Iterator
 
 from .errors import SizeLimit
@@ -15,67 +15,10 @@ from .errors import SizeLimit
 TREE_SIZE_CAP = 9
 CONNECTED_GRAPH_CAP = 5
 
-
-@dataclass(frozen=True)
-class LabeledGraph:
-    """Undirected graph on an explicit finite vertex set, no self-loops."""
-
-    vertices: tuple[int, ...]
-    edges: frozenset[tuple[int, int]]
-
-    def __post_init__(self):
-        object.__setattr__(self, "vertices", tuple(sorted(set(self.vertices))))
-        vset = set(self.vertices)
-        norm = set()
-        for e in self.edges:
-            i, j = e
-            if i == j:
-                raise ValueError("self-loops are not allowed")
-            if i not in vset or j not in vset:
-                raise ValueError("edge endpoint outside the vertex set")
-            norm.add((min(i, j), max(i, j)))
-        object.__setattr__(self, "edges", frozenset(norm))
-
-    @staticmethod
-    def on_range(n: int, edges=()) -> "LabeledGraph":
-        return LabeledGraph(tuple(range(n)), frozenset(tuple(e) for e in edges))
-
-    @property
-    def vertex_count(self) -> int:
-        return len(self.vertices)
-
-    def neighbors(self, v: int) -> set[int]:
-        out = set()
-        for i, j in self.edges:
-            if i == v:
-                out.add(j)
-            elif j == v:
-                out.add(i)
-        return out
-
-    def is_connected(self) -> bool:
-        return len(connected_components(self)) <= 1
+Edges = frozenset[tuple[int, int]]
 
 
-def partitions(ground_size: int, parts: int, allow_empty: bool = True
-               ) -> Iterator[tuple[frozenset[int], ...]]:
-    """Yield every ordered tuple of disjoint blocks covering range(ground_size).
-
-    With ``allow_empty`` there are parts**ground_size tuples (one per map from
-    elements to block slots); otherwise only the surjective ones.
-    """
-    if ground_size < 0 or parts < 1:
-        raise ValueError("need ground_size >= 0 and parts >= 1")
-    for assignment in itertools.product(range(parts), repeat=ground_size):
-        if not allow_empty and len(set(assignment)) != parts:
-            continue
-        blocks = [[] for _ in range(parts)]
-        for element, slot in enumerate(assignment):
-            blocks[slot].append(element)
-        yield tuple(frozenset(b) for b in blocks)
-
-
-def _tree_from_pruefer(seq: tuple[int, ...], n: int) -> LabeledGraph:
+def _tree_from_pruefer(seq: tuple[int, ...], n: int) -> Edges:
     degree = [1] * n
     for v in seq:
         degree[v] += 1
@@ -90,26 +33,41 @@ def _tree_from_pruefer(seq: tuple[int, ...], n: int) -> LabeledGraph:
             heapq.heappush(leaves, v)
     u, w = heapq.heappop(leaves), heapq.heappop(leaves)
     edges.append((min(u, w), max(u, w)))
-    return LabeledGraph.on_range(n, edges)
+    return frozenset(edges)
 
 
-def enumerate_trees(n: int, size_cap: int = TREE_SIZE_CAP) -> Iterator[LabeledGraph]:
+def enumerate_trees(n: int) -> Iterator[Edges]:
     """Stream all labeled trees on n vertices, once each, via Pruefer decoding."""
     if n < 1:
         raise ValueError("need n >= 1")
-    if n > size_cap:
-        raise SizeLimit(f"n={n} exceeds the tree enumeration cap {size_cap}")
+    if n > TREE_SIZE_CAP:
+        raise SizeLimit(f"n={n} exceeds the tree enumeration cap {TREE_SIZE_CAP}")
     if n == 1:
-        yield LabeledGraph.on_range(1)
+        yield frozenset()
         return
     if n == 2:
-        yield LabeledGraph.on_range(2, [(0, 1)])
+        yield frozenset({(0, 1)})
         return
     for seq in itertools.product(range(n), repeat=n - 2):
         yield _tree_from_pruefer(seq, n)
 
 
-def enumerate_connected_graphs(n: int) -> Iterator[LabeledGraph]:
+def _is_connected(n: int, edges) -> bool:
+    """Whether the edges join range(n): vertex 0's bitmask closure is full."""
+    nbrs = [1 << v for v in range(n)]
+    for i, j in edges:
+        nbrs[i] |= 1 << j
+        nbrs[j] |= 1 << i
+    reached, grown = 1, nbrs[0]
+    while grown != reached:
+        reached = grown
+        for v in range(n):
+            if reached >> v & 1:
+                grown |= nbrs[v]
+    return reached == (1 << n) - 1
+
+
+def enumerate_connected_graphs(n: int) -> Iterator[Edges]:
     """Stream all connected labeled graphs on n vertices (oracle path, n <= 5).
 
     A single vertex counts as connected.
@@ -119,34 +77,7 @@ def enumerate_connected_graphs(n: int) -> Iterator[LabeledGraph]:
     if n > CONNECTED_GRAPH_CAP:
         raise SizeLimit(f"n={n} exceeds the connected-graph cap {CONNECTED_GRAPH_CAP}")
     all_pairs = list(itertools.combinations(range(n), 2))
-    for r in range(len(all_pairs) + 1):
+    for r in range(n - 1, len(all_pairs) + 1):
         for chosen in itertools.combinations(all_pairs, r):
-            g = LabeledGraph.on_range(n, chosen)
-            if g.is_connected():
-                yield g
-
-
-def connected_components(g: LabeledGraph) -> list[LabeledGraph]:
-    """Decompose g into its connected components (union-find over vertices)."""
-    parent = {v: v for v in g.vertices}
-
-    def find(v):
-        while parent[v] != v:
-            parent[v] = parent[parent[v]]
-            v = parent[v]
-        return v
-
-    for i, j in g.edges:
-        ri, rj = find(i), find(j)
-        if ri != rj:
-            parent[ri] = rj
-    groups: dict[int, list[int]] = {}
-    for v in g.vertices:
-        groups.setdefault(find(v), []).append(v)
-    comps = []
-    for members in groups.values():
-        mset = set(members)
-        comp_edges = frozenset(e for e in g.edges if e[0] in mset)
-        comps.append(LabeledGraph(tuple(members), comp_edges))
-    comps.sort(key=lambda c: c.vertices)
-    return comps
+            if _is_connected(n, chosen):
+                yield frozenset(chosen)

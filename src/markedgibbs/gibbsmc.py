@@ -8,6 +8,7 @@ potential depends only on the range collar of the boundary, bit-exactly.
 from __future__ import annotations
 
 import math
+import re
 from bisect import bisect_right
 from dataclasses import asdict, dataclass
 from typing import Sequence
@@ -861,22 +862,30 @@ def write_sample_file(path, samples: SampleStream | Sequence[FiniteConfiguration
 
 
 def read_sample_file(path) -> list[FiniteConfiguration]:
-    """Inverse of write_sample_file. A line that is not a count n followed
-    by n(d+1) finite values is a ValueError that names it; a sample with
-    coinciding positions is a DuplicatePosition error."""
+    """Inverse of write_sample_file. A header that is not
+    ``# markedgibbs-samples v1 d=<integer >= 1>``, or a line that is not a
+    count n followed by n(d+1) finite numbers, is a ValueError that names
+    its line; a sample with coinciding positions is a DuplicatePosition
+    error."""
     out = []
     with open(path) as fh:
-        header = fh.readline().strip()
-        if not header.startswith("# markedgibbs-samples v1"):
-            raise ValueError("unrecognized sample file header")
-        d = int(header.split("d=")[1])
+        header = re.fullmatch(r"# markedgibbs-samples v1 d=([1-9][0-9]*)",
+                              fh.readline().strip())
+        if header is None:
+            raise ValueError("sample file line 1 is not the header "
+                             "'# markedgibbs-samples v1 d=<integer >= 1>'")
+        d = int(header[1])
         for lineno, line in enumerate(fh, start=2):
             parts = line.split()
             if not (parts and parts[0].isdecimal()
                     and len(parts) == 1 + int(parts[0]) * (d + 1)):
                 raise ValueError(f"sample file line {lineno} is not a count n "
                                  f"followed by n*{d + 1} values")
-            values = [float(x) for x in parts[1:]]
+            try:
+                values = [float(x) for x in parts[1:]]
+            except ValueError:
+                raise ValueError(f"sample file line {lineno} holds a value that "
+                                 f"is not a number") from None
             if not all(map(math.isfinite, values)):
                 raise ValueError(f"sample file line {lineno} holds a NaN or an infinity")
             out.append(canonicalize(

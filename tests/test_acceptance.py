@@ -45,13 +45,30 @@ def flow_scale(model, n, *values):
     return max(*(abs(v) for v in values), bound)
 
 
+def bfs_connected(n, edges):
+    if n == 1:
+        return True
+    adj = {v: set() for v in range(n)}
+    for i, j in edges:
+        adj[i].add(j)
+        adj[j].add(i)
+    seen = {0}
+    stack = [0]
+    while stack:
+        for w in adj[stack.pop()]:
+            if w not in seen:
+                seen.add(w)
+                stack.append(w)
+    return len(seen) == n
+
+
 def test_criterion_01_cayley_count():
     for n in range(2, 8):
         edges_seen = set()
         for tree in enumerate_trees(n):
-            assert len(tree.edges) == n - 1
-            assert tree.is_connected()
-            edges_seen.add(tree.edges)
+            assert len(tree) == n - 1
+            assert bfs_connected(n, tree)
+            edges_seen.add(tree)
         assert len(edges_seen) == n ** (n - 2)
         assert n ** (n - 2) < math.e ** n * math.factorial(n)
     report("criterion 1: tree counts n^(n-2), n=2..7", "exact integer equality")
@@ -60,25 +77,9 @@ def test_criterion_01_cayley_count():
 def test_criterion_02_connected_graph_counts():
     expected = {1: 1, 2: 1, 3: 4, 4: 38, 5: 728}
 
-    def bfs_connected(n, edges):
-        if n == 1:
-            return True
-        adj = {v: set() for v in range(n)}
-        for i, j in edges:
-            adj[i].add(j)
-            adj[j].add(i)
-        seen = {0}
-        stack = [0]
-        while stack:
-            for w in adj[stack.pop()]:
-                if w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        return len(seen) == n
-
     import itertools
     for n, want in expected.items():
-        got = {g.edges for g in enumerate_connected_graphs(n)}
+        got = set(enumerate_connected_graphs(n))
         assert len(got) == want
         # independent exhaustive filter with a different connectivity routine
         pairs = list(itertools.combinations(range(n), 2))

@@ -1,50 +1,17 @@
 import math
 
 import pytest
-from hypothesis import given
-from hypothesis import strategies as st
 
-from markedgibbs.combinat import (LabeledGraph, connected_components,
-                                  enumerate_connected_graphs, enumerate_trees,
-                                  partitions)
+from markedgibbs.combinat import enumerate_connected_graphs, enumerate_trees
 from markedgibbs.errors import SizeLimit
 
 
-def brute_force_partition_count(n, p, allow_empty):
-    count = 0
-    for tup in partitions(n, p, allow_empty):
-        assert len(tup) == p
-        union = set()
-        total = 0
-        for block in tup:
-            assert not (union & block)
-            union |= block
-            total += len(block)
-        assert union == set(range(n)) and total == n
-        count += 1
-    return count
-
-
-def test_partitions_empty_ground():
-    tuples = list(partitions(0, 2, allow_empty=True))
-    assert tuples == [(frozenset(), frozenset())]
-
-
-def test_partitions_counts():
-    assert brute_force_partition_count(2, 2, True) == 4
-    assert brute_force_partition_count(3, 2, False) == 6  # 2^3 - 2 surjections
-
-
-@given(st.integers(0, 5), st.integers(1, 3))
-def test_partitions_allow_empty_count_is_power(n, p):
-    assert sum(1 for _ in partitions(n, p, True)) == p ** n
-
-
-@given(st.integers(1, 5), st.integers(1, 3))
-def test_partitions_surjection_count(n, p):
-    by_inclusion_exclusion = sum((-1) ** j * math.comb(p, j) * (p - j) ** n
-                                 for j in range(p + 1))
-    assert sum(1 for _ in partitions(n, p, False)) == by_inclusion_exclusion
+def spans(n, edges):
+    """Whether the edges reach every vertex of range(n) from vertex 0."""
+    reached = {0}
+    for _ in range(n):
+        reached |= {v for e in edges if reached & set(e) for v in e}
+    return len(reached) == n
 
 
 def test_tree_count_small():
@@ -57,9 +24,9 @@ def test_tree_enumeration_cayley_and_validity():
     for n in range(2, 8):
         seen = set()
         for tree in enumerate_trees(n):
-            assert len(tree.edges) == n - 1
-            assert len(connected_components(tree)) == 1
-            seen.add(tree.edges)
+            assert len(tree) == n - 1
+            assert spans(n, tree)
+            seen.add(tree)
         assert len(seen) == n ** (n - 2)
         assert n ** (n - 2) < math.e ** n * math.factorial(n)
 
@@ -83,7 +50,7 @@ def test_connected_graph_counts():
     for n, want in expected.items():
         graphs = list(enumerate_connected_graphs(n))
         assert len(graphs) == want
-        assert len({g.edges for g in graphs}) == want
+        assert len(set(graphs)) == want
         assert connected_count_recurrence(n) == want
 
 
@@ -94,44 +61,18 @@ def test_connected_graph_cap():
 
 def test_every_tree_is_a_connected_graph():
     for n in range(1, 6):
-        connected = {g.edges for g in enumerate_connected_graphs(n)}
+        connected = set(enumerate_connected_graphs(n))
         for tree in enumerate_trees(n):
-            assert tree.edges in connected
+            assert tree in connected
 
 
-def test_components_examples():
-    g = LabeledGraph.on_range(3)
-    comps = connected_components(g)
-    assert [c.vertices for c in comps] == [(0,), (1,), (2,)]
-
-    g = LabeledGraph.on_range(3, [(0, 1)])
-    comps = connected_components(g)
-    assert [set(c.vertices) for c in comps] == [{0, 1}, {2}]
-
-
-@given(st.integers(1, 7), st.data())
-def test_components_partition_and_reassemble(n, data):
-    all_pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    chosen = data.draw(st.sets(st.sampled_from(all_pairs)) if all_pairs
-                       else st.just(set()))
-    g = LabeledGraph.on_range(n, chosen)
-    comps = connected_components(g)
-    seen = set()
-    rebuilt_edges = set()
-    for comp in comps:
-        assert comp.is_connected()
-        assert not (seen & set(comp.vertices))
-        seen |= set(comp.vertices)
-        rebuilt_edges |= set(comp.edges)
-    assert seen == set(range(n))
-    assert rebuilt_edges == set(g.edges)
-    # fixpoint: decomposing a component returns itself
-    for comp in comps:
-        again = connected_components(comp)
-        assert len(again) == 1
-        assert again[0].edges == comp.edges
-
-
-def test_no_self_loops():
-    with pytest.raises(ValueError):
-        LabeledGraph.on_range(2, [(1, 1)])
+def test_graphs_are_normalised_edge_sets():
+    for n in range(1, 6):
+        trees = list(enumerate_trees(n))
+        for edges in trees + list(enumerate_connected_graphs(n)):
+            assert type(edges) is frozenset
+            for e in edges:
+                assert type(e) is tuple and len(e) == 2
+                i, j = e
+                assert type(i) is int and type(j) is int and 0 <= i < j < n
+        assert all(len(tree) == n - 1 for tree in trees)

@@ -412,13 +412,29 @@ def test_sample_file_roundtrip(toy_model, rng, tmp_path):
     ("", ValueError),
     ("1.0 0.1 1.0", ValueError),
     ("1 nan 1.0", ValueError),
+    ("1 abc 1.0", ValueError),
     ("2 0.1 1.0 0.1 -1.0", DuplicatePosition),
 ], ids=["extra_field", "short_line", "blank_line", "count_not_an_integer",
-        "nan_position", "coinciding_positions"])
+        "nan_position", "value_not_a_number", "coinciding_positions"])
 def test_read_sample_file_rejects_malformed_lines(tmp_path, line, error):
     path = tmp_path / "samples.txt"
     path.write_text(f"# markedgibbs-samples v1 d=1\n1 0.5 1.0\n{line}\n0\n")
     with pytest.raises(error, match="line 3" if error is ValueError else None):
+        read_sample_file(path)
+
+
+@pytest.mark.parametrize("header", [
+    "# markedgibbs-samples v1",
+    "# markedgibbs-samples v1 d=x",
+    "# markedgibbs-samples v1 d=0",
+    "# markedgibbs-samples v1 d=-1",
+    "# other-samples v1 d=1",
+], ids=["no_dimension", "dimension_not_an_integer", "dimension_zero",
+        "dimension_negative", "wrong_magic"])
+def test_read_sample_file_rejects_malformed_header(tmp_path, header):
+    path = tmp_path / "samples.txt"
+    path.write_text(f"{header}\n1 0.5 1.0\n")
+    with pytest.raises(ValueError, match="line 1"):
         read_sample_file(path)
 
 
