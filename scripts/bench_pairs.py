@@ -95,7 +95,6 @@ def paired_runs(checkouts: dict[str, Path], workload: str, seeds: list[int],
             result, envs[side] = run_bench(checkouts[side], workload, seed, seconds, trace)
             runs[side].append(result)
             print(f"{workload} seed {seed} trace {trace} {side}: "
-                  f"wall_s {result['metrics']['wall_s']['value']:.4f} "
                   f"correct {result['correct']}", flush=True)
     return runs, first, envs
 
