@@ -17,6 +17,9 @@ side's median and quartiles, the pairs the change won, their median ratio and
 every run. `--traced` runs `--trace 1` the same way, every seed on both
 sides, and records per `--trace-metrics` value each side's median, quartiles
 and runs. The record also holds the environment block that perfbench prints.
+It is written after every finished workload, so a failing run, which stops the
+script with a message naming its side, workload and seed, loses only the
+workload it belongs to.
 """
 from __future__ import annotations
 
@@ -76,8 +79,8 @@ def run_bench(checkout: Path, workload: str, seed: int, seconds: float,
         cwd=checkout, capture_output=True, text=True, timeout=600)
     lines = proc.stdout.strip().splitlines()
     if proc.returncode != 0 or len(lines) < 2:
-        raise SystemExit(f"perfbench failed in {checkout} ({workload}, seed {seed}, "
-                         f"status {proc.returncode}):\n{proc.stderr[-2000:]}")
+        raise RuntimeError(f"perfbench exited with status {proc.returncode}:\n"
+                           f"{proc.stderr[-2000:]}")
     return json.loads(lines[-1]), json.loads(lines[-2])["env"]
 
 
@@ -92,7 +95,13 @@ def paired_runs(checkouts: dict[str, Path], workload: str, seeds: list[int],
         order = next(orders)
         first.append(order[0])
         for side in order:
-            result, envs[side] = run_bench(checkouts[side], workload, seed, seconds, trace)
+            try:
+                result, envs[side] = run_bench(checkouts[side], workload, seed, seconds,
+                                               trace)
+            except (OSError, RuntimeError, ValueError, KeyError,
+                    subprocess.SubprocessError) as exc:
+                raise SystemExit(f"{side} run of {workload}, seed {seed}, trace {trace} "
+                                 f"failed: {exc}") from exc
             runs[side].append(result)
             print(f"{workload} seed {seed} trace {trace} {side}: "
                   f"correct {result['correct']}", flush=True)
@@ -126,6 +135,11 @@ def summarize(runs: dict[str, list[dict]], seeds: list[int], first: list[str],
     return out
 
 
+def write_record(out: Path, record: dict) -> None:
+    out.write_text(json.dumps({**record, "notes": []}, indent=1) + "\n")
+    print(f"wrote {out}", flush=True)
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     ap.add_argument("--tag", required=True, help="record name: BENCH_<tag>.json")
@@ -146,6 +160,7 @@ def main(argv=None) -> int:
 
     commits = {"parent": git("rev-parse", args.parent),
                "change": git("rev-parse", args.change)}
+    out = args.out or REPO / f"BENCH_{args.tag}.json"
     scratch = Path(tempfile.mkdtemp(prefix="bench-pairs-", dir=args.workdir))
     try:
         checkouts = {s: scratch / s for s in SIDES}
@@ -158,20 +173,22 @@ def main(argv=None) -> int:
                   "command": f"python3 perfbench/run.py --workload <w> --seed <s> "
                              f"--seconds {seconds:g} --trace <0|1>, run from the root "
                              f"of each checkout; parent and change alternate which "
-                             f"runs first"}
-        end_to_end = {}
+                             f"runs first",
+                  "env": None, "parent": {"commit": commits["parent"]},
+                  "change_commit": commits["change"], "change_src_sha256": None,
+                  "end_to_end": {}}
         orders = itertools.cycle([SIDES, SIDES[::-1]])
+        # the record so far is written after every workload, so a failing run
+        # loses only the workload it belongs to
         for workload, seeds in args.pairs:
             runs, first, envs = paired_runs(checkouts, workload, seeds, seconds, 0,
                                             orders)
-            end_to_end[workload] = summarize(runs, seeds, first, better)
-        record["env"] = {k: v for k, v in envs["parent"].items()
-                         if k not in ENV_KEYS_PER_SIDE}
-        record["parent"] = {"commit": commits["parent"],
-                            "src_sha256": envs["parent"]["src_sha256"]}
-        record["change_commit"] = commits["change"]
-        record["change_src_sha256"] = envs["change"]["src_sha256"]
-        record["end_to_end"] = end_to_end
+            record["end_to_end"][workload] = summarize(runs, seeds, first, better)
+            record["env"] = {k: v for k, v in envs["parent"].items()
+                             if k not in ENV_KEYS_PER_SIDE}
+            record["parent"]["src_sha256"] = envs["parent"]["src_sha256"]
+            record["change_src_sha256"] = envs["change"]["src_sha256"]
+            write_record(out, record)
         for workload, seeds in args.traced:
             runs, first, _ = paired_runs(checkouts, workload, seeds, seconds, 1, orders)
             traced = {"seeds": seeds, "pairs": len(seeds), "first_in_pair": first,
@@ -182,12 +199,9 @@ def main(argv=None) -> int:
                                     "runs": [round(v, 4) for v in vals[s]]}
                                 for s in SIDES}
             record[f"traced_{workload}"] = traced
-        record["notes"] = []
+            write_record(out, record)
     finally:
         shutil.rmtree(scratch, ignore_errors=True)
-    out = args.out or REPO / f"BENCH_{args.tag}.json"
-    out.write_text(json.dumps(record, indent=1) + "\n")
-    print(f"wrote {out}")
     return 0
 
 

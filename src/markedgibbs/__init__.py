@@ -10,7 +10,7 @@ from .combinat import enumerate_connected_graphs, enumerate_trees
 from .lpintegrate import (IntegralEstimate, QuadratureScheme, lp_integral,
                           marked_point_nodes, philox_rng)
 from .cluster import (ExpansionReport, UrsellTable, convergence_radius,
-                      correlation_truncated, kbar, limit_local_density,
+                      correlation_truncated, kbar,
                       log_partition_truncated, partition_direct_truncated,
                       tail_bound, tree_bound_q, tree_bound_q_multi,
                       tree_bound_recursive, ursell_direct, ursell_table)

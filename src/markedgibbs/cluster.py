@@ -8,7 +8,7 @@ potentials, Ursell values on range-disconnected subsets are exactly zero
 (every connected graph carries a zero Mayer factor), and the tables enforce
 that exactly.
 
-Two identities replace enumerations, each pinned to a recursion oracle:
+Three identities replace enumerations, each pinned to an oracle:
 
 - kbar(omega; zeta) = (exp*(-k) * D_omega rho)(zeta), and exp*(-k) is the
   star-inverse of the Boltzmann table rho (Ruelle 1969, ch. 4), so kbar needs
@@ -18,6 +18,11 @@ Two identities replace enumerations, each pinned to a recursion oracle:
   minors of the |Mayer| Laplacian (all-minors matrix-tree theorem, Chaiken
   1982), evaluated by subtraction-free elimination; oracle
   `tree_bound_recursive`.
+- The numerator of the local limit density at xi, the star-exponential over
+  the subsets S of xi of the collar series of k(S + eta), is one collar series
+  of kbar(xi; eta): kbar sums prod k over the partitions of xi + eta whose
+  blocks all meet xi, and the Lebesgue-Poisson measure factorizes over
+  blocks. Oracle: that exterior-Ursell route in the tests.
 """
 from __future__ import annotations
 
@@ -519,12 +524,18 @@ def _series(what: str, f: BatchIntegrand, model: ModelSpec,
         raise IntegrationFailure(f"{what} integral failed: {exc}") from exc
 
 
-def _ursell_integrand(model: ModelSpec, fixed: FiniteConfiguration,
-                      absolute: bool = False) -> BatchIntegrand:
-    """k(fixed + nodes), or |k|, as a batch integrand; k of no points is 0."""
+def _ursell_integrand(model: ModelSpec, absolute: bool = False) -> BatchIntegrand:
+    """k(nodes), or |k|, as a batch integrand; k of no points is 0."""
     def integrand(n, positions, marks):
-        vals = ursell_batch(model, fixed, positions, marks)
+        vals = ursell_batch(model, FiniteConfiguration(), positions, marks)
         return np.abs(vals) if absolute else vals
+    return integrand
+
+
+def _kbar_integrand(model: ModelSpec, points: FiniteConfiguration) -> BatchIntegrand:
+    """kbar(points; nodes) as a batch integrand."""
+    def integrand(n, positions, marks):
+        return kbar_batch(model, points, positions, marks)
     return integrand
 
 
@@ -533,7 +544,7 @@ def ursell_series_terms(model: ModelSpec, region: Box, N: int,
                         absolute: bool = False) -> IntegralEstimate:
     """Truncated series sum_n (z^n/n!) Int k (or |k|) over n region points."""
     return _series("coefficient",
-                   _ursell_integrand(model, FiniteConfiguration(), absolute),
+                   _ursell_integrand(model, absolute),
                    model, region, N, scheme)
 
 
@@ -630,11 +641,8 @@ def correlation_truncated(points: FiniteConfiguration, model: ModelSpec,
     for p in points:
         if not region.contains_point(p.position):
             raise ValueError(f"correlation point {p.position} outside the region")
-
-    def integrand(n, positions, marks):
-        return kbar_batch(model, points, positions, marks)
-
-    return _series("correlation", integrand, model, region, N, scheme)
+    return _series("correlation", _kbar_integrand(model, points), model, region, N,
+                   scheme)
 
 
 def averaged_correlation(model: ModelSpec, region: Box, m: int, N: int,
@@ -709,7 +717,8 @@ class LocalDensityProfile:
     Caches the normalizer so repeated density evaluations share it. Exterior
     contributions integrate over the range collar of the sub-box; the
     coefficients vanish exactly on range-disconnected configurations, which is
-    what localizes the exterior integral.
+    what localizes the exterior integral. Every series here, the density's and
+    the normalizer's, keeps at most ``order`` collar points in total.
     """
 
     model: ModelSpec
@@ -719,30 +728,22 @@ class LocalDensityProfile:
     collar: SlotDomain | None
     log_normalizer: float
 
-    def exterior_ursell(self, config: FiniteConfiguration) -> float:
-        """k integrated against collar configurations, truncated at the order."""
-        if config.is_empty:
-            return 0.0
-        # without a collar only the n = 0 term, k(config), is left
-        return _series("exterior Ursell", _ursell_integrand(self.model, config),
-                       self.model, self.collar or self.region,
-                       self.order if self.collar else 0, self.scheme).value
-
     def density(self, config: FiniteConfiguration) -> float:
         """Density of the limiting measure at the configuration, w.r.t. the
-        Lebesgue-Poisson reference measure on the sub-box."""
+        Lebesgue-Poisson reference measure on the sub-box.
+
+        The numerator is the collar series sum_n (z^n/n!) Int kbar(config; eta)
+        over n collar points eta; without a collar only kbar(config; empty) is
+        left.
+        """
         for p in config:
             if not self.region.contains_point(p.position):
                 raise ValueError("configuration leaves the profiled region")
-        m = len(config)
-        if m == 0:
+        if config.is_empty:
             return math.exp(-self.log_normalizer)
-        vals = np.zeros(1 << m)
-        for mask in range(1, 1 << m):
-            sub = config.subset([i for i in range(m) if mask >> i & 1])
-            vals[mask] = self.exterior_ursell(sub)
-        psi = starcalc.ConfigFunctional(m, vals)
-        numerator = starcalc.star_exp(psi)((1 << m) - 1)
+        numerator = _series("density", _kbar_integrand(self.model, config), self.model,
+                            self.collar or self.region,
+                            self.order if self.collar else 0, self.scheme).value
         return numerator * math.exp(-self.log_normalizer)
 
 
@@ -752,7 +753,7 @@ def limit_density_profile(model: ModelSpec, region: Box, N: int,
     """Build the local density profile, computing its normalizer once."""
     scheme = scheme or default_series_scheme()
     collar = _collar_domain(model, region)
-    integrand = _ursell_integrand(model, FiniteConfiguration())
+    integrand = _ursell_integrand(model)
     # sum over m region points of (z^m/m!) times the collar series of k over
     # them; without a collar only its n = 0 term is left
     log_norm_terms = [
@@ -763,10 +764,3 @@ def limit_density_profile(model: ModelSpec, region: Box, N: int,
     return LocalDensityProfile(model=model, region=region, order=N, scheme=scheme,
                                collar=collar,
                                log_normalizer=float(np.sum(np.asarray(log_norm_terms))))
-
-
-def limit_local_density(config: FiniteConfiguration, model: ModelSpec,
-                        region: Box, N: int,
-                        scheme: QuadratureScheme | None = None) -> float:
-    """Density of the limiting measure at one configuration (finite range only)."""
-    return limit_density_profile(model, region, N, scheme).density(config)

@@ -121,6 +121,8 @@ class MarkSpace:
         if self.kind == "discrete":
             if not self.labels or not self.weights or len(self.labels) != len(self.weights):
                 raise ValueError("discrete marks need matching labels and weights")
+            if not all(math.isfinite(x) for x in (*self.labels, *self.weights)):
+                raise ValueError("discrete labels and weights must be finite")
             if any(w < 0 for w in self.weights) or sum(self.weights) <= 0:
                 raise ValueError("discrete weights must be nonnegative with positive sum")
             # the cumulative weights, built as numpy's Generator.choice builds them
@@ -128,13 +130,14 @@ class MarkSpace:
             cdf /= cdf[-1]
             object.__setattr__(self, "_labels_cdf", (np.asarray(self.labels), cdf))
         elif self.kind == "circle":
-            if self.mass is None or self.mass <= 0:
-                raise ValueError("circle marks need a positive total mass")
+            if self.mass is None or not 0 < self.mass < math.inf:
+                raise ValueError("circle marks need a positive finite total mass")
         elif self.kind == "interval":
-            if self.lower is None or self.upper is None or self.upper <= self.lower:
-                raise ValueError("interval marks need lower < upper")
-            if self.mass is None or self.mass <= 0:
-                raise ValueError("interval marks need a positive total mass")
+            if self.lower is None or self.upper is None or \
+                    not -math.inf < self.lower < self.upper < math.inf:
+                raise ValueError("interval marks need finite bounds lower < upper")
+            if self.mass is None or not 0 < self.mass < math.inf:
+                raise ValueError("interval marks need a positive finite total mass")
         else:
             raise ValueError(f"unknown mark kind {self.kind!r}")
 

@@ -43,6 +43,14 @@ class PairPotential:
     breakpoints: tuple[float, ...] = ()
     params: dict = field(default_factory=dict)
 
+    def __post_init__(self):
+        if self.range_R is not None and not 0 <= self.range_R < INF:
+            raise ValueError(f"range_R must be None or finite and >= 0, "
+                             f"got {self.range_R}")
+        if not all(0 <= b < INF for b in self.breakpoints):
+            raise ValueError(f"breakpoints must be finite and >= 0, "
+                             f"got {self.breakpoints}")
+
     def evaluate(self, p: MarkedPoint, q: MarkedPoint) -> float:
         r = self.space.distance(p.position, q.position)
         if self.range_R is not None and r >= self.range_R:

@@ -1,9 +1,9 @@
-import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
 
+from markedgibbs.gibbsmc import _draw_points
 from markedgibbs.lpintegrate import philox_rng
-from markedgibbs.model import FiniteConfiguration, MarkedPoint, canonicalize
+from markedgibbs.model import FiniteConfiguration
 from markedgibbs.potential import build_model
 
 settings.register_profile(
@@ -23,13 +23,7 @@ def ideal_model():
 
 
 def random_config(model, n, rng) -> FiniteConfiguration:
-    sides = np.asarray(model.space.side_lengths)
-    while True:
-        pos = rng.random((n, model.space.dimension)) * sides
-        marks = model.marks.sample(rng, n)
-        pts = [MarkedPoint(tuple(p), float(m)) for p, m in zip(pos, marks)]
-        if len({p.position for p in pts}) == n:
-            return canonicalize(pts)
+    return _draw_points(model, model.space.box, n, rng)
 
 
 @pytest.fixture

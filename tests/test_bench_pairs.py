@@ -1,0 +1,56 @@
+import importlib.util
+import json
+from pathlib import Path
+
+import pytest
+
+SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "bench_pairs.py"
+
+
+@pytest.fixture
+def bench_pairs():
+    spec = importlib.util.spec_from_file_location("bench_pairs", SCRIPT)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_record_keeps_finished_workloads_when_a_run_fails(bench_pairs, monkeypatch,
+                                                          tmp_path):
+    def export(commit, dest):
+        dest.mkdir(parents=True)
+        (dest / "BENCHMARK.json").write_text(json.dumps({
+            "run_seconds": 1,
+            "end_to_end": [{"name": "wall_s", "better": "lower"}]}))
+
+    def run_bench(checkout, workload, seed, seconds, trace):
+        if workload == "bounds":
+            raise RuntimeError("perfbench exited with status 1")
+        env = {"commit": checkout.name, "src_sha256": checkout.name, "seed": seed,
+               "python": "3"}
+        return ({"correct": True, "failed": 0, "attempted": 1,
+                 "metrics": {"wall_s": {"value": 0.1 * seed, "unit": "s"}}}, env)
+
+    monkeypatch.setattr(bench_pairs, "git", lambda *args: args[-1])
+    monkeypatch.setattr(bench_pairs, "export", export)
+    monkeypatch.setattr(bench_pairs, "run_bench", run_bench)
+    out = tmp_path / "BENCH_test.json"
+    with pytest.raises(SystemExit) as failure:
+        bench_pairs.main(["--tag", "test", "--parent", "p", "--change", "c",
+                          "--pairs", "series=1-2", "--pairs", "bounds=3",
+                          "--workdir", str(tmp_path), "--out", str(out)])
+    assert failure.value.code not in (0, None)
+    message = str(failure.value.code)
+    assert "bounds" in message and "seed 3" in message
+    assert message.startswith(("parent run", "change run"))
+
+    record = json.loads(out.read_text())
+    assert list(record["end_to_end"]) == ["series"]
+    series = record["end_to_end"]["series"]
+    assert series["seeds"] == [1, 2]
+    assert series["metrics"]["wall_s"]["parent_runs"] == [0.1, 0.2]
+    assert record["parent"] == {"commit": "p", "src_sha256": "parent"}
+    assert record["change_src_sha256"] == "change"
+    assert record["env"] == {"python": "3"}
+    # the exports are removed
+    assert [p.name for p in tmp_path.iterdir()] == [out.name]

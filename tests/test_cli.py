@@ -18,6 +18,8 @@ def write_config(tmp_path, payload, name="run.json"):
 
 
 BASE_MODEL = {"name": "toy-repulsive-spin", "z": 0.05, "beta": 1.0}
+INLINE_INTERVAL = {"space": {"dimension": 1, "side_lengths": [1.0]},
+                   "potential": {"name": "ferrofluid"}, "z": 0.05, "beta": 1.0}
 FAST_SCHEME = {"kind": "tensor_grid", "points_per_axis": [32, 16, 8],
                "mc_fallback_samples": 2000}
 
@@ -201,6 +203,23 @@ def test_cli_entrypoint_error_paths(tmp_path):
      "sampler": {"sweeps": 50, "burn_in": 10, "p_birth": math.nan}},
     {"command": "sample", "model": BASE_MODEL,
      "sampler": {"sweeps": 50, "burn_in": 10, "move_step": math.nan}},
+    {"command": "expand", "order": 1,
+     "model": {**INLINE_INTERVAL, "marks": {"kind": "interval", "lower": math.nan,
+                                            "upper": 1.0}}},
+    {"command": "radius", "reference_grid_size": 8,
+     "model": {**INLINE_INTERVAL, "marks": {"kind": "interval", "lower": -1.0,
+                                            "upper": math.inf}}},
+    {"command": "sample", "sampler": {"sweeps": 50, "burn_in": 10},
+     "model": {**INLINE_INTERVAL, "potential": {"name": "toy-repulsive-spin"},
+               "marks": {"kind": "discrete", "labels": [1.0, math.nan],
+                         "weights": [0.5, 0.5]}}},
+    *({"command": "radius", "reference_grid_size": 8,
+       "model": {"name": name, "z": 0.05, "params": params}}
+      for name, params in (("toy-repulsive-spin-rc", {"range_cut": -1.0}),
+                           ("toy-repulsive-spin-rc", {"range_cut": math.inf}),
+                           ("toy-repulsive-spin-rc", {"range_cut": math.nan}),
+                           ("hard-core", {"r0": math.nan}),
+                           ("continuum-potts", {"r1": math.nan}))),
 ], ids=["points_per_axis_0", "unknown_mark_rule", "unknown_sampler_key",
         "probabilities_not_summing_to_1", "negative_activity",
         "unknown_scheme_kind", "thinning_0", "burn_in_past_sweeps",
@@ -210,7 +229,9 @@ def test_cli_entrypoint_error_paths(tmp_path):
         "coinciding_points", "expand_region_outside_box",
         "sample_region_outside_box", "mark_not_a_label", "mark_outside_interval",
         "activity_nan", "activity_infinite", "beta_infinite", "beta_nan",
-        "p_birth_nan", "move_step_nan"])
+        "p_birth_nan", "move_step_nan", "interval_bound_nan",
+        "interval_bound_infinite", "discrete_label_nan", "range_cut_negative",
+        "range_cut_infinite", "range_cut_nan", "hard_core_r0_nan", "potts_r1_nan"])
 def test_cli_malformed_values_are_config_errors(tmp_path, capsys, payload):
     assert main(["--config", write_config(tmp_path, payload)]) == 2
     assert capsys.readouterr().err.startswith("config error")

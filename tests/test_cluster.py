@@ -533,6 +533,37 @@ def _exterior_ursell_loop(profile, config):
     return total
 
 
+def _exterior_ursell_density(profile, config):
+    """Oracle: the density as exp* over the subsets of config of their
+    exterior Ursell series, over the normalizer."""
+    m = len(config)
+    vals = np.zeros(1 << m)
+    for mask in range(1, 1 << m):
+        vals[mask] = _exterior_ursell_loop(
+            profile, config.subset([i for i in range(m) if mask >> i & 1]))
+    numerator = starcalc.star_exp(starcalc.ConfigFunctional(m, vals))((1 << m) - 1)
+    return numerator * math.exp(-profile.log_normalizer)
+
+
+def _density_loop(profile, config):
+    """Oracle: kbar(config; empty) plus one collar integral of kbar per order,
+    over the normalizer; returns (density, summed |fine - coarse| figures)."""
+    model, d = profile.model, profile.model.space.dimension
+    total = float(kbar_batch(model, config, np.zeros((1, 0, d)),
+                             np.zeros((1, 0)))[0])
+    error = 0.0
+    for j in range(1, profile.order + 1 if profile.collar else 1):
+        def integrand(n, positions, marks):
+            return kbar_batch(model, config, positions, marks)
+        sch = resolve_scheme_for_order(profile.scheme, d, j)
+        value, err = product_region_integral(model, [profile.collar] * j,
+                                             integrand, sch)
+        total += model.z ** j / math.factorial(j) * value
+        error += model.z ** j / math.factorial(j) * err
+    scale = math.exp(-profile.log_normalizer)
+    return total * scale, error * scale
+
+
 def _log_normalizer_loop(model, region, collar, N, scheme):
     """Oracle: the normalizer as one double loop over region and collar counts."""
     def integrand(n, positions, marks):
@@ -567,8 +598,16 @@ def test_limit_density_series_match_order_loops(name, params, N):
     for rows in ([(0.4, 1.0)], [(0.35, 1.0), (0.42, -1.0)],
                  [(0.31, -1.0), (0.45, 1.0), (0.58, 1.0)]):
         config = canonicalize([MarkedPoint((x,), mk) for x, mk in rows])
-        assert profile.exterior_ursell(config) == pytest.approx(
-            _exterior_ursell_loop(profile, config), rel=1e-14, abs=0.0)
+        density = profile.density(config)
+        want, error = _density_loop(profile, config)
+        assert density == pytest.approx(want, rel=1e-14, abs=0.0)
+        # the exterior-Ursell route is the same series up to quadrature error
+        old = _exterior_ursell_density(profile, config)
+        if name == "ideal":
+            lam = model.z * model.mass(region)
+            assert old == density == math.exp(-lam)
+        else:
+            assert abs(old - density) <= error
 
 
 def _nan_first_row(fn):

@@ -143,6 +143,20 @@ def test_mark_space_mass_matches_quadrature():
     assert integral == pytest.approx(inter.total_mass, rel=1e-12)
 
 
+@pytest.mark.parametrize("build", [
+    lambda: MarkSpace.discrete([1.0, -1.0], [math.nan, 1.0]),
+    lambda: MarkSpace.discrete([1.0, -1.0], [math.inf, 1.0]),
+    lambda: MarkSpace.discrete([1.0, math.nan], [0.5, 0.5]),
+    lambda: MarkSpace.interval(-math.inf, 1.0),
+    lambda: MarkSpace.circle(mass=math.inf),
+    lambda: MarkSpace.interval(-1.0, 1.0, mass=math.nan),
+], ids=["weight_nan", "weight_infinite", "label_nan", "lower_infinite",
+        "circle_mass_infinite", "interval_mass_nan"])
+def test_mark_space_rejects_non_finite_parameters(build):
+    with pytest.raises(ValueError):
+        build()
+
+
 def test_model_spec_validation(toy_model):
     assert toy_model.mass() == pytest.approx(1.0)
     with pytest.raises(ValueError):
