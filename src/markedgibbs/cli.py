@@ -11,7 +11,7 @@ import argparse
 import csv
 import json
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 from . import verify as verify_mod
@@ -56,6 +56,21 @@ class RunConfig:
     reference_grid_size: int = 48
 
 
+CONFIG_KEYS = ("command", "model", "region", "order", "scheme", "seed", "out",
+               "format", "points", "sampler", "sample_file", "reference_grid_size")
+SCHEME_KEYS = tuple(f.name for f in fields(QuadratureScheme))
+SAMPLER_KEYS = tuple(f.name for f in fields(SamplerConfig))
+
+
+def _check_keys(what: str, data, known: tuple[str, ...]):
+    """A config object must be a JSON object with known keys only."""
+    if not isinstance(data, dict):
+        raise ConfigError(f"{what} must be a JSON object")
+    unknown = sorted(set(data) - set(known))
+    if unknown:
+        raise ConfigError(f"unknown {what} key {unknown[0]!r}; known: {sorted(known)}")
+
+
 def _int_entry(data: dict, key: str, default: int, minimum: int) -> int:
     try:
         value = int(data.get(key, default))
@@ -73,6 +88,7 @@ def load_config(path: str | None, overrides: dict) -> RunConfig:
             data = json.loads(Path(path).read_text())
         except (OSError, json.JSONDecodeError) as exc:
             raise ConfigError(f"cannot read config {path}: {exc}") from exc
+    _check_keys("config", data, CONFIG_KEYS)
     data.update({k: v for k, v in overrides.items() if v is not None})
     command = data.get("command")
     if command not in COMMANDS:
@@ -82,6 +98,10 @@ def load_config(path: str | None, overrides: dict) -> RunConfig:
     model_cfg = data.get("model", {"name": "toy-repulsive-spin"})
     if isinstance(model_cfg, str):
         model_cfg = {"name": model_cfg}
+    scheme_cfg = data.get("scheme", {})
+    _check_keys("scheme", scheme_cfg, SCHEME_KEYS)
+    sampler_cfg = data.get("sampler", {})
+    _check_keys("sampler", sampler_cfg, SAMPLER_KEYS)
     fmt = data.get("format", "report")
     if fmt not in ("report", "csv"):
         raise ConfigError("format must be 'report' or 'csv'")
@@ -90,15 +110,16 @@ def load_config(path: str | None, overrides: dict) -> RunConfig:
         model_cfg=model_cfg,
         region=data.get("region"),
         order=_int_entry(data, "order", 4, 1 if command == "expand" else 0),
-        scheme_cfg=data.get("scheme", {}),
+        scheme_cfg=scheme_cfg,
         seed=_int_entry(data, "seed", 0, 0),
         out=data.get("out"),
         format=fmt,
         points=data.get("points", []),
-        sampler_cfg=data.get("sampler", {}),
+        sampler_cfg=sampler_cfg,
         sample_file=data.get("sample_file"),
         reference_grid_size=_int_entry(data, "reference_grid_size",
-                                       48 if command == "radius" else 24, 1),
+                                       {"radius": 48, "expand": 32}.get(command, 24),
+                                       1),
     )
 
 
@@ -179,7 +200,8 @@ def _cmd_radius(model: ModelSpec, run: RunConfig) -> dict:
 
 def _cmd_expand(model: ModelSpec, run: RunConfig, region: Box,
                 scheme: QuadratureScheme) -> dict:
-    report = log_partition_truncated(model, region, run.order, scheme)
+    report = log_partition_truncated(model, region, run.order, scheme,
+                                     run.reference_grid_size)
     return {"expansion": report.to_dict()}
 
 

@@ -8,7 +8,7 @@ potentials, Ursell values on range-disconnected subsets are exactly zero
 (every connected graph carries a zero Mayer factor), and the tables enforce
 that exactly.
 
-Three identities replace enumerations, each pinned to an oracle:
+Four identities replace enumerations, each pinned to an oracle:
 
 - kbar(omega; zeta) = (exp*(-k) * D_omega rho)(zeta), and exp*(-k) is the
   star-inverse of the Boltzmann table rho (Ruelle 1969, ch. 4), so kbar needs
@@ -23,6 +23,12 @@ Three identities replace enumerations, each pinned to an oracle:
   of kbar(xi; eta): kbar sums prod k over the partitions of xi + eta whose
   blocks all meet xi, and the Lebesgue-Poisson measure factorizes over
   blocks. Oracle: that exterior-Ursell route in the tests.
+- The normalizer of that density, the sum of the cluster integrals of k that
+  meet the region, is log Xi(region + collar) - log Xi(collar): two plain
+  Ursell series, one over the collar's box and one over the collar, a box
+  whose hole is the region. The collar's grid is cut at the region's faces,
+  so no cell straddles them. Oracle: the double loop over region and collar
+  counts in the tests.
 """
 from __future__ import annotations
 
@@ -694,6 +700,8 @@ def correlation_tail_bound(model: ModelSpec, from_order: int,
 
 
 def _collar_domain(model: ModelSpec, region: Box) -> SlotDomain | None:
+    """The range collar of the region: its range-expanded box (the whole box
+    if periodic) with the region as the hole; None for a zero range."""
     rng = model.potential.range_R
     if rng is None:
         raise RequiresFiniteRange("local limit density needs a finite-range potential")
@@ -703,11 +711,7 @@ def _collar_domain(model: ModelSpec, region: Box) -> SlotDomain | None:
         bbox = model.space.box
     else:
         bbox = region.expand(rng).clip_to(model.space.box)
-
-    def outside_region(positions: np.ndarray) -> np.ndarray:
-        return (~region.contains_batch(positions)).astype(float)
-
-    return SlotDomain(bbox, outside_region)
+    return SlotDomain(bbox, hole=region)
 
 
 @dataclass(frozen=True, eq=False)
@@ -717,8 +721,9 @@ class LocalDensityProfile:
     Caches the normalizer so repeated density evaluations share it. Exterior
     contributions integrate over the range collar of the sub-box; the
     coefficients vanish exactly on range-disconnected configurations, which is
-    what localizes the exterior integral. Every series here, the density's and
-    the normalizer's, keeps at most ``order`` collar points in total.
+    what localizes the exterior integral. Every series here keeps at most
+    ``order`` points in total: the density's collar points, and the
+    normalizer's points in the region and its collar.
     """
 
     model: ModelSpec
@@ -754,13 +759,10 @@ def limit_density_profile(model: ModelSpec, region: Box, N: int,
     scheme = scheme or default_series_scheme()
     collar = _collar_domain(model, region)
     integrand = _ursell_integrand(model)
-    # sum over m region points of (z^m/m!) times the collar series of k over
-    # them; without a collar only its n = 0 term is left
-    log_norm_terms = [
-        model.z ** m / math.factorial(m) *
-        _series("normalizer", integrand, model, collar or region,
-                N if collar else 0, scheme, fixed=[SlotDomain(region)] * m).value
-        for m in range(1, N + 1)]
+    # the clusters that meet the region: log Xi(region + collar) - log Xi(collar)
+    log_norm = _series("normalizer", integrand, model,
+                       collar.box if collar else region, N, scheme).value
+    if collar:
+        log_norm -= _series("normalizer", integrand, model, collar, N, scheme).value
     return LocalDensityProfile(model=model, region=region, order=N, scheme=scheme,
-                               collar=collar,
-                               log_normalizer=float(np.sum(np.asarray(log_norm_terms))))
+                               collar=collar, log_normalizer=log_norm)

@@ -149,37 +149,55 @@ def mark_nodes_weights(model: ModelSpec, scheme: QuadratureScheme
     return marks.lower + half * (nodes + 1.0), weights * half * density
 
 
-def _position_nodes(region: Box, per_axis: int) -> tuple[np.ndarray, np.ndarray]:
-    """Midpoint-rule nodes over the region; weights sum to the volume."""
+def _position_nodes(region: Box, per_axis: int, hole: Box | None = None
+                    ) -> tuple[np.ndarray, np.ndarray]:
+    """Midpoint-rule nodes over the region; weights sum to the volume.
+
+    With a hole, each axis is cut at the hole faces strictly inside the
+    region, and each piece gets max(1, round(per_axis * length / side)) cells,
+    so no cell straddles a hole face; the weights are the cell volumes. The
+    nodes inside the hole stay (see ``_single_nodes``).
+    """
     d = region.dimension
-    axes = []
+    axes, widths = [], []
     for k in range(d):
         lo, hi = region.lower[k], region.upper[k]
-        h = (hi - lo) / per_axis
-        axes.append(lo + (np.arange(per_axis) + 0.5) * h)
+        faces = () if hole is None else (hole.lower[k], hole.upper[k])
+        cuts = [lo, *sorted(c for c in faces if lo < c < hi), hi]
+        nodes, cells = [], []
+        for a, b in zip(cuts, cuts[1:]):
+            count = max(1, round(per_axis * (b - a) / (hi - lo)))
+            h = (b - a) / count
+            nodes.append(a + (np.arange(count) + 0.5) * h)
+            cells.append(np.full(count, h))
+        axes.append(np.concatenate(nodes))
+        widths.append(np.concatenate(cells))
     mesh = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, d)
-    weights = np.full(mesh.shape[0], region.volume / mesh.shape[0])
+    if hole is None:
+        weights = np.full(mesh.shape[0], region.volume / mesh.shape[0])
+    else:
+        weights = math.prod(np.meshgrid(*widths, indexing="ij")).ravel()
     return mesh, weights
 
 
 @dataclass(frozen=True)
 class SlotDomain:
-    """Integration domain of one particle slot: a box plus an optional indicator."""
+    """Integration domain of one particle slot: a box, minus an optional hole."""
 
     box: Box
-    indicator: Callable[[np.ndarray], np.ndarray] | None = None
+    hole: Box | None = None
 
 
 def _single_nodes(model, domain: SlotDomain, per_axis: int, scheme
                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    pos, pw = _position_nodes(domain.box, per_axis)
+    pos, pw = _position_nodes(domain.box, per_axis, domain.hole)
     mv, mw = mark_nodes_weights(model, scheme)
     npos, nmark = pos.shape[0], mv.shape[0]
     positions = np.repeat(pos, nmark, axis=0)
     marks = np.tile(mv, npos)
     weights = np.repeat(pw, nmark) * np.tile(mw, npos)
-    if domain.indicator is not None:
-        weights = weights * domain.indicator(positions)
+    if domain.hole is not None:
+        weights[domain.hole.contains_batch(positions)] = 0.0
     keep = weights != 0.0
     return positions[keep], marks[keep], weights[keep]
 
@@ -261,7 +279,8 @@ def product_node_batches(model: ModelSpec, domains: Sequence[SlotDomain],
                    weights)
         return
 
-    # Monte Carlo: iid draws per slot, weight = product of slot masses / samples
+    # Monte Carlo: iid draws per slot in its box, weight = product of box masses /
+    # samples, and 0 for a draw in a slot's hole
     rng = philox_rng(scheme.seed, n)
     total_samples = scheme.samples
     base_mass = math.prod(dom.box.volume for dom in domains) * \
@@ -277,8 +296,8 @@ def product_node_batches(model: ModelSpec, domains: Sequence[SlotDomain],
             hi = np.asarray(dom.box.upper)
             positions[:, j, :] = lo + rng.random((k, d)) * (hi - lo)
             marks[:, j] = model.marks.sample(rng, k)
-            if dom.indicator is not None:
-                keep &= dom.indicator(positions[:, j, :]).astype(bool)
+            if dom.hole is not None:
+                keep &= ~dom.hole.contains_batch(positions[:, j, :])
         weights = np.where(keep, base_mass / total_samples, 0.0)
         yield positions, marks, weights
         done += k

@@ -7,6 +7,7 @@ potentials evaluate to exactly 0 at or beyond the range.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field, replace
 from functools import lru_cache, reduce
 from typing import Callable
@@ -367,10 +368,33 @@ def _space(d: int, side: float, boundary: str) -> PositionSpace:
     return PositionSpace(dimension=d, side_lengths=(side,) * d, boundary=boundary)
 
 
+def _params(defaults: dict, overrides: dict) -> dict:
+    """A builder's defaults with the overrides in place of its own.
+
+    An unknown key is a ValueError, and so is a value that is not a finite
+    number (``boundary`` is a string, and a ``range_cut`` default of None may
+    stay None), a length scale ``ell*`` <= 0, or a ``q`` or ``dimension`` that
+    is not a whole number >= 1.
+    """
+    unknown = sorted(set(overrides) - set(defaults))
+    if unknown:
+        raise ValueError(f"unknown parameter {unknown[0]!r}; known: {sorted(defaults)}")
+    p = {**defaults, **overrides}
+    for key, value in p.items():
+        if key == "boundary" or (value is None and defaults[key] is None):
+            continue
+        if not isinstance(value, numbers.Real) or not math.isfinite(value):
+            raise ValueError(f"parameter {key!r} must be a finite number, got {value!r}")
+        if key.startswith("ell") and value <= 0:
+            raise ValueError(f"length scale {key!r} must be positive, got {value!r}")
+        if key in ("q", "dimension") and (value < 1 or value != int(value)):
+            raise ValueError(f"{key!r} must be a whole number >= 1, got {value!r}")
+    return p
+
+
 def _build_toy(z, beta, params):
-    p = {"ell": 0.2, "coupling": 0.5, "side": 1.0, "dimension": 1,
-         "boundary": "free", "range_cut": None}
-    p.update(params)
+    p = _params({"ell": 0.2, "coupling": 0.5, "side": 1.0, "dimension": 1,
+                 "boundary": "free", "range_cut": None}, params)
     space = _space(int(p["dimension"]), p["side"], p["boundary"])
     marks = MarkSpace.discrete([1.0, -1.0], [0.5, 0.5])
     pot = PairPotential(
@@ -381,15 +405,12 @@ def _build_toy(z, beta, params):
 
 
 def _build_toy_rc(z, beta, params):
-    p = {"range_cut": 0.3}
-    p.update(params)
-    spec = _build_toy(z, beta, p)
+    spec = _build_toy(z, beta, {"range_cut": 0.3, **params})
     return spec.replace(potential=replace(spec.potential, name="toy-repulsive-spin-rc"))
 
 
 def _build_ideal(z, beta, params):
-    p = {"side": 1.0, "dimension": 1, "boundary": "free"}
-    p.update(params)
+    p = _params({"side": 1.0, "dimension": 1, "boundary": "free"}, params)
     space = _space(int(p["dimension"]), p["side"], p["boundary"])
     marks = MarkSpace.discrete([1.0, -1.0], [0.5, 0.5])
     pot = PairPotential(name="ideal", space=space, radial=_constant_radial(0.0),
@@ -398,8 +419,7 @@ def _build_ideal(z, beta, params):
 
 
 def _build_hard_core(z, beta, params):
-    p = {"r0": 0.1, "side": 1.0, "dimension": 1, "boundary": "free"}
-    p.update(params)
+    p = _params({"r0": 0.1, "side": 1.0, "dimension": 1, "boundary": "free"}, params)
     space = _space(int(p["dimension"]), p["side"], p["boundary"])
     marks = MarkSpace.discrete([1.0, -1.0], [0.5, 0.5])
     pot = PairPotential(name="hard-core", space=space,
@@ -409,9 +429,8 @@ def _build_hard_core(z, beta, params):
 
 
 def _build_rotator(z, beta, params):
-    p = {"a": 1.0, "ell_phi": 0.25, "j0": 0.5, "ell_j": 0.2,
-         "side": 1.0, "dimension": 1, "boundary": "free"}
-    p.update(params)
+    p = _params({"a": 1.0, "ell_phi": 0.25, "j0": 0.5, "ell_j": 0.2,
+                 "side": 1.0, "dimension": 1, "boundary": "free"}, params)
     space = _space(int(p["dimension"]), p["side"], p["boundary"])
     marks = MarkSpace.circle(mass=1.0)
     pot = PairPotential(name="planar-rotator", space=space,
@@ -421,9 +440,8 @@ def _build_rotator(z, beta, params):
 
 
 def _build_ferrofluid(z, beta, params):
-    p = {"a": 1.0, "j0": 0.5, "ell": 0.25, "side": 1.0, "dimension": 1,
-         "boundary": "free"}
-    p.update(params)
+    p = _params({"a": 1.0, "j0": 0.5, "ell": 0.25, "side": 1.0, "dimension": 1,
+                 "boundary": "free"}, params)
     space = _space(int(p["dimension"]), p["side"], p["boundary"])
     marks = MarkSpace.interval(-1.0, 1.0, mass=1.0)
     pot = PairPotential(name="ferrofluid", space=space,
@@ -433,9 +451,8 @@ def _build_ferrofluid(z, beta, params):
 
 
 def _build_potts(z, beta, params):
-    p = {"q": 3, "a": 1.0, "r2": 0.2, "r1": 0.05, "side": 1.0, "dimension": 1,
-         "boundary": "free"}
-    p.update(params)
+    p = _params({"q": 3, "a": 1.0, "r2": 0.2, "r1": 0.05, "side": 1.0, "dimension": 1,
+                 "boundary": "free"}, params)
     q = int(p["q"])
     space = _space(int(p["dimension"]), p["side"], p["boundary"])
     marks = MarkSpace.discrete([float(i) for i in range(1, q + 1)], [1.0 / q] * q)
@@ -447,9 +464,8 @@ def _build_potts(z, beta, params):
 
 
 def _build_constant(z, beta, params):
-    p = {"value": -1.0, "declared_B": 0.0, "side": 1.0, "dimension": 1,
-         "boundary": "free"}
-    p.update(params)
+    p = _params({"value": -1.0, "declared_B": 0.0, "side": 1.0, "dimension": 1,
+                 "boundary": "free"}, params)
     space = _space(int(p["dimension"]), p["side"], p["boundary"])
     marks = MarkSpace.discrete([1.0, -1.0], [0.5, 0.5])
     pot = PairPotential(name="constant", space=space,

@@ -80,6 +80,23 @@ def test_expand_report_and_csv(tmp_path):
     assert len(csv_body) == 3
 
 
+def test_expand_honours_reference_grid_size(tmp_path):
+    # C(beta) on the config's reference grid; 32 points when none is given
+    from markedgibbs.cluster import convergence_radius
+    from markedgibbs.potential import model_from_dict
+
+    model = model_from_dict(BASE_MODEL)
+    for grid, expected in ((4, 4), (64, 64), (None, 32)):
+        out = tmp_path / f"expand_{grid}.json"
+        config = {"command": "expand", "model": BASE_MODEL, "order": 1,
+                  "scheme": FAST_SCHEME, "out": str(out)}
+        if grid is not None:
+            config["reference_grid_size"] = grid
+        assert run(load_config(write_config(tmp_path, config), {})) == 0
+        c_beta = json.loads(out.read_text())["results"]["expansion"]["c_beta"]
+        assert c_beta == convergence_radius(model, expected).c_beta
+
+
 def test_expand_zero_activity_limit(tmp_path):
     out = tmp_path / "exp0.json"
     cfg = load_config(write_config(tmp_path, {
@@ -219,7 +236,19 @@ def test_cli_entrypoint_error_paths(tmp_path):
                            ("toy-repulsive-spin-rc", {"range_cut": math.inf}),
                            ("toy-repulsive-spin-rc", {"range_cut": math.nan}),
                            ("hard-core", {"r0": math.nan}),
-                           ("continuum-potts", {"r1": math.nan}))),
+                           ("continuum-potts", {"r1": math.nan}),
+                           ("toy-repulsive-spin", {"ell": math.nan}),
+                           ("toy-repulsive-spin", {"coupling": math.inf}),
+                           ("constant", {"value": math.nan}),
+                           ("planar-rotator", {"ell_phi": 0.0}),
+                           ("continuum-potts", {"q": 0}),
+                           ("toy-repulsive-spin", {"dimension": 1.7}),
+                           ("toy-repulsive-spin-rc", {"range_cutoff": 0.2}))),
+    {"command": "expand", "model": BASE_MODEL, "order": 1,
+     "scheme": {"kind": "tensor_grid", "points_per_axs": [16, 8]}},
+    {"command": "expand", "model": BASE_MODEL, "oder": 9},
+    [{"command": "radius", "model": BASE_MODEL}],
+    {"command": "sample", "model": BASE_MODEL, "sampler": [50, 10]},
 ], ids=["points_per_axis_0", "unknown_mark_rule", "unknown_sampler_key",
         "probabilities_not_summing_to_1", "negative_activity",
         "unknown_scheme_kind", "thinning_0", "burn_in_past_sweeps",
@@ -231,7 +260,11 @@ def test_cli_entrypoint_error_paths(tmp_path):
         "activity_nan", "activity_infinite", "beta_infinite", "beta_nan",
         "p_birth_nan", "move_step_nan", "interval_bound_nan",
         "interval_bound_infinite", "discrete_label_nan", "range_cut_negative",
-        "range_cut_infinite", "range_cut_nan", "hard_core_r0_nan", "potts_r1_nan"])
+        "range_cut_infinite", "range_cut_nan", "hard_core_r0_nan", "potts_r1_nan",
+        "ell_nan", "coupling_infinite", "constant_value_nan", "rotator_ell_phi_0",
+        "potts_q_0", "dimension_not_whole", "unknown_model_param",
+        "unknown_scheme_key", "unknown_config_key", "config_not_an_object",
+        "sampler_not_an_object"])
 def test_cli_malformed_values_are_config_errors(tmp_path, capsys, payload):
     assert main(["--config", write_config(tmp_path, payload)]) == 2
     assert capsys.readouterr().err.startswith("config error")

@@ -564,20 +564,43 @@ def _density_loop(profile, config):
     return total * scale, error * scale
 
 
-def _log_normalizer_loop(model, region, collar, N, scheme):
-    """Oracle: the normalizer as one double loop over region and collar counts."""
+def _ursell_terms(model, domains, scheme):
+    """(z^n/n! times the integral of k over the slots, and its error figure)."""
     def integrand(n, positions, marks):
         return ursell_batch(model, FiniteConfiguration(), positions, marks)
 
-    terms = []
+    n = len(domains)
+    sch = resolve_scheme_for_order(scheme, model.space.dimension, n)
+    value, err = product_region_integral(model, domains, integrand, sch)
+    factor = model.z ** n / math.factorial(n)
+    return factor * value, factor * err
+
+
+def _log_normalizer_identity_loop(model, region, collar, N, scheme):
+    """Oracle: log Xi(collar box) - log Xi(collar), one pair of integrals per
+    order; returns (normalizer, summed |fine - coarse| figures)."""
+    value = error = 0.0
+    for n in range(N + 1):
+        box = collar.box if collar else region
+        whole, err = _ursell_terms(model, [SlotDomain(box)] * n, scheme)
+        value, error = value + whole, error + err
+        if collar:
+            part, err = _ursell_terms(model, [collar] * n, scheme)
+            value, error = value - part, error + err
+    return value, error
+
+
+def _log_normalizer_loop(model, region, collar, N, scheme):
+    """Oracle: the normalizer as one double loop over m region and j collar
+    points, m + j <= N; returns (normalizer, summed |fine - coarse| figures)."""
+    terms, errors = [], []
     for m in range(1, N + 1):
-        for j in range(0, N + 1 if collar else 1):
-            domains = [SlotDomain(region)] * m + [collar] * j
-            sch = resolve_scheme_for_order(scheme, model.space.dimension, m + j)
-            value, _ = product_region_integral(model, domains, integrand, sch)
-            terms.append(model.z ** (m + j) /
-                         (math.factorial(m) * math.factorial(j)) * value)
-    return float(np.sum(np.asarray(terms)))
+        for j in range(0, N + 1 - m if collar else 1):
+            value, err = _ursell_terms(model, [SlotDomain(region)] * m + [collar] * j,
+                                       scheme)
+            terms.append(value * math.comb(m + j, m))
+            errors.append(err * math.comb(m + j, m))
+    return float(np.sum(np.asarray(terms))), float(np.sum(np.asarray(errors)))
 
 
 @pytest.mark.parametrize("N", [2, 3, 4])
@@ -593,8 +616,12 @@ def test_limit_density_series_match_order_loops(name, params, N):
                                      seed=2)
     profile = limit_density_profile(model, region, N, scheme)
     assert (profile.collar is None) == (name == "ideal")
-    want = _log_normalizer_loop(model, region, profile.collar, N, scheme)
+    want, error = _log_normalizer_identity_loop(model, region, profile.collar, N,
+                                                scheme)
     assert profile.log_normalizer == pytest.approx(want, rel=1e-14, abs=0.0)
+    # the clusters that meet the region, counted by their region and collar points
+    loop, loop_error = _log_normalizer_loop(model, region, profile.collar, N, scheme)
+    assert abs(profile.log_normalizer - loop) <= error + loop_error
     for rows in ([(0.4, 1.0)], [(0.35, 1.0), (0.42, -1.0)],
                  [(0.31, -1.0), (0.45, 1.0), (0.58, 1.0)]):
         config = canonicalize([MarkedPoint((x,), mk) for x, mk in rows])

@@ -116,25 +116,33 @@ def test_lp_integral_first_order_statistic_closed_form(toy_model):
     assert abs(est.value - expected) <= 4.0 * max(est.error, 1e-12)
 
 
-def test_mc_matches_grid_within_four_se(toy_model):
+def assert_mc_matches_grid_within_four_se(model, domains):
     from markedgibbs.cluster import ursell_batch
-    from markedgibbs.model import FiniteConfiguration
 
     def integrand(n, positions, marks):
-        return ursell_batch(toy_model, FiniteConfiguration(), positions, marks)
+        return ursell_batch(model, FiniteConfiguration(), positions, marks)
 
-    region = toy_model.space.box
-    grid_value, _ = product_region_integral(
-        toy_model, [SlotDomain(region)] * 2, integrand,
-        QuadratureScheme.tensor(64))
+    grid_value, _ = product_region_integral(model, domains, integrand,
+                                            QuadratureScheme.tensor(64))
     hits = 0
     for seed in range(20):
         mc_value, se = product_region_integral(
-            toy_model, [SlotDomain(region)] * 2, integrand,
-            QuadratureScheme.monte_carlo(20000, seed=seed))
+            model, domains, integrand, QuadratureScheme.monte_carlo(20000, seed=seed))
         if abs(mc_value - grid_value) <= 4.0 * se:
             hits += 1
     assert hits >= 19
+
+
+def test_mc_matches_grid_within_four_se(toy_model):
+    assert_mc_matches_grid_within_four_se(
+        toy_model, [SlotDomain(toy_model.space.box)] * 2)
+
+
+def test_mc_matches_grid_on_a_holed_domain(toy_model):
+    # Monte Carlo draws in the box and zero-weights draws in the hole; the
+    # grid cuts its cells at the hole's faces and drops those inside
+    holed = SlotDomain(toy_model.space.box, hole=Box((0.3,), (0.6,)))
+    assert_mc_matches_grid_within_four_se(toy_model, [holed] * 2)
 
 
 def test_estimate_determinism(toy_model):
@@ -277,13 +285,13 @@ def test_symmetric_grid_boltzmann_weight_with_boundary(toy_model):
 
 
 def test_symmetric_grid_region_and_collar_blocks():
-    # two blocks, the collar one with an indicator: region x2 + collar x2
+    # two blocks, the collar one a box with a hole: region x2 + collar x2
     from markedgibbs.cluster import _collar_domain, ursell_batch
 
     model = build_model("toy-repulsive-spin-rc", z=0.05, beta=1.0, range_cut=0.25)
     region = Box((0.3,), (0.7,))
     collar = _collar_domain(model, region)
-    assert collar.indicator is not None
+    assert collar.hole == region
 
     def integrand(n, positions, marks):
         return ursell_batch(model, FiniteConfiguration(), positions, marks)
@@ -342,21 +350,21 @@ def test_tensor_budget_counts_the_full_ordered_product(toy_model):
                                       QuadratureScheme.tensor(too_many)))
 
 
-def indicator_weighted_nodes(model, domain, per_axis, scheme):
-    """Every position x mark node of a slot, weighted by the indicator (zeros kept)."""
-    pos, pw = _position_nodes(domain.box, per_axis)
+def hole_weighted_nodes(model, domain, per_axis, scheme):
+    """Every position x mark node of a slot, weighted 0 in the hole (zeros kept)."""
+    pos, pw = _position_nodes(domain.box, per_axis, domain.hole)
     mv, mw = mark_nodes_weights(model, scheme)
     positions = np.repeat(pos, mv.size, axis=0)
     weights = np.repeat(pw, mv.size) * np.tile(mw, pw.size)
-    if domain.indicator is not None:
-        weights = weights * domain.indicator(positions)
+    if domain.hole is not None:
+        weights = weights * ~domain.hole.contains_batch(positions)
     return positions, np.tile(mv, pw.size), weights
 
 
 def test_zero_weight_nodes_never_reach_the_integrand():
-    # the collar's indicator zeroes its nodes inside the region; those nodes
-    # are dropped, and the integral is still the indicator-weighted sum over
-    # every ordered tuple of all nodes
+    # the collar's nodes inside its hole, the region, weigh zero; those nodes
+    # are dropped, and the integral is still the zero-weighted sum over every
+    # ordered tuple of all nodes
     from markedgibbs.cluster import _collar_domain, ursell_batch
 
     model = build_model("toy-repulsive-spin-rc", z=0.05, beta=1.0, range_cut=0.25)
@@ -364,7 +372,7 @@ def test_zero_weight_nodes_never_reach_the_integrand():
     collar = _collar_domain(model, region)
     domains = [SlotDomain(region)] + [collar] * 2
     scheme = QuadratureScheme.tensor(6)
-    assert np.any(indicator_weighted_nodes(model, collar, 6, scheme)[2] == 0.0)
+    assert np.any(hole_weighted_nodes(model, collar, 6, scheme)[2] == 0.0)
 
     def integrand(n, positions, marks):
         return ursell_batch(model, FiniteConfiguration(), positions, marks)
@@ -377,29 +385,50 @@ def test_zero_weight_nodes_never_reach_the_integrand():
         assert np.all(weights != 0.0)
     value, _ = product_region_integral(model, domains, collar_outside_region, scheme)
     oracle = ordered_product_integral(model, domains, integrand, scheme,
-                                      node_rule=indicator_weighted_nodes)
+                                      node_rule=hole_weighted_nodes)
     assert oracle != 0.0
     assert abs(value - oracle) <= 1e-13 * abs(oracle), (value, oracle)
 
 
 def test_slot_without_nonzero_nodes_integrates_to_zero():
-    # one node per axis on the collar box sits at its centre 0.5, inside the
-    # region: the slot keeps no node and the integral is exactly 0.0
+    # a region that fills the model box leaves its collar, the box with the
+    # region as its hole, no node: the integral is exactly 0.0
     from markedgibbs.cluster import (_collar_domain, limit_density_profile,
                                      ursell_batch)
 
     model = build_model("toy-repulsive-spin-rc", z=0.05, beta=1.0, range_cut=0.25)
-    region = Box((0.3,), (0.7,))
+    region = model.space.box
     collar = _collar_domain(model, region)
-    single = QuadratureScheme.tensor(1)
-    assert list(product_node_batches(model, [SlotDomain(region), collar], single)) == []
+    assert collar.box == collar.hole == region
+    scheme = QuadratureScheme.tensor(5)
+    assert list(product_node_batches(model, [SlotDomain(region), collar], scheme)) == []
 
     def integrand(n, positions, marks):
         return ursell_batch(model, FiniteConfiguration(), positions, marks)
 
     value, err = product_region_integral(model, [SlotDomain(region), collar],
-                                         integrand, single)
+                                         integrand, scheme)
     assert value == 0.0 and err == 0.0
-    # the same empty coarse collar grid inside a limit-density profile
+    # the same empty collar inside a limit-density profile: the normalizer is
+    # the plain series over the region
     profile = limit_density_profile(model, region, 2, QuadratureScheme.tensor((3, 2)))
-    assert math.isfinite(profile.log_normalizer)
+    plain = lp_integral(integrand, model, region, 2, QuadratureScheme.tensor((3, 2)))
+    assert profile.log_normalizer == plain.value
+
+
+@pytest.mark.parametrize("dimension, region", [
+    (1, Box((0.3,), (0.6,))),
+    (2, Box((0.3, 0.2), (0.6, 0.7))),
+], ids=["1d", "2d"])
+@pytest.mark.parametrize("per_axis", [5, 9])
+def test_collar_order_one_integral_is_its_measure(dimension, region, per_axis):
+    # the collar's cells end at the region's faces, so the midpoint rule
+    # integrates 1 over the collar exactly (up to rounding)
+    from markedgibbs.cluster import _collar_domain
+
+    model = build_model("toy-repulsive-spin-rc", range_cut=0.2, dimension=dimension)
+    collar = _collar_domain(model, region)
+    value, _ = product_region_integral(model, [collar], ones_integrand,
+                                       QuadratureScheme.tensor(per_axis))
+    measure = (collar.box.volume - region.volume) * model.marks.total_mass
+    assert value == pytest.approx(measure, rel=1e-14, abs=0.0)
