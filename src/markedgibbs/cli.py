@@ -17,7 +17,8 @@ from pathlib import Path
 from . import verify as verify_mod
 from .cluster import (convergence_radius, correlation_truncated,
                       default_series_scheme, log_partition_truncated)
-from .errors import ConfigError, DuplicatePosition, MarkedGibbsError
+from .errors import (ConfigError, DuplicatePosition, MarkedGibbsError,
+                     check_keys)
 from .gibbsmc import (EMPTY_BOUNDARY, SampleStream, SamplerConfig, mcmc_run,
                       write_sample_file)
 from .lpintegrate import QuadratureScheme
@@ -62,15 +63,6 @@ SCHEME_KEYS = tuple(f.name for f in fields(QuadratureScheme))
 SAMPLER_KEYS = tuple(f.name for f in fields(SamplerConfig))
 
 
-def _check_keys(what: str, data, known: tuple[str, ...]):
-    """A config object must be a JSON object with known keys only."""
-    if not isinstance(data, dict):
-        raise ConfigError(f"{what} must be a JSON object")
-    unknown = sorted(set(data) - set(known))
-    if unknown:
-        raise ConfigError(f"unknown {what} key {unknown[0]!r}; known: {sorted(known)}")
-
-
 def _int_entry(data: dict, key: str, default: int, minimum: int) -> int:
     try:
         value = int(data.get(key, default))
@@ -88,7 +80,7 @@ def load_config(path: str | None, overrides: dict) -> RunConfig:
             data = json.loads(Path(path).read_text())
         except (OSError, json.JSONDecodeError) as exc:
             raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    _check_keys("config", data, CONFIG_KEYS)
+    check_keys("config", data, CONFIG_KEYS)
     data.update({k: v for k, v in overrides.items() if v is not None})
     command = data.get("command")
     if command not in COMMANDS:
@@ -99,9 +91,9 @@ def load_config(path: str | None, overrides: dict) -> RunConfig:
     if isinstance(model_cfg, str):
         model_cfg = {"name": model_cfg}
     scheme_cfg = data.get("scheme", {})
-    _check_keys("scheme", scheme_cfg, SCHEME_KEYS)
+    check_keys("scheme", scheme_cfg, SCHEME_KEYS)
     sampler_cfg = data.get("sampler", {})
-    _check_keys("sampler", sampler_cfg, SAMPLER_KEYS)
+    check_keys("sampler", sampler_cfg, SAMPLER_KEYS)
     fmt = data.get("format", "report")
     if fmt not in ("report", "csv"):
         raise ConfigError("format must be 'report' or 'csv'")
@@ -144,6 +136,7 @@ def _build_scheme(cfg: dict, seed: int) -> QuadratureScheme:
 def _region_box(model: ModelSpec, cfg: dict | None) -> Box:
     if cfg is None:
         return model.space.box
+    check_keys("region", cfg, ("lower", "upper"))
     try:
         box = Box(tuple(float(x) for x in cfg["lower"]),
                   tuple(float(x) for x in cfg["upper"]))

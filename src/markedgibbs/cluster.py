@@ -468,12 +468,18 @@ class RadiusReport:
     within_radius: bool
     reference_grid_size: int
     refinement_delta: float  # relative gap of C(beta) between grid g and 2g
+    argmax_position: tuple[float, ...]  # reference point where C(beta) was found
+    argmax_mark: float
+    reference_points: int  # (position, mark) reference points evaluated
 
     def to_dict(self) -> dict:
         return {"z_star": self.z_star, "c_beta": self.c_beta,
                 "within_radius": self.within_radius,
                 "reference_grid_size": self.reference_grid_size,
-                "refinement_delta": self.refinement_delta}
+                "refinement_delta": self.refinement_delta,
+                "c_beta_argmax": {"position": list(self.argmax_position),
+                                  "mark": self.argmax_mark},
+                "c_beta_reference_points": self.reference_points}
 
 
 def convergence_radius(model: ModelSpec, reference_grid_size: int = 48) -> RadiusReport:
@@ -495,7 +501,10 @@ def convergence_radius(model: ModelSpec, reference_grid_size: int = 48) -> Radiu
     return RadiusReport(z_star=z_star, c_beta=c,
                         within_radius=model.z < z_star,
                         reference_grid_size=reference_grid_size,
-                        refinement_delta=report.refinement_delta)
+                        refinement_delta=report.refinement_delta,
+                        argmax_position=report.argmax_position,
+                        argmax_mark=report.argmax_mark,
+                        reference_points=report.reference_points)
 
 
 def tail_bound(model: ModelSpec, from_order: int,

@@ -77,5 +77,14 @@ class ConfigError(MarkedGibbsError):
     """Malformed run configuration."""
 
 
+def check_keys(what: str, data, known: tuple[str, ...]):
+    """A config object must be a JSON object with known keys only."""
+    if not isinstance(data, dict):
+        raise ConfigError(f"{what} must be a JSON object")
+    unknown = sorted(set(data) - set(known))
+    if unknown:
+        raise ConfigError(f"unknown {what} key {unknown[0]!r}; known: {sorted(known)}")
+
+
 class EnergyDrift(MarkedGibbsError):
     """A chain's incrementally tracked energy disagrees with its recomputation."""

@@ -16,8 +16,7 @@ import numpy as np
 
 from .errors import (OverlappingConfigurations, QuadratureFailure,
                      StabilityViolation)
-from .lpintegrate import (_CHUNK, QuadratureScheme, _position_nodes,
-                          mark_nodes_weights)
+from .lpintegrate import QuadratureScheme, _position_nodes, mark_nodes_weights
 from .model import (Box, FiniteConfiguration, MarkSpace, MarkedPoint,
                     ModelSpec, PositionSpace, canonicalize)
 
@@ -200,6 +199,15 @@ class IntegrabilityReport:
     finite: bool
     refinement_delta: float
     grid_size: int
+    argmax_position: tuple[float, ...]  # reference point where c_beta was found
+    argmax_mark: float
+    reference_points: int  # (position, mark) reference points evaluated
+
+
+# elements per chunk of the C(beta) |Mayer| table, 128 KiB of float64 per
+# temporary; the series' 2 MiB chunks (lpintegrate._CHUNK) left the faster
+# C(beta) passes churning a larger heap
+_C_BETA_CHUNK = 1 << 14
 
 
 def _axis_rule(ref: float, side: float, radii: list[float], periodic: bool
@@ -220,7 +228,11 @@ def _axis_rule(ref: float, side: float, radii: list[float], periodic: bool
 def _abs_mayer_masses(phi: PairPotential, model: ModelSpec, ref: np.ndarray,
                       marks: np.ndarray, weights: np.ndarray) -> np.ndarray:
     """Integral of |e^{-beta phi(., (ref, t))} - 1| over box x marks, one per
-    reference mark t in ``marks``."""
+    reference mark t in ``marks``.
+
+    ``radial`` is symmetric in the marks, so the mark-pair table is evaluated
+    on the pairs s <= t only and mirrored before the sum over s.
+    """
     space = model.space
     radii = [0.0, *phi.breakpoints] + ([phi.range_R] if phi.range_R is not None else [])
     rules = [_axis_rule(x0, side, radii, space.boundary == "periodic")
@@ -229,15 +241,29 @@ def _abs_mayer_masses(phi: PairPotential, model: ModelSpec, ref: np.ndarray,
     r = space.distance_batch(pos.reshape(-1, space.dimension), ref)
     pw = reduce(np.multiply.outer, [w for _, w in rules]).ravel()
     n = marks.size
-    step = max(1, _CHUNK // n ** 2)
-    masses = np.zeros(n)
+    iu, ju = np.triu_indices(n)
+    s, t = marks[iu], marks[ju]
+    step = max(1, _C_BETA_CHUNK // iu.size)
+    upper = np.zeros(iu.size)
     for i in range(0, r.size, step):
-        rc = r[i:i + step, None, None]
-        vals = phi.radial_gated(rc, marks[:, None], marks[None, :])
-        absf = np.abs(mayer_factor_batch(np.broadcast_to(vals, (rc.shape[0], n, n)),
-                                         model.beta))
-        masses += weights @ (pw[i:i + step] @ absf.reshape(rc.shape[0], -1)).reshape(n, n)
-    return masses
+        rc = r[i:i + step, None]
+        vals = np.broadcast_to(phi.radial_gated(rc, s, t), (rc.shape[0], iu.size))
+        upper += pw[i:i + step] @ np.abs(mayer_factor_batch(vals, model.beta))
+    table = np.empty((n, n))
+    table[iu, ju] = upper
+    table[ju, iu] = upper
+    return weights @ table
+
+
+def _orthant_references(box: Box, per_axis: int) -> np.ndarray:
+    """The midpoint reference grid's points whose index on every axis is below
+    ceil(per_axis / 2): one point of each orbit of the mirror maps
+    x_k -> lower_k + upper_k - x_k. Selected by index, because for odd
+    per_axis the centre midpoint can round above the box centre."""
+    refs, _ = _position_nodes(box, per_axis)
+    d = box.dimension
+    keep = (slice((per_axis + 1) // 2),) * d
+    return refs.reshape((per_axis,) * d + (d,))[keep].reshape(-1, d)
 
 
 def check_integrability(phi: PairPotential, model: ModelSpec,
@@ -251,34 +277,51 @@ def check_integrability(phi: PairPotential, model: ModelSpec,
     marks). A maximum over a grid estimates the ess-sup; it is not a rigorous
     upper bound.
 
+    Only part of that family is evaluated, with the same maximum. The box,
+    the midpoint grid and both metrics (free and minimum-image) are invariant
+    under each mirror map x_k -> side_k - x_k, and the mass is a function of
+    the distances to the reference point, so a reference point and its
+    mirror images have one mass: each axis keeps its first ceil(p/2) of p
+    midpoints. When g and 2g give the same points per axis (d >= 2 at small
+    g) the grid is evaluated once, and refinement_delta is 0 by construction,
+    not evidence of convergence. The report names the kept reference point
+    (position and mark) where the maximum was found, and the number of
+    (position, mark) points evaluated.
+
     For each reference point the mass is one composite Gauss-Legendre rule in
     every dimension: 32 nodes per panel, each axis cut at the reference
     coordinate, at +-range_R and at +-each declared ``breakpoints`` radius
     around it, and in a periodic box also at +-side/2, with every cut wrapped
     by +-side; cuts are clipped to the box. In one dimension that puts every
     kink and jump of the integrand on a panel edge. Oracles: dense midpoint
-    grids over the same reference family (tests/test_potential.py), and the
-    covered length of a hard core.
+    grids and the full, unreduced reference family (tests/test_potential.py),
+    and the covered length of a hard core.
     """
     marks, weights = mark_nodes_weights(model, QuadratureScheme.tensor(1, mark_nodes=32))
+    d = model.space.dimension
+    per_axis = {g: max(2, round(g ** (1.0 / d)))
+                for g in (reference_grid_size, 2 * reference_grid_size)}
+    found = {}  # points per axis -> (max mass, its position, its mark)
+    evaluated = 0
+    for p in dict.fromkeys(per_axis.values()):
+        refs = _orthant_references(model.space.box, p)
+        masses = np.array([_abs_mayer_masses(phi, model, ref, marks, weights)
+                           for ref in refs])
+        if not np.all(np.isfinite(masses)):
+            raise QuadratureFailure("non-finite Mayer mass at reference point")
+        i, j = np.unravel_index(np.argmax(masses), masses.shape)
+        found[p] = (float(masses[i, j]), refs[i], marks[j])
+        evaluated += masses.size
 
-    def c_on_grid(g: int) -> float:
-        per_axis = max(2, round(g ** (1.0 / model.space.dimension)))
-        refs, _ = _position_nodes(model.space.box, per_axis)
-        best = 0.0
-        for ref in refs:
-            masses = _abs_mayer_masses(phi, model, ref, marks, weights)
-            if not np.all(np.isfinite(masses)):
-                raise QuadratureFailure("non-finite Mayer mass at reference point")
-            best = max(best, float(masses.max()))
-        return best
-
-    c_coarse = c_on_grid(reference_grid_size)
-    c_fine = c_on_grid(2 * reference_grid_size)
-    c_beta = max(c_coarse, c_fine)
+    coarse = found[per_axis[reference_grid_size]]
+    fine = found[per_axis[2 * reference_grid_size]]
+    c_coarse, c_fine = coarse[0], fine[0]
+    c_beta, position, mark = fine if c_fine > c_coarse else coarse
     delta = abs(c_fine - c_coarse) / max(abs(c_fine), 1e-300)
     return IntegrabilityReport(c_beta=c_beta, finite=math.isfinite(c_beta),
-                               refinement_delta=delta, grid_size=reference_grid_size)
+                               refinement_delta=delta, grid_size=reference_grid_size,
+                               argmax_position=tuple(float(x) for x in position),
+                               argmax_mark=float(mark), reference_points=evaluated)
 
 
 # ---------------------------------------------------------------------------
@@ -387,9 +430,17 @@ def _params(defaults: dict, overrides: dict) -> dict:
             raise ValueError(f"parameter {key!r} must be a finite number, got {value!r}")
         if key.startswith("ell") and value <= 0:
             raise ValueError(f"length scale {key!r} must be positive, got {value!r}")
-        if key in ("q", "dimension") and (value < 1 or value != int(value)):
-            raise ValueError(f"{key!r} must be a whole number >= 1, got {value!r}")
+        if key in ("q", "dimension"):
+            _whole_number(key, value)
     return p
+
+
+def _whole_number(key: str, value) -> int:
+    """``value`` as an int; a ValueError unless it is a whole number >= 1."""
+    if (not isinstance(value, numbers.Real) or not math.isfinite(value)
+            or value < 1 or value != int(value)):
+        raise ValueError(f"{key!r} must be a whole number >= 1, got {value!r}")
+    return int(value)
 
 
 def _build_toy(z, beta, params):
@@ -494,15 +545,26 @@ def build_model(name: str, z: float = 0.05, beta: float = 1.0,
     return REGISTRY[name](z, beta, params)
 
 
+MODEL_KEYS = ("name", "z", "beta", "params")
+INLINE_MODEL_KEYS = ("space", "marks", "potential", "z", "beta")
+SPACE_KEYS = ("dimension", "side_lengths", "boundary")
+MARK_KEYS = {"discrete": ("kind", "labels", "weights"), "circle": ("kind", "mass"),
+             "interval": ("kind", "lower", "upper", "mass")}
+POTENTIAL_KEYS = ("name", "params")
+
+
 def model_from_dict(cfg: dict) -> ModelSpec:
     """Build a model from the documented configuration mapping.
 
     Either ``{"name": ..., "z": ..., "beta": ..., "params": {...}}`` for a
     registry entry, or an inline spec with explicit ``space`` and ``marks``
-    plus a registered potential name.
+    plus a registered potential name. A key that is not one of these, or not
+    one of its mapping's own keys, is a ConfigError that names it.
     """
-    from .errors import ConfigError
-    if "name" in cfg:
+    from .errors import ConfigError, check_keys
+    registry = isinstance(cfg, dict) and "name" in cfg
+    check_keys("model", cfg, MODEL_KEYS if registry else INLINE_MODEL_KEYS)
+    if registry:
         try:
             return build_model(cfg["name"], z=cfg.get("z", 0.05),
                                beta=cfg.get("beta", 1.0), **cfg.get("params", {}))
@@ -510,17 +572,24 @@ def model_from_dict(cfg: dict) -> ModelSpec:
             raise ConfigError(f"bad model configuration: {exc}") from exc
     try:
         sp = cfg["space"]
-        space = PositionSpace(dimension=int(sp["dimension"]),
+        check_keys("space", sp, SPACE_KEYS)
+        space = PositionSpace(dimension=_whole_number("dimension", sp["dimension"]),
                               side_lengths=tuple(float(x) for x in sp["side_lengths"]),
                               boundary=sp.get("boundary", "free"))
         mk = cfg["marks"]
-        if mk["kind"] == "discrete":
+        kind = mk.get("kind") if isinstance(mk, dict) else None
+        if kind not in MARK_KEYS:
+            raise ValueError(f"marks must be an object whose kind is one of "
+                             f"{sorted(MARK_KEYS)}")
+        check_keys(f"{kind} marks", mk, MARK_KEYS[kind])
+        if kind == "discrete":
             marks = MarkSpace.discrete(mk["labels"], mk["weights"])
-        elif mk["kind"] == "circle":
+        elif kind == "circle":
             marks = MarkSpace.circle(mk.get("mass", 1.0))
         else:
             marks = MarkSpace.interval(mk["lower"], mk["upper"], mk.get("mass", 1.0))
         pot_cfg = cfg["potential"]
+        check_keys("potential", pot_cfg, POTENTIAL_KEYS)
         base = build_model(pot_cfg["name"], z=cfg.get("z", 0.05),
                            beta=cfg.get("beta", 1.0),
                            dimension=space.dimension,

@@ -61,8 +61,12 @@ def test_radius_report_refinement_delta(tmp_path):
     assert run(cfg) == 0
     radius = json.loads(out.read_text())["results"]["radius"]
     model = model_from_dict(BASE_MODEL)
-    expected = check_integrability(model.potential, model, 8).refinement_delta
-    assert radius["refinement_delta"] == expected
+    expected = check_integrability(model.potential, model, 8)
+    assert radius["refinement_delta"] == expected.refinement_delta
+    # and where the maximum was found, and how many reference points it scanned
+    assert radius["c_beta_argmax"] == {"position": list(expected.argmax_position),
+                                       "mark": expected.argmax_mark}
+    assert radius["c_beta_reference_points"] == expected.reference_points == (4 + 8) * 2
 
 
 def test_expand_report_and_csv(tmp_path):
@@ -249,6 +253,27 @@ def test_cli_entrypoint_error_paths(tmp_path):
     {"command": "expand", "model": BASE_MODEL, "oder": 9},
     [{"command": "radius", "model": BASE_MODEL}],
     {"command": "sample", "model": BASE_MODEL, "sampler": [50, 10]},
+    {"command": "radius", "reference_grid_size": 8,
+     "model": {**INLINE_INTERVAL, "space": {"dimension": 1.7, "side_lengths": [1.0]},
+               "marks": {"kind": "interval", "lower": -1.0, "upper": 1.0}}},
+    {"command": "radius", "reference_grid_size": 8,
+     "model": {"name": "toy-repulsive-spin", "parms": {"ell": 0.3}}},
+    {"command": "radius", "reference_grid_size": 8,
+     "model": {**INLINE_INTERVAL, "marks": {"kind": "interval", "lower": -1.0,
+                                            "upper": 1.0}, "activity": 0.1}},
+    {"command": "radius", "reference_grid_size": 8,
+     "model": {**INLINE_INTERVAL, "space": {"dimension": 1, "side_lengths": [1.0],
+                                            "boundry": "periodic"},
+               "marks": {"kind": "interval", "lower": -1.0, "upper": 1.0}}},
+    {"command": "radius", "reference_grid_size": 8,
+     "model": {**INLINE_INTERVAL, "marks": {"kind": "interval", "lower": -1.0,
+                                            "upper": 1.0, "weights": [1.0]}}},
+    {"command": "radius", "reference_grid_size": 8,
+     "model": {**INLINE_INTERVAL, "marks": {"kind": "interval", "lower": -1.0,
+                                            "upper": 1.0},
+               "potential": {"name": "ferrofluid", "parms": {"ell": 0.3}}}},
+    {"command": "expand", "model": BASE_MODEL, "order": 1,
+     "region": {"lower": [0.2], "upper": [0.8], "uper": [0.9]}},
 ], ids=["points_per_axis_0", "unknown_mark_rule", "unknown_sampler_key",
         "probabilities_not_summing_to_1", "negative_activity",
         "unknown_scheme_kind", "thinning_0", "burn_in_past_sweeps",
@@ -264,7 +289,9 @@ def test_cli_entrypoint_error_paths(tmp_path):
         "ell_nan", "coupling_infinite", "constant_value_nan", "rotator_ell_phi_0",
         "potts_q_0", "dimension_not_whole", "unknown_model_param",
         "unknown_scheme_key", "unknown_config_key", "config_not_an_object",
-        "sampler_not_an_object"])
+        "sampler_not_an_object", "inline_dimension_not_whole", "unknown_model_key",
+        "unknown_inline_model_key", "unknown_space_key", "unknown_marks_key",
+        "unknown_potential_key", "unknown_region_key"])
 def test_cli_malformed_values_are_config_errors(tmp_path, capsys, payload):
     assert main(["--config", write_config(tmp_path, payload)]) == 2
     assert capsys.readouterr().err.startswith("config error")

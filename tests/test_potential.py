@@ -5,7 +5,9 @@ import pytest
 from scipy import integrate
 
 from conftest import random_config
+from markedgibbs import potential
 from markedgibbs.errors import OverlappingConfigurations, StabilityViolation
+from markedgibbs.lpintegrate import QuadratureScheme, mark_nodes_weights
 from markedgibbs.model import Box, FiniteConfiguration, MarkedPoint, canonicalize
 from markedgibbs.potential import (REGISTRY, boltzmann_factor, build_model,
                                    check_integrability, conditional_energy,
@@ -271,6 +273,109 @@ def test_integrability_registry_vs_dense_grid_oracle(cfg):
     # 8000 cells put every reference point (odd multiples of side/8) and each
     # jump or kink around it (+-r1, +-r2 of continuum-potts, +-side/2) on a cell edge
     assert report.c_beta == pytest.approx(dense_c_beta(model, 2, 8000), rel=1e-6)
+
+
+def c_beta_marks(model):
+    return mark_nodes_weights(model, QuadratureScheme.tensor(1, mark_nodes=32))
+
+
+def full_family_masses(model, ref):
+    """|Mayer| mass at one reference position, one per reference mark, with the
+    checker's position rule and the full n x n mark table in one piece."""
+    phi, space = model.potential, model.space
+    marks, weights = c_beta_marks(model)
+    radii = [0.0, *phi.breakpoints] + ([phi.range_R] if phi.range_R is not None else [])
+    rules = [potential._axis_rule(x0, side, radii, space.boundary == "periodic")
+             for x0, side in zip(ref, space.side_lengths)]
+    pos = np.stack(np.meshgrid(*(x for x, _ in rules), indexing="ij"), axis=-1)
+    pw = math.prod(np.meshgrid(*(w for _, w in rules), indexing="ij")).ravel()
+    r = space.distance_batch(pos.reshape(-1, space.dimension), ref)
+    table = np.zeros((marks.size, marks.size))
+    for rows in np.array_split(np.arange(r.size), max(1, r.size // 256)):
+        vals = np.broadcast_to(
+            phi.radial_gated(r[rows, None, None], marks[:, None], marks[None, :]),
+            (rows.size, marks.size, marks.size))
+        table += np.tensordot(pw[rows], np.abs(np.expm1(-model.beta * vals)), axes=1)
+    return weights @ table
+
+
+def full_family_c_beta(model, grid):
+    """C(beta) and refinement delta as a maximum over every reference point of
+    both midpoint grids, with no symmetry used."""
+    best = []
+    for g in (grid, 2 * grid):
+        per_axis = max(2, round(g ** (1.0 / model.space.dimension)))
+        refs = np.stack(np.meshgrid(*(
+            side * (np.arange(per_axis) + 0.5) / per_axis
+            for side in model.space.side_lengths), indexing="ij"), axis=-1)
+        best.append(max(float(full_family_masses(model, ref).max())
+                        for ref in refs.reshape(-1, model.space.dimension)))
+    return max(best), abs(best[1] - best[0]) / max(best[1], 1e-300)
+
+
+TOY_2D = {"name": "toy-repulsive-spin", "params": {"dimension": 2}}
+REDUCTION_CASES = {
+    **{name: ({"name": name}, 4) for name in ALL_MODELS},
+    "toy-periodic-2": (PERIODIC_TOY_2, 8),
+    "toy-2d": (TOY_2D, 16),
+    "planar-rotator-2d": ({"name": "planar-rotator", "params": {"dimension": 2}}, 2),
+    # odd points per axis: the centre midpoint is its own mirror image
+    "odd-1d": ({"name": "continuum-potts"}, 3),          # 3 and 6 per axis
+    "odd-2d-periodic": ({"name": "toy-repulsive-spin",
+                         "params": {"dimension": 2, "boundary": "periodic"}}, 9),  # 3 and 4
+}
+
+
+@pytest.mark.parametrize("case", sorted(REDUCTION_CASES))
+def test_integrability_matches_full_reference_family(case):
+    cfg, grid = REDUCTION_CASES[case]
+    model = model_from_dict(cfg)
+    report = check_integrability(model.potential, model, grid)
+    c_beta, delta = full_family_c_beta(model, grid)
+    assert report.c_beta == pytest.approx(c_beta, rel=1e-12, abs=1e-300)
+    assert report.refinement_delta == pytest.approx(delta, rel=0, abs=1e-12)
+    # the reported reference point attains the maximum
+    marks, _ = c_beta_marks(model)
+    at = full_family_masses(model, np.asarray(report.argmax_position))
+    assert at[list(marks).index(report.argmax_mark)] == pytest.approx(
+        report.c_beta, rel=1e-12, abs=1e-300)
+
+
+@pytest.mark.parametrize("cfg, grid, per_axis", [
+    ({"name": "planar-rotator", "params": {"dimension": 2}}, 2, (2,)),
+    ({"name": "toy-repulsive-spin"}, 16, (16, 32)),
+    ({"name": "continuum-potts"}, 3, (3, 6)),
+    (TOY_2D, 9, (3, 4)),
+    (TOY_2D, 16, (4, 6)),
+], ids=["planar-rotator-2d-g2", "toy-g16", "potts-g3", "toy-2d-g9", "toy-2d-g16"])
+def test_integrability_evaluates_one_mirror_orthant_per_grid(monkeypatch, cfg, grid,
+                                                             per_axis):
+    model = model_from_dict(cfg)
+    calls = []
+    inner = potential._abs_mayer_masses
+    monkeypatch.setattr(potential, "_abs_mayer_masses",
+                        lambda *args: calls.append(args[2]) or inner(*args))
+    report = check_integrability(model.potential, model, grid)
+    d = model.space.dimension
+    assert len(calls) == sum(math.ceil(p / 2) ** d for p in per_axis)
+    assert report.reference_points == len(calls) * c_beta_marks(model)[0].size
+    sides = np.asarray(model.space.side_lengths)
+    assert all(np.all(ref <= sides / 2 + 1e-12) for ref in calls)
+    if len(per_axis) == 1:
+        assert report.refinement_delta == 0.0
+
+
+@pytest.mark.parametrize("name", ALL_MODELS)
+def test_radial_is_bitwise_symmetric_at_c_beta_mark_nodes(name):
+    # check_integrability evaluates the mark-pair table on s <= t only
+    model = build_model(name)
+    phi = model.potential
+    marks, _ = c_beta_marks(model)
+    r = np.unique(np.concatenate([np.linspace(0.0, 1.5, 151), phi.breakpoints,
+                                  [phi.range_R or 0.0]]))[:, None, None]
+    vals = np.broadcast_to(phi.radial(r, marks[:, None], marks[None, :]),
+                           (r.size, marks.size, marks.size))
+    np.testing.assert_array_equal(vals, vals.transpose(0, 2, 1))
 
 
 def test_model_from_dict_registry_and_inline():
