@@ -10,6 +10,8 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
+import numbers
 import sys
 from dataclasses import dataclass, field, fields
 from pathlib import Path
@@ -63,11 +65,18 @@ SCHEME_KEYS = tuple(f.name for f in fields(QuadratureScheme))
 SAMPLER_KEYS = tuple(f.name for f in fields(SamplerConfig))
 
 
+def _integer(key: str, value) -> int:
+    """A config number as an int. An integral float such as 8.0 passes; a
+    fractional number, a non-finite one, a string or a JSON true is a
+    ConfigError, not truncated."""
+    if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+            or not math.isfinite(value) or value != int(value)):
+        raise ConfigError(f"{key} must be an integer, got {value!r}")
+    return int(value)
+
+
 def _int_entry(data: dict, key: str, default: int, minimum: int) -> int:
-    try:
-        value = int(data.get(key, default))
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{key} must be an integer: {exc}") from exc
+    value = _integer(key, data.get(key, default))
     if value < minimum:
         raise ConfigError(f"{key} must be at least {minimum}, got {value}")
     return value
@@ -117,20 +126,23 @@ def load_config(path: str | None, overrides: dict) -> RunConfig:
 
 def _build_scheme(cfg: dict, seed: int) -> QuadratureScheme:
     """The default series scheme with the config's entries in place of its own."""
-    plan = default_series_scheme(int(cfg.get("seed", seed)))
+    plan = default_series_scheme(_integer("seed", cfg.get("seed", seed)))
     common = {"seed": plan.seed, "mark_rule": cfg.get("mark_rule", plan.mark_rule),
-              "mark_nodes": int(cfg.get("mark_nodes", plan.mark_nodes))}
+              "mark_nodes": _integer("mark_nodes",
+                                     cfg.get("mark_nodes", plan.mark_nodes))}
     kind = cfg.get("kind", plan.kind)
     if kind == "monte_carlo":
         return QuadratureScheme.monte_carlo(
-            int(cfg.get("samples", plan.mc_fallback_samples)), **common)
+            _integer("samples", cfg.get("samples", plan.mc_fallback_samples)), **common)
     pts = cfg.get("points_per_axis", plan.points_per_axis)
-    if isinstance(pts, list):
-        pts = tuple(int(p) for p in pts)
+    pts = (tuple(_integer("points_per_axis", p) for p in pts)
+           if isinstance(pts, (list, tuple)) else _integer("points_per_axis", pts))
     fallback = cfg.get("mc_fallback_samples", plan.mc_fallback_samples)
     return QuadratureScheme(
         kind=kind, points_per_axis=pts,
-        mc_fallback_samples=None if fallback is None else int(fallback), **common)
+        mc_fallback_samples=(None if fallback is None
+                             else _integer("mc_fallback_samples", fallback)),
+        **common)
 
 
 def _region_box(model: ModelSpec, cfg: dict | None) -> Box:

@@ -49,7 +49,8 @@ from .lpintegrate import (BatchIntegrand, IntegralEstimate, QuadratureScheme,
 from .model import Box, FiniteConfiguration, MarkedPoint, ModelSpec
 from .potential import (boltzmann_factor_batch, boltzmann_weight_batch,
                         check_integrability, mayer_factor, mayer_factor_batch,
-                        pair_phi_matrix)
+                        pair_index, pair_phi_matrix, square_pair_table,
+                        upper_pairs)
 
 URSELL_SIZE_CAP = 16
 TREE_ZETA_CAP = 8
@@ -83,15 +84,17 @@ def _one_row(model: ModelSpec, cfg: FiniteConfiguration
             cfg.marks_array().reshape(1, n))
 
 
-def _rho_table(bfac: np.ndarray) -> np.ndarray:
-    """Subset Boltzmann weights as incremental pair-factor products: (K, 2^M).
+def _rho_table(bfac: np.ndarray, index: np.ndarray) -> np.ndarray:
+    """Subset Boltzmann weights as incremental pair-factor products: (K, 2^n)
+    for n points whose pair (i, j) factor is column index[i, j] of bfac.
 
     Building by products (not exponentials of energy sums) keeps the exact
     factorization over range-disconnected parts: out-of-range factors are
     exactly 1 and multiplying by 1.0 is the float identity.
     """
-    k_rows, m_pts, _ = bfac.shape
-    rho = np.empty((k_rows, 1 << m_pts))
+    column = index.tolist()
+    m_pts = len(column)
+    rho = np.empty((bfac.shape[0], 1 << m_pts))
     rho[:, 0] = 1.0
     for mask in range(1, 1 << m_pts):
         low_bit = mask & -mask
@@ -101,7 +104,7 @@ def _rho_table(bfac: np.ndarray) -> np.ndarray:
         r = rest
         while r:
             j = (r & -r).bit_length() - 1
-            acc *= bfac[:, low, j]
+            acc *= bfac[:, column[low][j]]
             r &= r - 1
         rho[:, mask] = acc
     return rho
@@ -112,15 +115,16 @@ def _adjacency_bits(model: ModelSpec, positions: np.ndarray) -> np.ndarray | Non
     rng = model.potential.range_R
     if rng is None:
         return None
-    k_rows, m_pts, _ = positions.shape
-    if m_pts == 0:
-        return np.zeros((k_rows, 0), dtype=np.int64)
-    dist = model.space.distance_batch(positions[:, :, None, :], positions[:, None, :, :])
-    close = dist < rng
-    idx = np.arange(m_pts)
-    close[:, idx, idx] = False
-    weights = (1 << idx).astype(np.int64)
-    return (close * weights[None, None, :]).sum(axis=2).astype(np.int64)
+    m_pts = positions.shape[1]
+    iu, ju = upper_pairs(m_pts)
+    close = model.space.distance_batch(positions[:, iu], positions[:, ju]) < rng
+    # pair p sets bit ju[p] of vertex iu[p] and bit iu[p] of vertex ju[p]; the
+    # float product is exact, a sum of distinct powers of two below 2^53
+    incidence = np.zeros((iu.size, m_pts))
+    pairs = np.arange(iu.size)
+    incidence[pairs, iu] = np.ldexp(1.0, ju)
+    incidence[pairs, ju] = np.ldexp(1.0, iu)
+    return (close @ incidence).astype(np.int64)
 
 
 def _connected_rows(adj_bits: np.ndarray, mask: int) -> np.ndarray:
@@ -142,7 +146,8 @@ def _connected_rows(adj_bits: np.ndarray, mask: int) -> np.ndarray:
 
 def _pair_tables(model: ModelSpec, positions: np.ndarray, marks: np.ndarray
                  ) -> np.ndarray:
-    """Pair Boltzmann factors of each row: (K, M, M)."""
+    """Pair Boltzmann factors of each row, one per pair i < j: (K, M(M-1)/2)
+    in ``upper_pairs(M)`` order; ``pair_index(M)`` gives pair (i, j)'s column."""
     return boltzmann_factor_batch(pair_phi_matrix(model.potential, positions, marks),
                                   model.beta)
 
@@ -156,7 +161,8 @@ def _ursell_tables(model: ModelSpec, positions: np.ndarray, marks: np.ndarray
     bfac = _pair_tables(model, positions, marks)
     adj_bits = _adjacency_bits(model, positions)
     connected = None if adj_bits is None else partial(_connected_rows, adj_bits)
-    return starcalc.star_log_batch(_rho_table(bfac), connected)
+    return starcalc.star_log_batch(_rho_table(bfac, pair_index(marks.shape[1])),
+                                   connected)
 
 
 def ursell_batch(model: ModelSpec, fixed: FiniteConfiguration,
@@ -186,8 +192,9 @@ def kbar_batch_split(model: ModelSpec, positions: np.ndarray, marks: np.ndarray,
     if m == 0:
         return np.full(k_rows, 1.0 if n == 0 else 0.0)
     bfac = _pair_tables(model, positions, marks)
-    rho = _rho_table(bfac[:, m:, m:])
-    cross = bfac[:, :m, m:].prod(axis=1)
+    index = pair_index(m + n)
+    rho = _rho_table(bfac, index[m:, m:])
+    cross = bfac[:, index[:m, m:]].prod(axis=1)
     attached = np.empty_like(rho)
     attached[:, 0] = 1.0
     for mask in range(1, 1 << n):
@@ -195,8 +202,7 @@ def kbar_batch_split(model: ModelSpec, positions: np.ndarray, marks: np.ndarray,
         low = low_bit.bit_length() - 1
         attached[:, mask] = attached[:, mask ^ low_bit] * cross[:, low]
     attached *= rho
-    iu, ju = np.triu_indices(m, 1)
-    rho_omega = bfac[:, iu, ju].prod(axis=-1)
+    rho_omega = bfac[:, index[:m, :m][upper_pairs(m)]].prod(axis=-1)
     complement = ((1 << n) - 1) ^ np.arange(1 << n)
     inverse = starcalc.star_inverse_batch(rho)
     return rho_omega * (inverse * attached[:, complement]).sum(axis=1)
@@ -238,7 +244,8 @@ def boltzmann_functional(omega: FiniteConfiguration, model: ModelSpec
                          ) -> starcalc.ConfigFunctional:
     """Subset table of Gibbs factors exp(-beta E) on the ground configuration."""
     bfac = _pair_tables(model, *_one_row(model, omega))
-    return starcalc.ConfigFunctional(len(omega), _rho_table(bfac)[0])
+    rho = _rho_table(bfac, pair_index(len(omega)))
+    return starcalc.ConfigFunctional(len(omega), rho[0])
 
 
 def ursell_direct(omega: FiniteConfiguration, model: ModelSpec) -> float:
@@ -375,10 +382,13 @@ def tree_abs_sum_batch(abs_mayer: np.ndarray) -> np.ndarray:
 
 
 def _abs_mayer_matrix(model: ModelSpec, points: Sequence[MarkedPoint]) -> np.ndarray:
+    """|Mayer| edge weights of the points as a symmetric (n, n) table with a
+    zero diagonal, the Laplacian's weights."""
     pos = np.asarray([p.position for p in points], dtype=float)[None, :, :]
     mks = np.asarray([p.mark for p in points], dtype=float)[None, :]
-    phi_m = pair_phi_matrix(model.potential, pos, mks)
-    return np.abs(mayer_factor_batch(phi_m, model.beta))[0]
+    pairs = np.abs(mayer_factor_batch(pair_phi_matrix(model.potential, pos, mks),
+                                      model.beta))
+    return square_pair_table(pairs, len(points), 0.0)[0]
 
 
 def tree_bound_q(anchor: MarkedPoint, zeta: FiniteConfiguration,

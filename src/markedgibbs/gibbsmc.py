@@ -234,25 +234,46 @@ class SampleStream:
 # ---------------------------------------------------------------------------
 # specification weight and energies
 
+# pairs per block of the chain's from-scratch energy (512 KiB of float64 per
+# temporary); below one block it is the unblocked `_pair_energy_batch`
+_ENERGY_BLOCK = 1 << 16
+
 
 def _pair_energy_batch(model: ModelSpec, positions: np.ndarray,
                        marks: np.ndarray) -> np.ndarray:
-    """Pair energies of a (K, n, d), (K, n) batch: 0.0 below two points,
+    """Pair energies of a (K, n, d), (K, n) batch, each the sum of its row of
+    ``pair_phi_matrix`` (one value per pair i < j): 0.0 below two points,
     +inf where any pair is."""
     k, n = marks.shape
     if n < 2:
         return np.zeros(k)
-    iu, ju = upper_pairs(n)
-    # contiguous rows, so each row sums in the order of a 1-D sum
-    vals = np.ascontiguousarray(
-        pair_phi_matrix(model.potential, positions, marks)[:, iu, ju])
+    vals = pair_phi_matrix(model.potential, positions, marks)
     return np.where(np.isinf(vals).any(axis=1), math.inf, vals.sum(axis=1))
 
 
 def _config_energy_arrays(model: ModelSpec, positions: np.ndarray,
                           marks: np.ndarray) -> float:
-    """Pair energy of one configuration given as arrays (may be +inf)."""
-    return float(_pair_energy_batch(model, positions[None], marks[None])[0])
+    """Pair energy of one configuration given as arrays (may be +inf).
+
+    Up to ``_ENERGY_BLOCK`` pairs it is the one row of `_pair_energy_batch`.
+    Above, the pairs i < j are evaluated and summed for a block of rows i at
+    a time, so memory stays bounded; the blocked sum differs from the one
+    sum by roundings only.
+    """
+    n = marks.shape[0]
+    if n * (n - 1) // 2 <= _ENERGY_BLOCK:
+        return float(_pair_energy_batch(model, positions[None], marks[None])[0])
+    rows = max(1, _ENERGY_BLOCK // n)
+    total = 0.0
+    for a in range(0, n - 1, rows):
+        b = min(a + rows, n - 1)
+        vals = cross_phi_matrix(model.potential, positions[a:b], marks[a:b],
+                                positions[a + 1:], marks[a + 1:])
+        vals = vals[np.arange(a, b)[:, None] < np.arange(a + 1, n)]
+        if np.isinf(vals).any():
+            return math.inf
+        total += float(vals.sum())
+    return total
 
 
 def _interaction_sum(model: ModelSpec, positions: np.ndarray, marks: np.ndarray,

@@ -112,13 +112,31 @@ def upper_pairs(n: int) -> tuple[np.ndarray, np.ndarray]:
 
 def pair_phi_matrix(phi: PairPotential, positions: np.ndarray,
                     marks: np.ndarray) -> np.ndarray:
-    """All pair values for a batch: (K, M, d), (K, M) -> (K, M, M), zero diagonal."""
-    r = phi.space.distance_batch(positions[..., :, None, :], positions[..., None, :, :])
-    vals = phi.radial_gated(r, marks[..., :, None], marks[..., None, :])
-    m = vals.shape[-1]
-    idx = np.arange(m)
-    vals[..., idx, idx] = 0.0
-    return vals
+    """Pair values of a batch, one per unordered pair i < j:
+    (K, M, d), (K, M) -> (K, M(M-1)/2), in ``upper_pairs(M)`` order."""
+    iu, ju = upper_pairs(marks.shape[-1])
+    # take, not fancy indexing: its C-contiguous result keeps every pair
+    # value C-contiguous, so a row sums in the order of a 1-D sum
+    r = phi.space.distance_batch(positions.take(iu, axis=-2), positions.take(ju, axis=-2))
+    return phi.radial_gated(r, marks.take(iu, axis=-1), marks.take(ju, axis=-1))
+
+
+def pair_index(m: int) -> np.ndarray:
+    """(m, m) table of each pair's position in ``upper_pairs(m)`` order, the
+    same at (i, j) and (j, i); the diagonal holds m(m-1)/2, one past the last
+    pair."""
+    iu, ju = upper_pairs(m)
+    index = np.full((m, m), iu.size)
+    index[iu, ju] = index[ju, iu] = np.arange(iu.size)
+    return index
+
+
+def square_pair_table(values: np.ndarray, m: int, diagonal: float) -> np.ndarray:
+    """Condensed pair values (K, M(M-1)/2) in ``upper_pairs(m)`` order as the
+    symmetric (K, m, m) table with ``diagonal`` on its diagonal."""
+    padded = np.concatenate(
+        [values, np.full(values.shape[:-1] + (1,), diagonal, dtype=values.dtype)], axis=-1)
+    return padded.take(pair_index(m), axis=-1)
 
 
 def cross_phi_matrix(phi: PairPotential, positions_a: np.ndarray, marks_a: np.ndarray,
@@ -131,15 +149,14 @@ def cross_phi_matrix(phi: PairPotential, positions_a: np.ndarray, marks_a: np.nd
 def boltzmann_weight_batch(model: ModelSpec, positions: np.ndarray, marks: np.ndarray,
                            bpos: np.ndarray, bmarks: np.ndarray) -> np.ndarray:
     """exp(-beta * (E(x) + W(x, boundary))) for each row x of a (K, n, d), (K, n)
-    batch, against boundary arrays (B, d), (B,): the product over i < j of the
-    pair Boltzmann factors times the product of the boundary cross factors."""
+    batch, against boundary arrays (B, d), (B,): the product of the pair
+    Boltzmann factors in ``upper_pairs(n)`` order, one per pair i < j, times
+    the product of the boundary cross factors."""
     k, n = marks.shape
     weights = np.ones(k)
     if n > 1:
-        bf = boltzmann_factor_batch(pair_phi_matrix(model.potential, positions, marks),
-                                    model.beta)
-        iu, ju = upper_pairs(n)
-        weights = bf[:, iu, ju].prod(axis=-1)
+        weights = boltzmann_factor_batch(pair_phi_matrix(model.potential, positions, marks),
+                                         model.beta).prod(axis=-1)
     if n and bmarks.size:
         cross = cross_phi_matrix(model.potential, positions, marks, bpos, bmarks)
         cb = boltzmann_factor_batch(cross, model.beta)

@@ -186,9 +186,10 @@ def test_criterion_07_integral_tree_bound():
                  positions], axis=1)
             mks = np.concatenate(
                 [np.full((rows, 1), anchor.mark), marks], axis=1)
-            from markedgibbs.potential import mayer_factor_batch, pair_phi_matrix
-            mm = np.abs(mayer_factor_batch(
-                pair_phi_matrix(TOY.potential, pos, mks), TOY.beta))
+            from markedgibbs.potential import (mayer_factor_batch, pair_phi_matrix,
+                                               square_pair_table)
+            mm = square_pair_table(np.abs(mayer_factor_batch(
+                pair_phi_matrix(TOY.potential, pos, mks), TOY.beta)), _n + 1, 0.0)
             return e2bb ** (_n + 1) * tree_abs_sum_batch(mm)
 
         scheme = QuadratureScheme.tensor((64, 32, 16, 10))

@@ -274,6 +274,22 @@ def test_cli_entrypoint_error_paths(tmp_path):
                "potential": {"name": "ferrofluid", "parms": {"ell": 0.3}}}},
     {"command": "expand", "model": BASE_MODEL, "order": 1,
      "region": {"lower": [0.2], "upper": [0.8], "uper": [0.9]}},
+    # a number that is not integral is an error, not truncated
+    {"command": "radius", "model": BASE_MODEL, "reference_grid_size": 8.9},
+    {"command": "radius", "model": BASE_MODEL, "reference_grid_size": True},
+    {"command": "expand", "model": BASE_MODEL, "order": 1.9},
+    {"command": "radius", "model": BASE_MODEL, "seed": 1.5},
+    {"command": "expand", "model": BASE_MODEL, "order": 1,
+     "scheme": {"kind": "tensor_grid", "points_per_axis": [8.7]}},
+    {"command": "expand", "model": BASE_MODEL, "order": 1,
+     "scheme": {"kind": "tensor_grid", "points_per_axis": True}},
+    {"command": "expand", "model": BASE_MODEL, "order": 1,
+     "scheme": {"kind": "tensor_grid", "points_per_axis": 8, "mark_nodes": 3.5}},
+    {"command": "expand", "model": BASE_MODEL, "order": 1,
+     "scheme": {"kind": "monte_carlo", "samples": 2.5}},
+    {"command": "expand", "model": BASE_MODEL, "order": 1,
+     "scheme": {"kind": "tensor_grid", "points_per_axis": 8,
+                "mc_fallback_samples": 100.5}},
 ], ids=["points_per_axis_0", "unknown_mark_rule", "unknown_sampler_key",
         "probabilities_not_summing_to_1", "negative_activity",
         "unknown_scheme_kind", "thinning_0", "burn_in_past_sweeps",
@@ -291,10 +307,31 @@ def test_cli_entrypoint_error_paths(tmp_path):
         "unknown_scheme_key", "unknown_config_key", "config_not_an_object",
         "sampler_not_an_object", "inline_dimension_not_whole", "unknown_model_key",
         "unknown_inline_model_key", "unknown_space_key", "unknown_marks_key",
-        "unknown_potential_key", "unknown_region_key"])
+        "unknown_potential_key", "unknown_region_key", "grid_fractional",
+        "grid_true", "order_fractional", "seed_fractional",
+        "points_per_axis_fractional", "points_per_axis_true",
+        "mark_nodes_fractional", "samples_fractional", "fallback_fractional"])
 def test_cli_malformed_values_are_config_errors(tmp_path, capsys, payload):
     assert main(["--config", write_config(tmp_path, payload)]) == 2
     assert capsys.readouterr().err.startswith("config error")
+
+
+def test_integral_float_entries_are_accepted(tmp_path):
+    # 8.0 is the integer 8: the report is the one the int config gives
+    ints = {"command": "expand", "model": BASE_MODEL, "order": 1, "seed": 3,
+            "reference_grid_size": 8,
+            "scheme": {"kind": "tensor_grid", "points_per_axis": [16, 8],
+                       "mark_nodes": 2, "mc_fallback_samples": 200}}
+    floats = {**ints, "order": 1.0, "seed": 3.0, "reference_grid_size": 8.0,
+              "scheme": {"kind": "tensor_grid", "points_per_axis": [16.0, 8.0],
+                         "mark_nodes": 2.0, "mc_fallback_samples": 200.0}}
+    bodies = []
+    for name, payload in (("ints", ints), ("floats", floats)):
+        out = tmp_path / f"{name}.json"
+        config = write_config(tmp_path, {**payload, "out": str(out)}, f"{name}_run.json")
+        assert main(["--config", config]) == 0
+        bodies.append(out.read_text())
+    assert bodies[0] == bodies[1]
 
 
 def test_module_invocation(tmp_path):

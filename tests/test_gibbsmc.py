@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -470,9 +471,8 @@ def _energy_reference(model, s):
     """Pair energy of one sample as a 1-D sum, +inf where any pair is."""
     if len(s) < 2:
         return 0.0
-    phi = pair_phi_matrix(model.potential, s.positions_array()[None],
-                          s.marks_array()[None])[0]
-    vals = phi[np.triu_indices(len(s), 1)]
+    vals = pair_phi_matrix(model.potential, s.positions_array()[None],
+                           s.marks_array()[None])[0]
     return math.inf if np.any(np.isinf(vals)) else float(np.sum(vals))
 
 
@@ -670,13 +670,32 @@ def test_config_energy_is_a_row_of_the_batch(model, rng):
             s = random_config(model, n, rng)
             e = 0.0
             if n >= 2:
-                phi = pair_phi_matrix(model.potential, s.positions_array()[None],
-                                      s.marks_array()[None])[0]
-                vals = phi[np.triu_indices(n, 1)]
+                vals = pair_phi_matrix(model.potential, s.positions_array()[None],
+                                       s.marks_array()[None])[0]
                 e = math.inf if np.any(np.isinf(vals)) else float(np.sum(vals))
             got = gibbsmc._config_energy_arrays(model, s.positions_array(),
                                                 s.marks_array())
             assert got == e
+
+
+def test_config_energy_above_one_block_is_summed_in_bounded_memory(rng):
+    # a 1,500-point state has 1,124,250 pairs; unblocked, its pair values and
+    # their temporaries peak near 70 MB
+    model = build_model("toy-repulsive-spin", z=0.05)
+    n = 1500
+    pos, marks = rng.random((n, 1)), model.marks.sample(rng, n)
+    assert n * (n - 1) // 2 > gibbsmc._ENERGY_BLOCK
+    want = float(gibbsmc._pair_energy_batch(model, pos[None], marks[None])[0])
+    tracemalloc.start()
+    try:
+        got = gibbsmc._config_energy_arrays(model, pos, marks)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert abs(got - want) <= 1e-12 * abs(want)
+    assert peak < 8 << 20, peak
+    hard = build_model("hard-core", z=0.05, r0=0.1)
+    assert gibbsmc._config_energy_arrays(hard, pos, marks) == math.inf
 
 
 def _rejection_sample_batch_reference(model, region, boundary, count, rng):

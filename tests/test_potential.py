@@ -29,10 +29,76 @@ def test_symmetry_random_pairs(name, rng):
 
 
 def test_symmetry_vectorized(toy_model, rng):
+    # the one value of each pair is the same with the two points swapped
     pos = rng.random((10000, 2, 1))
     marks = toy_model.marks.sample(rng, 20000).reshape(10000, 2)
-    mat = pair_phi_matrix(toy_model.potential, pos, marks)
-    np.testing.assert_array_equal(mat[:, 0, 1], mat[:, 1, 0])
+    np.testing.assert_array_equal(
+        pair_phi_matrix(toy_model.potential, pos, marks),
+        pair_phi_matrix(toy_model.potential, pos[:, ::-1], marks[:, ::-1]))
+
+
+def _broadcast_pair_values(model, pos, marks):
+    """Every ordered pair of each row, (K, M, M): the potential evaluated on
+    (M, 1) against (1, M) broadcasts."""
+    phi = model.potential
+    r = phi.space.distance_batch(pos[:, :, None, :], pos[:, None, :, :])
+    return phi.radial_gated(r, marks[:, :, None], marks[:, None, :])
+
+
+SPACES = pytest.mark.parametrize(
+    "params", [{}, {"dimension": 2, "boundary": "periodic"}],
+    ids=["1d-free", "2d-periodic"])
+
+
+@SPACES
+@pytest.mark.parametrize("name", ALL_MODELS)
+def test_pair_phi_matrix_is_the_upper_triangle_of_a_broadcast(name, params, rng):
+    model = build_model(name, **params)
+    d = model.space.dimension
+    for m in (0, 1, 2, 7):
+        pos = rng.random((30, m, d))
+        marks = model.marks.sample(rng, 30 * m).reshape(30, m)
+        iu, ju = upper_pairs(m)
+        got = pair_phi_matrix(model.potential, pos, marks)
+        assert got.shape == (30, iu.size)
+        np.testing.assert_array_equal(
+            got, _broadcast_pair_values(model, pos, marks)[:, iu, ju])
+
+
+@SPACES
+@pytest.mark.parametrize("name", ALL_MODELS)
+def test_square_pair_table_is_exactly_symmetric(name, params, rng):
+    model = build_model(name, **params)
+    d = model.space.dimension
+    m = 7
+    pos = rng.random((30, m, d))
+    marks = model.marks.sample(rng, 30 * m).reshape(30, m)
+    pairs = pair_phi_matrix(model.potential, pos, marks)
+    table = potential.square_pair_table(pairs, m, -2.5)
+    iu, ju = upper_pairs(m)
+    assert table.shape == (30, m, m)
+    np.testing.assert_array_equal(table, table.transpose(0, 2, 1))
+    np.testing.assert_array_equal(table[:, iu, ju], pairs)
+    assert np.all(table[:, np.arange(m), np.arange(m)] == -2.5)
+
+
+@SPACES
+@pytest.mark.parametrize("name", ALL_MODELS)
+def test_boltzmann_weight_is_the_product_of_the_pair_factors(name, params, rng):
+    model = build_model(name, **params)
+    d = model.space.dimension
+    for m in (0, 1, 2, 7):
+        pos = rng.random((30, m, d))
+        marks = model.marks.sample(rng, 30 * m).reshape(30, m)
+        iu, ju = upper_pairs(m)
+        factors = potential.boltzmann_factor_batch(
+            _broadcast_pair_values(model, pos, marks)[:, iu, ju], model.beta)
+        want = np.ones(30)
+        for column in factors.T:  # one pair at a time, in upper_pairs order
+            want = want * column
+        got = potential.boltzmann_weight_batch(model, pos, marks, np.empty((0, d)),
+                                               np.empty(0))
+        np.testing.assert_array_equal(got, want)
 
 
 @pytest.mark.parametrize("name", ALL_MODELS)
