@@ -227,6 +227,9 @@ def _cmd_correlate(model: ModelSpec, run: RunConfig, region: Box,
 def _cmd_sample(model: ModelSpec, run: RunConfig, region: Box) -> dict:
     cfg = dict(run.sampler_cfg)
     cfg.setdefault("seed", run.seed)
+    for key in ("seed", "sweeps", "burn_in", "thinning"):
+        if key in cfg:
+            cfg[key] = _integer(key, cfg[key])
     try:
         sampler = SamplerConfig(**cfg)
     except (TypeError, ValueError) as exc:

@@ -290,6 +290,12 @@ def test_cli_entrypoint_error_paths(tmp_path):
     {"command": "expand", "model": BASE_MODEL, "order": 1,
      "scheme": {"kind": "tensor_grid", "points_per_axis": 8,
                 "mc_fallback_samples": 100.5}},
+    {"command": "sample", "model": BASE_MODEL,
+     "sampler": {"sweeps": 50, "burn_in": 10, "seed": 1.5}},
+    {"command": "sample", "model": BASE_MODEL,
+     "sampler": {"sweeps": 50, "burn_in": True}},
+    {"command": "sample", "model": BASE_MODEL,
+     "sampler": {"sweeps": 50.5, "burn_in": 10}},
 ], ids=["points_per_axis_0", "unknown_mark_rule", "unknown_sampler_key",
         "probabilities_not_summing_to_1", "negative_activity",
         "unknown_scheme_kind", "thinning_0", "burn_in_past_sweeps",
@@ -310,7 +316,8 @@ def test_cli_entrypoint_error_paths(tmp_path):
         "unknown_potential_key", "unknown_region_key", "grid_fractional",
         "grid_true", "order_fractional", "seed_fractional",
         "points_per_axis_fractional", "points_per_axis_true",
-        "mark_nodes_fractional", "samples_fractional", "fallback_fractional"])
+        "mark_nodes_fractional", "samples_fractional", "fallback_fractional",
+        "sampler_seed_fractional", "sampler_burn_in_true", "sampler_sweeps_fractional"])
 def test_cli_malformed_values_are_config_errors(tmp_path, capsys, payload):
     assert main(["--config", write_config(tmp_path, payload)]) == 2
     assert capsys.readouterr().err.startswith("config error")
@@ -325,13 +332,19 @@ def test_integral_float_entries_are_accepted(tmp_path):
     floats = {**ints, "order": 1.0, "seed": 3.0, "reference_grid_size": 8.0,
               "scheme": {"kind": "tensor_grid", "points_per_axis": [16.0, 8.0],
                          "mark_nodes": 2.0, "mc_fallback_samples": 200.0}}
-    bodies = []
-    for name, payload in (("ints", ints), ("floats", floats)):
-        out = tmp_path / f"{name}.json"
-        config = write_config(tmp_path, {**payload, "out": str(out)}, f"{name}_run.json")
-        assert main(["--config", config]) == 0
-        bodies.append(out.read_text())
-    assert bodies[0] == bodies[1]
+    sample_ints = {"command": "sample", "model": BASE_MODEL, "reference_grid_size": 8,
+                   "sampler": {"sweeps": 200, "burn_in": 10, "thinning": 2, "seed": 4}}
+    sample_floats = {**sample_ints, "sampler": {"sweeps": 200.0, "burn_in": 10.0,
+                                                "thinning": 2.0, "seed": 4.0}}
+    for pair in ((ints, floats), (sample_ints, sample_floats)):
+        bodies = []
+        for name, payload in zip(("ints", "floats"), pair):
+            out = tmp_path / f"{name}.json"
+            config = write_config(tmp_path, {**payload, "out": str(out)},
+                                  f"{name}_run.json")
+            assert main(["--config", config]) == 0
+            bodies.append(out.read_text())
+        assert bodies[0] == bodies[1]
 
 
 def test_module_invocation(tmp_path):
