@@ -366,6 +366,12 @@ def rejection_sample(model: ModelSpec, region: Box,
     raise AcceptanceTooLow("no acceptance within the proposal budget")
 
 
+# proposals rejection_sample_batch draws at least per batch; a small floor, so
+# that a caller asking for a few draws (dlr_check, once per exterior) does not
+# draw and weigh a large batch for them
+_MIN_BATCH = 16
+
+
 def rejection_sample_batch(model: ModelSpec, region: Box,
                            boundary: BoundaryCondition, count: int,
                            rng: np.random.Generator,
@@ -381,7 +387,7 @@ def rejection_sample_batch(model: ModelSpec, region: Box,
     bmarks = boundary.exterior.marks_array()
     kept = SampleStream(d)
     while len(kept) < count:
-        batch = max(1024, int(1.5 * (count - len(kept))))
+        batch = max(_MIN_BATCH, int(1.5 * (count - len(kept))))
         ns = rng.poisson(lam, size=batch)
         us = rng.random(batch)
         # an empty proposal has weight 1 and is always accepted
@@ -441,13 +447,17 @@ def _tau_int(series: np.ndarray) -> float:
     var = float(np.dot(x, x)) / n
     if var == 0.0:
         return 1.0
-    tau = 1.0
-    for lag in range(1, n // 2):
-        rho = float(np.dot(x[:-lag], x[lag:])) / ((n - lag) * var)
-        if rho <= 0:
-            break
-        tau += 2.0 * rho
-    return tau
+    # the lag sums sum_t x[t] x[t + lag] of the lags below n // 2 at once: the
+    # circular autocorrelation of x zero-padded to at least n + n // 2
+    # values, where no such lag wraps around
+    size = 1 << (n + n // 2 - 1).bit_length()
+    spectrum = np.fft.rfft(x, size)
+    spectrum *= spectrum.conj()
+    lags = np.arange(1, n // 2)
+    rho = np.fft.irfft(spectrum, size)[lags] / ((n - lags) * var)
+    # the initial positive sequence: the lags before the first rho <= 0
+    cut = np.flatnonzero(rho <= 0)
+    return 1.0 + 2.0 * float(rho[:cut[0] if cut.size else rho.size].sum())
 
 
 def _mean_se(values: np.ndarray, tau: float = 1.0) -> tuple[float, float]:
@@ -496,12 +506,14 @@ _STATE_CAPACITY = 16
 # pair values mcmc_run's cache holds at most (8 MiB); a chain whose state
 # outgrows it drops the cache and evaluates the potential instead
 _CACHE_VALUES = 1 << 20
+# sweeps whose randoms mcmc_run draws at once; fixed, not cut to the sweeps
+# left, so a chain of N sweeps is a prefix of a longer one with the same seed
+_DRAW_BLOCK = 256
 
 
 def _energy_of(values: np.ndarray) -> float:
-    """Sum of pair values, +inf if any is."""
-    if np.isinf(values).any():
-        return math.inf
+    """Sum of pair values, +inf if any is: a pair value is finite or +inf,
+    so the one sum is +inf exactly when a value is."""
     return float(values.sum())
 
 
@@ -520,6 +532,12 @@ def mcmc_run(model: ModelSpec, region: Box, boundary: BoundaryCondition,
     specification. A move and a mark resample each draw a candidate for one
     point and share one Metropolis replace step. Reproducible for a fixed
     config.
+
+    The randoms are drawn for ``_DRAW_BLOCK`` sweeps at a time, one generator
+    call each: per sweep a kind, an index and an accept uniform, a birth
+    position, a move offset and a proposal mark, whether the sweep uses them
+    or not. The block size does not depend on the sweeps left, so a chain of
+    N sweeps is an exact prefix of a longer chain with the same seed.
 
     The state is a position and a mark buffer, the n state rows followed by
     the boundary rows, which double when the state outgrows them, plus a
@@ -587,13 +605,13 @@ def mcmc_run(model: ModelSpec, region: Box, boundary: BoundaryCondition,
                                        np.frombuffer(kept_positions).reshape(-1, d))
         kept_positions, binned, pending = bytearray(), len(counts), 0
 
-    def cross_row(pos: np.ndarray, mark: float, others: np.ndarray,
+    def cross_row(pos: np.ndarray, mark: np.ndarray, others: np.ndarray,
                   others_mark: np.ndarray) -> np.ndarray:
-        """Pair values of one point with each of the rows ``others``."""
+        """Pair values of one point, given as (1, d) and (1,) arrays, with
+        each of the rows ``others``."""
         if not others_mark.size:
             return np.zeros(0)
-        return cross_phi_matrix(model.potential, pos[None, None, :],
-                                np.asarray([[mark]]), others, others_mark)[0, 0]
+        return cross_phi_matrix(model.potential, pos, mark, others, others_mark)[0]
 
     def held(idx: int) -> np.ndarray:
         """State point idx's values with the other state rows, then the
@@ -602,7 +620,8 @@ def mcmc_run(model: ModelSpec, region: Box, boundary: BoundaryCondition,
             s = order[idx]
             row = pair[s].take(order[:n])
             return np.concatenate([row[:idx], row[idx + 1:], bpair[s]])
-        return cross_row(pts[idx], mks[idx], np.delete(pts[:n + nb], idx, axis=0),
+        return cross_row(pts[idx:idx + 1], mks[idx:idx + 1],
+                         np.delete(pts[:n + nb], idx, axis=0),
                          np.delete(mks[:n + nb], idx))
 
     def store(s: int, row: np.ndarray) -> None:
@@ -620,18 +639,24 @@ def mcmc_run(model: ModelSpec, region: Box, boundary: BoundaryCondition,
     energy = 0.0
     thresholds = np.cumsum([sampler.p_birth, sampler.p_death, sampler.p_move]).tolist()
     for sweep in range(sampler.sweeps):
-        kind = _KINDS[bisect_right(thresholds, rng.random())]
+        j = sweep % _DRAW_BLOCK
+        if j == 0:
+            u_kinds, u_indices, u_accepts = rng.random((_DRAW_BLOCK, 3)).T.tolist()
+            births = lo + rng.random((_DRAW_BLOCK, d)) * (hi - lo)
+            offsets = (rng.random((_DRAW_BLOCK, d)) - 0.5) * 2.0 * step
+            new_marks = model.marks.sample(rng, _DRAW_BLOCK)
+        kind = _KINDS[bisect_right(thresholds, u_kinds[j])]
+        u_accept = u_accepts[j]
         attempts[kind] += 1
         if kind == "birth":
-            pos = lo + rng.random(d) * (hi - lo)
-            mark = float(model.marks.sample(rng, 1)[0])
+            pos = births[j:j + 1]
             # an exact position collision is a null proposal
             if not (pts[:n] == pos).all(axis=1).any():
-                row = cross_row(pos, mark, pts[:n + nb], mks[:n + nb])
+                row = cross_row(pos, new_marks[j:j + 1], pts[:n + nb], mks[:n + nb])
                 delta = _energy_of(row)
                 ratio = (model.z * mass / (n + 1)) * \
                     (0.0 if math.isinf(delta) else math.exp(-beta * delta))
-                if rng.random() < min(1.0, ratio * sampler.p_death / sampler.p_birth):
+                if u_accept < min(1.0, ratio * sampler.p_death / sampler.p_birth):
                     if n == cap:
                         cap *= 2
                         pts = _grown(pts, n + nb, cap + nb)
@@ -639,7 +664,7 @@ def mcmc_run(model: ModelSpec, region: Box, boundary: BoundaryCondition,
                     # row n becomes the new point; the boundary rows move up one
                     pts[n + 1:n + 1 + nb] = pts[n:n + nb]
                     mks[n + 1:n + 1 + nb] = mks[n:n + nb]
-                    pts[n], mks[n] = pos, mark
+                    pts[n], mks[n] = pos[0], new_marks[j]
                     if cached and not free:
                         slots = max(_STATE_CAPACITY, 2 * n)
                         if slots * (slots + nb) > _CACHE_VALUES:
@@ -660,10 +685,10 @@ def mcmc_run(model: ModelSpec, region: Box, boundary: BoundaryCondition,
                     energy += delta
                     accepts[kind] += 1
         elif kind == "death" and n > 0:
-            idx = int(rng.integers(n))
+            idx = min(int(u_indices[j] * n), n - 1)
             delta = float(held(idx).sum())
             ratio = (n / (model.z * mass)) * math.exp(beta * delta)
-            if rng.random() < min(1.0, ratio * sampler.p_birth / sampler.p_death):
+            if u_accept < min(1.0, ratio * sampler.p_birth / sampler.p_death):
                 pts[idx:n + nb - 1] = pts[idx + 1:n + nb]
                 mks[idx:n + nb - 1] = mks[idx + 1:n + nb]
                 if cached:
@@ -676,24 +701,24 @@ def mcmc_run(model: ModelSpec, region: Box, boundary: BoundaryCondition,
                 energy = energy - delta if n else 0.0
                 accepts[kind] += 1
         elif n > 0:
-            idx = int(rng.integers(n))
-            new_pos, new_mark = pts[idx], mks[idx]
+            idx = min(int(u_indices[j] * n), n - 1)
+            new_pos, new_mark = pts[idx:idx + 1], mks[idx:idx + 1]
             if kind == "move":
-                new_pos = new_pos + (rng.random(d) - 0.5) * 2.0 * step
+                new_pos = new_pos + offsets[j]
                 if model.space.boundary == "periodic":
                     new_pos = np.mod(new_pos, sides)
             else:
-                new_mark = float(model.marks.sample(rng, 1)[0])
+                new_mark = new_marks[j:j + 1]
             # a move out of the region is a null proposal
-            if region.contains_point(tuple(new_pos)):
+            if region.contains_point(new_pos[0].tolist()):
                 # entry idx of the candidate's row pairs it with the point it
                 # replaces; neither energy counts it
                 row = cross_row(new_pos, new_mark, pts[:n + nb], mks[:n + nb])
                 old = float(held(idx).sum())
                 new = _energy_of(_without(row, idx))
                 log_ratio = -math.inf if math.isinf(new) else -beta * (new - old)
-                if math.log(max(rng.random(), 1e-300)) < log_ratio:
-                    pts[idx], mks[idx] = new_pos, new_mark
+                if math.log(max(u_accept, 1e-300)) < log_ratio:
+                    pts[idx], mks[idx] = new_pos[0], new_mark[0]
                     if cached:
                         store(order[idx], row)
                     energy += new - old

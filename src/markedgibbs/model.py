@@ -99,7 +99,11 @@ class PositionSpace:
         if self.boundary == "periodic":
             sides = np.asarray(self.side_lengths)
             delta = np.minimum(delta, sides - delta)
-        return np.sqrt(np.sum(delta * delta, axis=-1))
+        squares = delta * delta
+        if squares.shape[-1] == 1:
+            # a sum over one coordinate is that coordinate's square, bit for bit
+            return np.sqrt(squares[..., 0])
+        return np.sqrt(squares.sum(axis=-1))
 
 
 @dataclass(frozen=True)

@@ -197,6 +197,91 @@ def test_mcmc_vs_rejection_energy(toy_model, rng):
     assert abs(iid.rho_hat - chain.rho_hat) <= 3 * se_r
 
 
+@pytest.mark.parametrize("name, z, params", [
+    ("planar-rotator", 2.0, {}),
+    # the strongest mark coupling with a nonnegative potential, so that a
+    # wrong mark law moves the chain's statistics
+    ("ferrofluid", 2.0, {"j0": 1.0}),
+    ("continuum-potts", 4.0, {})])
+def test_mcmc_vs_rejection_marked_models(name, z, params, rng):
+    # circle marks (planar-rotator), interval marks (ferrofluid) and a
+    # hard-core, finite-range potential on three discrete marks
+    # (continuum-potts): the chain's proposal marks come from each mark law
+    model = build_model(name, z=z, **params)
+    region = model.space.box
+    draws = rejection_sample_batch(model, region, EMPTY_BOUNDARY, 20000, rng)
+    iid = summarize_samples(draws, model, region)
+    chain = mcmc_run(model, region, EMPTY_BOUNDARY,
+                     SamplerConfig(seed=21, sweeps=40000, burn_in=2000))
+    for key in ("rho_hat", "mean_energy"):
+        se = math.hypot(getattr(iid, f"{key}_se"), getattr(chain, f"{key}_se"))
+        assert abs(getattr(iid, key) - getattr(chain, key)) <= 3 * se, key
+
+
+def test_mcmc_chain_is_a_prefix_of_a_longer_chain(monkeypatch):
+    # the randoms are drawn in blocks of a fixed size, so a chain of 3000
+    # sweeps keeps the states and energies of the first 3000 sweeps of a
+    # 5000-sweep chain with the same seed, across block boundaries
+    energies = []
+    chain_stats = gibbsmc._chain_stats
+
+    def recording(model, region, counts, kept_energies, *args, **kwargs):
+        energies.append(kept_energies)
+        return chain_stats(model, region, counts, kept_energies, *args, **kwargs)
+
+    monkeypatch.setattr(gibbsmc, "_chain_stats", recording)
+    model = build_model("toy-repulsive-spin", z=3.0, dimension=2, boundary="periodic")
+    streams = []
+    for sweeps in (3000, 5000):
+        streams.append(SampleStream(2))
+        mcmc_run(model, model.space.box, EMPTY_BOUNDARY,
+                 SamplerConfig(seed=9, sweeps=sweeps, burn_in=100), stream=streams[-1])
+    short, long = streams
+    kept, rows = len(short), int(short.counts.sum())
+    assert kept == 2900 and short.counts.max() >= 3
+    np.testing.assert_array_equal(long.counts[:kept], short.counts)
+    np.testing.assert_array_equal(long.positions[:rows], short.positions)
+    np.testing.assert_array_equal(long.marks[:rows], short.marks)
+    np.testing.assert_array_equal(energies[1][:kept], energies[0])
+
+
+def _tau_int_reference(series):
+    """_tau_int as a loop over lags of the initial positive sequence."""
+    n = series.size
+    if n < 8:
+        return 1.0
+    x = series - series.mean()
+    var = float(np.dot(x, x)) / n
+    if var == 0.0:
+        return 1.0
+    tau = 1.0
+    for lag in range(1, n // 2):
+        rho = float(np.dot(x[:-lag], x[lag:])) / ((n - lag) * var)
+        if rho <= 0:
+            break
+        tau += 2.0 * rho
+    return tau
+
+
+def test_tau_int_matches_the_lag_loop(toy_model):
+    rng = philox_rng(31)
+    ar = np.zeros(20000)
+    noise = rng.normal(size=ar.size)
+    for t in range(1, ar.size):
+        ar[t] = 0.95 * ar[t - 1] + noise[t]
+    stream = SampleStream(1)
+    mcmc_run(toy_model.replace(z=3.0), toy_model.space.box, EMPTY_BOUNDARY,
+             SamplerConfig(seed=2, sweeps=6000, burn_in=0), stream=stream)
+    cases = [ar, noise, stream.counts.astype(float), rng.random(9),
+             np.arange(12.0), np.array([1.0, -1.0] * 10)]
+    for series in cases:
+        want = _tau_int_reference(series)
+        assert math.isclose(gibbsmc._tau_int(series), want, rel_tol=1e-12), want
+    assert _tau_int_reference(ar) > 10.0
+    for series in (np.ones(50), np.arange(7.0)):
+        assert gibbsmc._tau_int(series) == 1.0
+
+
 def test_mcmc_with_boundary_hard_core(rng):
     # a boundary point 0.05 outside the region excludes [0.95, 1) through its
     # hard core; the chain and the exact sampler must agree under it
@@ -707,7 +792,7 @@ def _rejection_sample_batch_reference(model, region, boundary, count, rng):
     bmarks = boundary.exterior.marks_array()
     out = []
     while len(out) < count:
-        batch = max(1024, int(1.5 * (count - len(out))))
+        batch = max(gibbsmc._MIN_BATCH, int(1.5 * (count - len(out))))
         ns = rng.poisson(lam, size=batch)
         us = rng.random(batch)
         accepted = [None] * batch

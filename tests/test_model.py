@@ -94,6 +94,31 @@ def test_distance_batch_matches_scalar():
         assert batch[i] == pytest.approx(space.distance(tuple(a[i]), tuple(b[i])))
 
 
+@pytest.mark.parametrize("d, boundary", [(1, "free"), (1, "periodic"),
+                                         (2, "free"), (2, "periodic")])
+def test_distance_batch_keeps_the_bits_of_the_summed_form(d, boundary):
+    # the form before the length-1 reduction was skipped in 1-D; the tiny
+    # offsets square to subnormals and zero, where sqrt(x*x) is not |x|
+    space = PositionSpace(d, (1.0, 2.0)[:d], boundary=boundary)
+
+    def reference(a, b):
+        delta = np.abs(np.asarray(a, dtype=float) - np.asarray(b, dtype=float))
+        if boundary == "periodic":
+            sides = np.asarray(space.side_lengths)
+            delta = np.minimum(delta, sides - delta)
+        return np.sqrt(np.sum(delta * delta, axis=-1))
+
+    rng = np.random.default_rng(3)
+    a = rng.random((6, 4, d)) * space.side_lengths
+    b = a + rng.choice([1e-160, 1e-170, 1e-200, 0.0, 0.25], size=a.shape)
+    c = rng.random((5, d)) * space.side_lengths
+    for x, y in ((a, b), (a[:, :, None, :], c[None, None]), (a[0, 0], c)):
+        got, want = space.distance_batch(x, y), reference(x, y)
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+        assert got.flags.c_contiguous
+
+
 def test_mark_space_masses():
     disc = MarkSpace.discrete([1.0, -1.0], [0.5, 0.5])
     assert disc.total_mass == 1.0
