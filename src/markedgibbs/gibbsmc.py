@@ -145,6 +145,11 @@ class SampleStream:
     ``marks`` (rows,) that follow those of the samples before it, in the
     order they were appended. The buffers grow by doubling; the array
     properties are read-only views of the filled part.
+
+    Read as a sequence, the stream holds canonical configurations: ``len``,
+    iteration and indexing build them, sample by sample, only where a caller
+    reads points. Two streams are equal when their dimensions, counts,
+    positions and marks are, row for row.
     """
 
     def __init__(self, dimension: int):
@@ -156,6 +161,32 @@ class SampleStream:
 
     def __len__(self) -> int:
         return len(self._counts)
+
+    def __iter__(self):
+        order = self.canonical_rows()
+        start = 0
+        for n in self._counts:
+            # one sample's rows at a time, so no list of every row is built
+            yield FiniteConfiguration(self._points(order[start:start + n]))
+            start += n
+
+    def __getitem__(self, i: int) -> FiniteConfiguration:
+        i = range(len(self))[i]
+        start = sum(self._counts[:i])
+        return canonicalize(self._points(np.arange(start, start + self._counts[i])))
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, SampleStream):
+            return NotImplemented
+        return (self.dimension == other.dimension and self._counts == other._counts
+                and np.array_equal(self.positions, other.positions)
+                and np.array_equal(self.marks, other.marks))
+
+    __hash__ = None
+
+    def _points(self, rows: np.ndarray) -> tuple[MarkedPoint, ...]:
+        return tuple(MarkedPoint(tuple(p), m) for p, m in
+                     zip(self._positions[rows].tolist(), self._marks[rows].tolist()))
 
     def append(self, positions: np.ndarray, marks: np.ndarray) -> None:
         """Add one sample given as (n, d) positions and (n,) marks."""
@@ -170,18 +201,27 @@ class SampleStream:
         self._rows = end
 
     @classmethod
+    def from_arrays(cls, counts: Sequence[int], positions: np.ndarray,
+                    marks: np.ndarray) -> "SampleStream":
+        """The stream of flat (rows, d) positions and (rows,) marks, sample i
+        being the ``counts[i]`` rows after those of the samples before it."""
+        stream = cls(positions.shape[1])
+        stream._counts = np.asarray(counts, dtype=np.intp).tolist()
+        stream._positions = positions
+        stream._marks = marks
+        stream._rows = marks.shape[0]
+        return stream
+
+    @classmethod
     def from_configurations(cls, samples: Sequence[FiniteConfiguration],
                             dimension: int) -> "SampleStream":
         """The configurations as a stream, each one's points in its own order."""
-        stream = cls(dimension)
         samples = list(samples)
         points = [p for s in samples for p in s.points]
-        stream._counts = [len(s) for s in samples]
-        stream._positions = np.asarray([p.position for p in points],
-                                       dtype=float).reshape(-1, dimension)
-        stream._marks = np.asarray([p.mark for p in points], dtype=float)
-        stream._rows = len(points)
-        return stream
+        return cls.from_arrays(
+            [len(s) for s in samples],
+            np.asarray([p.position for p in points], dtype=float).reshape(-1, dimension),
+            np.asarray([p.mark for p in points], dtype=float))
 
     @property
     def counts(self) -> np.ndarray:
@@ -216,19 +256,15 @@ class SampleStream:
             order[idx] = rows
         return order
 
+    def canonical(self) -> "SampleStream":
+        """The stream with every sample's rows in canonical order, one gather."""
+        order = self.canonical_rows()
+        return SampleStream.from_arrays(self._counts, self._positions[order],
+                                        self._marks[order])
+
     def configurations(self) -> list[FiniteConfiguration]:
         """The samples as canonical configurations."""
-        order = self.canonical_rows()
-        out = []
-        start = 0
-        for n in self._counts:
-            # one sample's rows at a time, so no list of every row is built
-            rows = order[start:start + n]
-            out.append(FiniteConfiguration(tuple(
-                MarkedPoint(tuple(p), m) for p, m in
-                zip(self._positions[rows].tolist(), self._marks[rows].tolist()))))
-            start += n
-        return out
+        return list(self)
 
 
 # ---------------------------------------------------------------------------
@@ -311,44 +347,65 @@ def specification_weight(candidate: FiniteConfiguration,
 # exact rejection sampling
 
 
-def _boundary_inflation(model: ModelSpec, region: Box,
-                        boundary: BoundaryCondition) -> float:
-    """Stability constant B' covering both the pair energy and the boundary term.
+def _exp_of(values: np.ndarray) -> np.ndarray:
+    """``math.exp`` of each entry, evaluated once per distinct value, so a
+    batch of rows keeps the bits of the scalar path."""
+    distinct, inverse = np.unique(values, return_inverse=True)
+    return np.array([math.exp(v) for v in distinct.tolist()])[inverse]
+
+
+def _boundary_inflation(model: ModelSpec, region: Box, bpos: np.ndarray,
+                        bmask: np.ndarray) -> np.ndarray:
+    """Stability constants B' covering both the pair energy and the boundary
+    term, one per row of (K, B, d) boundary positions whose real entries
+    ``bmask`` (K, B) marks.
 
     The pair bound phi >= -2B gives -W(point, boundary) <= 2B * (number of
     boundary points that can interact), which is the collar count for
     finite-range potentials.
     """
-    b = model.potential.stability_B
-    ext = boundary.exterior
-    if len(ext) == 0 or b == 0.0:
-        return b
+    near = bmask
     rng_r = model.potential.range_R
-    if rng_r is None:
-        near = len(ext)
-    else:
-        collar = region.expand(rng_r)
-        near = sum(1 for p in ext if collar.contains_point(p.position))
-    return b * (1.0 + 2.0 * near)
+    if rng_r is not None and bmask.size:
+        near = bmask & region.expand(rng_r).contains_batch(bpos)
+    return model.potential.stability_B * (1.0 + 2.0 * near.sum(axis=-1))
 
 
-def _proposal_rate(model: ModelSpec, region: Box, boundary: BoundaryCondition,
-                   acceptance_floor: float) -> tuple[float, float]:
+def _proposal_rates(model: ModelSpec, region: Box, bpos: np.ndarray,
+                    bmask: np.ndarray, acceptance_floor: float
+                    ) -> tuple[np.ndarray, np.ndarray]:
     """B' and the Poisson mean lambda = z e^{beta B'} |region| of the inflated
-    proposal law, once the boundary is checked to lie outside the region and
-    the guaranteed acceptance exp(-lambda) to clear the floor."""
-    boundary.validate_for(region)
-    b_prime = _boundary_inflation(model, region, boundary)
-    lam = model.z * math.exp(model.beta * b_prime) * model.mass(region)
-    if math.exp(-lam) < acceptance_floor:
+    proposal law, one per row of (K, B, d) boundary positions with real
+    entries ``bmask`` (K, B), once every real entry is checked to lie
+    outside the region and the guaranteed acceptance exp(-lambda) of the
+    largest lambda to clear the floor."""
+    if (bmask & region.contains_batch(bpos)).any():
+        raise RegionOutOfBounds("boundary point inside the active region")
+    b_prime = _boundary_inflation(model, region, bpos, bmask)
+    lam = model.z * _exp_of(model.beta * b_prime) * model.mass(region)
+    top = float(lam.max(initial=0.0))
+    if math.exp(-top) < acceptance_floor:
         raise AcceptanceTooLow(
-            f"guaranteed acceptance exp(-{lam:.3g}) below floor {acceptance_floor}")
+            f"guaranteed acceptance exp(-{top:.3g}) below floor {acceptance_floor}")
     return b_prime, lam
+
+
+# the guaranteed acceptance exp(-lambda) a rejection sampler requires by default
+_ACCEPTANCE_FLOOR = 1e-6
+
+
+def _boundary_rows(boundary: BoundaryCondition, d: int
+                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """One boundary condition as the K = 1 row of (K, B, d) positions, (K, B)
+    marks and their (K, B) mask."""
+    ext = boundary.exterior
+    return (ext.positions_array().reshape(1, len(ext), d), ext.marks_array()[None],
+            np.ones((1, len(ext)), dtype=bool))
 
 
 def rejection_sample(model: ModelSpec, region: Box,
                      boundary: BoundaryCondition, rng: np.random.Generator,
-                     acceptance_floor: float = 1e-6,
+                     acceptance_floor: float = _ACCEPTANCE_FLOOR,
                      max_proposals: int = 1_000_000) -> FiniteConfiguration:
     """Exact draw from the finite-volume specification.
 
@@ -356,7 +413,9 @@ def rejection_sample(model: ModelSpec, region: Box,
     accepts with probability exp(-beta E_region) * exp(-beta B' n) <= 1, so the
     output law is exactly the specification.
     """
-    b_prime, lam = _proposal_rate(model, region, boundary, acceptance_floor)
+    bpos, _, bmask = _boundary_rows(boundary, region.dimension)
+    b_prime, lam = (float(v[0]) for v in _proposal_rates(
+        model, region, bpos, bmask, acceptance_floor))
     for _ in range(max_proposals):
         n = int(rng.poisson(lam))
         cand = _draw_points(model, region, n, rng)
@@ -366,53 +425,129 @@ def rejection_sample(model: ModelSpec, region: Box,
     raise AcceptanceTooLow("no acceptance within the proposal budget")
 
 
-# proposals rejection_sample_batch draws at least per batch; a small floor, so
-# that a caller asking for a few draws (dlr_check, once per exterior) does not
-# draw and weigh a large batch for them
+# proposals a batched rejection round draws at least; a small floor, so that
+# a few draws, or the last few rows of rejection_sample_rows, do not draw and
+# weigh a large batch
 _MIN_BATCH = 16
+
+
+def _weighed_proposals(model: ModelSpec, region: Box, ns: np.ndarray,
+                       us: np.ndarray, rng: np.random.Generator,
+                       b_prime: np.ndarray, bpos: np.ndarray, bmarks: np.ndarray,
+                       bmask: np.ndarray, owner: np.ndarray):
+    """Draw and weigh proposals of ``ns[i]`` points each, against boundary row
+    ``owner[i]`` of (R, B, d) positions, (R, B) marks, (R, B) mask and (R,)
+    B' values, one group of same-size proposals at a time in increasing
+    size.
+
+    Proposal i is accepted when ``us[i]`` is below its Boltzmann weight times
+    exp(-beta B' n) and no two of its points coincide; an empty proposal has
+    weight 1 and is always accepted. Returns the accepted mask and, per size
+    n > 0, the group's proposal indices with its (k, n, d) positions and
+    (k, n) marks.
+    """
+    lo = np.asarray(region.lower)
+    hi = np.asarray(region.upper)
+    d = region.dimension
+    accepted = ns == 0
+    groups = []
+    for n in np.unique(ns[ns > 0]).tolist():
+        rows = np.flatnonzero(ns == n)
+        k = rows.size
+        pos = lo + rng.random((k, n, d)) * (hi - lo)
+        marks = model.marks.sample(rng, k * n).reshape(k, n)
+        own = owner[rows]
+        weights = boltzmann_weight_batch(model, pos, marks, bpos[own], bmarks[own],
+                                         bmask[own])
+        iu, ju = upper_pairs(n)
+        collision = (pos[:, iu] == pos[:, ju]).all(axis=-1).any(axis=-1)
+        accepted[rows] = ((us[rows] < weights * _exp_of(-model.beta * b_prime[own] * n))
+                          & ~collision)
+        groups.append((rows, pos, marks))
+    return accepted, groups
+
+
+def _stream_of(pieces: list, count: int, d: int) -> SampleStream:
+    """The canonical stream of ``count`` samples given as pieces
+    ``(samples, positions, marks)``: sample ``samples[j]`` holds row j of the
+    piece's (k, n, d) positions and (k, n) marks. A sample in no piece is
+    empty. Each sample's rows are sorted with one `canonical_rows` gather."""
+    counts = np.zeros(count, dtype=np.intp)
+    for samples, _, marks in pieces:
+        counts[samples] = marks.shape[1]
+    starts = np.cumsum(counts) - counts
+    positions = np.empty((int(counts.sum()), d))
+    flat_marks = np.empty(positions.shape[0])
+    for samples, pos, marks in pieces:
+        rows = (starts[samples, None] + np.arange(marks.shape[1])).ravel()
+        positions[rows] = pos.reshape(-1, d)
+        flat_marks[rows] = marks.ravel()
+    return SampleStream.from_arrays(counts, positions, flat_marks).canonical()
 
 
 def rejection_sample_batch(model: ModelSpec, region: Box,
                            boundary: BoundaryCondition, count: int,
                            rng: np.random.Generator,
-                           acceptance_floor: float = 1e-6
-                           ) -> list[FiniteConfiguration]:
-    """Vectorized exact draws; energies are evaluated in same-size groups."""
-    b_prime, lam = _proposal_rate(model, region, boundary, acceptance_floor)
-    beta = model.beta
-    lo = np.asarray(region.lower)
-    hi = np.asarray(region.upper)
-    d = region.dimension
-    bpos = boundary.exterior.positions_array()
-    bmarks = boundary.exterior.marks_array()
-    kept = SampleStream(d)
-    while len(kept) < count:
-        batch = max(_MIN_BATCH, int(1.5 * (count - len(kept))))
-        ns = rng.poisson(lam, size=batch)
+                           acceptance_floor: float = _ACCEPTANCE_FLOOR) -> SampleStream:
+    """Vectorized exact draws under one boundary condition, as a stream of
+    canonical configurations; energies are evaluated in same-size groups.
+
+    Each batch proposes at least ``_MIN_BATCH`` and 1.5 times the draws
+    still missing; the draws are the first ``count`` accepted proposals in
+    proposal order, so the kept prefix stays an i.i.d. sample.
+    """
+    bpos, bmarks, bmask = _boundary_rows(boundary, region.dimension)
+    b_prime, lam = _proposal_rates(model, region, bpos, bmask, acceptance_floor)
+    pieces = []
+    kept = 0
+    while kept < count:
+        batch = max(_MIN_BATCH, int(1.5 * (count - kept)))
+        ns = rng.poisson(lam[0], size=batch)
         us = rng.random(batch)
-        # an empty proposal has weight 1 and is always accepted
-        accepted = ns == 0
-        # a row's index in its size group; empty proposals are row 0 of group 0
-        slot = np.zeros(batch, dtype=np.intp)
-        groups = {0: (np.empty((1, 0, d)), np.empty((1, 0)))}
-        for n in np.unique(ns[ns > 0]).tolist():
-            rows = np.flatnonzero(ns == n)
-            k = rows.size
-            pos = lo + rng.random((k, n, d)) * (hi - lo)
-            marks = model.marks.sample(rng, k * n).reshape(k, n)
-            weights = boltzmann_weight_batch(model, pos, marks, bpos, bmarks)
-            iu, ju = upper_pairs(n)
-            collision = (pos[:, iu] == pos[:, ju]).all(axis=-1).any(axis=-1)
-            accepted[rows] = ((us[rows] < weights * math.exp(-beta * b_prime * n))
-                              & ~collision)
-            slot[rows] = np.arange(k)
-            groups[n] = (pos, marks)
-        # keep proposal order so the kept prefix stays an i.i.d. sample; only
-        # the rows of that prefix become configurations
-        for row in np.flatnonzero(accepted)[:count - len(kept)].tolist():
-            pos, marks = groups[int(ns[row])]
-            kept.append(pos[slot[row]], marks[slot[row]])
-    return kept.configurations()
+        accepted, groups = _weighed_proposals(model, region, ns, us, rng, b_prime,
+                                              bpos, bmarks, bmask,
+                                              np.zeros(batch, dtype=np.intp))
+        keep = np.flatnonzero(accepted)[:count - kept]
+        sample = np.full(batch, -1)
+        sample[keep] = kept + np.arange(keep.size)
+        for rows, pos, marks in groups:
+            which = sample[rows] >= 0
+            pieces.append((sample[rows[which]], pos[which], marks[which]))
+        kept += keep.size
+    return _stream_of(pieces, count, region.dimension)
+
+
+def rejection_sample_rows(model: ModelSpec, region: Box, bpos: np.ndarray,
+                          bmarks: np.ndarray, bmask: np.ndarray,
+                          rng: np.random.Generator) -> SampleStream:
+    """One exact draw from the finite-volume specification per row of a batch
+    of boundary conditions: (K, B, d) positions and (K, B) marks whose real
+    entries ``bmask`` (K, B) marks. Returns the K draws as a stream, in row
+    order.
+
+    Every row has its own B' and lambda, and the acceptance floor of
+    `rejection_sample_batch` is checked on the largest lambda. Each round, every pending row makes
+    ceil(``_MIN_BATCH`` / pending rows) proposals under its own boundary and
+    keeps the first one it accepts.
+    """
+    b_prime, lam = _proposal_rates(model, region, bpos, bmask, _ACCEPTANCE_FLOOR)
+    pending = np.arange(bmarks.shape[0])
+    pieces = []
+    while pending.size:
+        owner = np.repeat(pending, -(-_MIN_BATCH // pending.size))
+        ns = rng.poisson(lam[owner])
+        us = rng.random(owner.size)
+        accepted, groups = _weighed_proposals(model, region, ns, us, rng, b_prime,
+                                              bpos, bmarks, bmask, owner)
+        first = np.flatnonzero(accepted)
+        done, at = np.unique(owner[first], return_index=True)
+        chosen = np.zeros(owner.size, dtype=bool)
+        chosen[first[at]] = True
+        for rows, pos, marks in groups:
+            which = chosen[rows]
+            pieces.append((owner[rows[which]], pos[which], marks[which]))
+        pending = np.setdiff1d(pending, done, assume_unique=True)
+    return _stream_of(pieces, bmarks.shape[0], region.dimension)
 
 
 # ---------------------------------------------------------------------------
@@ -438,8 +573,44 @@ def _pair_histogram(model: ModelSpec, pair_bins: np.ndarray, counts: np.ndarray,
     return hist
 
 
+# lags whose sums _tau_int takes first; it doubles them until the cut
+_TAU_LAGS = 64
+# values per chunk of _lag_sums' block transforms (128 KiB of float64)
+_TAU_CHUNK = 1 << 14
+
+
+def _lag_sums(x: np.ndarray, lags: int) -> np.ndarray:
+    """sum_t x[t] x[t + lag] for every lag below ``lags``, from transforms of
+    size 2 * lags, a chunk of blocks at a time.
+
+    Block b is x[b L:(b + 1) L] for L = ``lags``, zero-padded to 2L. Its
+    correlation with x[b L:(b + 2) L] has no wrapped term below lag L, and
+    the spectrum of that window is X_b + (-1)^k X_{b+1}, so one transform
+    per block serves both.
+    """
+    n = x.size
+    blocks = -(-n // lags)
+    per_chunk = max(1, _TAU_CHUNK // lags)
+    sign = (-1.0) ** np.arange(lags + 1)
+    total = np.zeros(lags + 1, dtype=complex)
+    for first in range(0, blocks, per_chunk):
+        last = min(first + per_chunk, blocks)
+        # this chunk's blocks and the next one, zero-padded past the series
+        window = np.zeros((last - first + 1) * lags)
+        part = x[first * lags:(last + 1) * lags]
+        window[:part.size] = part
+        spectra = np.fft.rfft(window.reshape(-1, lags), 2 * lags, axis=1)
+        total += (spectra[:-1].conj() * (spectra[:-1] + sign * spectra[1:])).sum(axis=0)
+    return np.fft.irfft(total, 2 * lags)[:lags]
+
+
 def _tau_int(series: np.ndarray) -> float:
-    """Integrated autocorrelation time by the initial-positive-sequence rule."""
+    """Integrated autocorrelation time by the initial-positive-sequence rule.
+
+    The lag sums are taken for the lags below L, starting from L =
+    ``_TAU_LAGS`` and doubling L until a lag's autocorrelation is <= 0 or L
+    reaches n // 2, so the transforms' memory follows the cut, not n.
+    """
     n = series.size
     if n < 8:
         return 1.0
@@ -447,17 +618,16 @@ def _tau_int(series: np.ndarray) -> float:
     var = float(np.dot(x, x)) / n
     if var == 0.0:
         return 1.0
-    # the lag sums sum_t x[t] x[t + lag] of the lags below n // 2 at once: the
-    # circular autocorrelation of x zero-padded to at least n + n // 2
-    # values, where no such lag wraps around
-    size = 1 << (n + n // 2 - 1).bit_length()
-    spectrum = np.fft.rfft(x, size)
-    spectrum *= spectrum.conj()
-    lags = np.arange(1, n // 2)
-    rho = np.fft.irfft(spectrum, size)[lags] / ((n - lags) * var)
-    # the initial positive sequence: the lags before the first rho <= 0
-    cut = np.flatnonzero(rho <= 0)
-    return 1.0 + 2.0 * float(rho[:cut[0] if cut.size else rho.size].sum())
+    lags = _TAU_LAGS
+    while True:
+        lags = min(lags, n // 2)
+        k = np.arange(1, lags)
+        rho = _lag_sums(x, lags)[1:] / ((n - k) * var)
+        # the initial positive sequence: the lags before the first rho <= 0
+        cut = np.flatnonzero(rho <= 0)
+        if cut.size or lags == n // 2:
+            return 1.0 + 2.0 * float(rho[:cut[0] if cut.size else rho.size].sum())
+        lags *= 2
 
 
 def _mean_se(values: np.ndarray, tau: float = 1.0) -> tuple[float, float]:
@@ -746,18 +916,23 @@ def mcmc_run(model: ModelSpec, region: Box, boundary: BoundaryCondition,
                         accepts=accepts)
 
 
-def summarize_samples(samples: Sequence[FiniteConfiguration], model: ModelSpec,
-                      region: Box) -> ChainStats:
+def summarize_samples(samples: SampleStream | Sequence[FiniteConfiguration],
+                      model: ModelSpec, region: Box) -> ChainStats:
     """ChainStats-shaped summary for i.i.d. samples (tau = 1).
 
-    Pair histogram and pair energies are computed per group of same-size
-    samples. At least 2 samples are needed for a standard error; a sample with
-    an infinite pair energy (which the samplers never emit) is a ValueError.
+    ``samples`` is a SampleStream or a sequence of configurations, which is
+    summarized as its stream. Pair histogram and pair energies are computed
+    per group of same-size samples, each energy summed over the pairs of the
+    sample's rows in stream order (canonical for the samplers' and
+    `read_sample_file`'s streams). At least 2 samples are needed for a
+    standard error; a sample with an infinite pair energy (which the samplers
+    never emit) is a ValueError.
     """
     k = len(samples)
     if k < 2:
         raise ValueError("summarize_samples needs at least 2 samples")
-    stream = SampleStream.from_configurations(samples, region.dimension)
+    stream = samples if isinstance(samples, SampleStream) else \
+        SampleStream.from_configurations(samples, region.dimension)
     counts, positions, marks = stream.counts, stream.positions, stream.marks
     pair_bins = _pair_bins(region)
     pair_counts = _pair_histogram(model, pair_bins, counts, positions)
@@ -794,7 +969,8 @@ def dlr_check(model: ModelSpec, inner_region: Box, outer_region: Box,
     """Consistency of nested specifications, checked statistically.
 
     Draws from the outer specification with empty boundary, then resamples the
-    inner region conditionally on each draw's own exterior. The statistic,
+    inner region conditionally on each draw's own exterior, every draw in one
+    `rejection_sample_rows` batch on the same generator. The statistic,
     keyed ``inner_count``, is the paired difference of inner point counts,
     resampled minus drawn; its mean must vanish within the statistical error
     (at least 2 samples give one). The total count is no second statistic:
@@ -811,23 +987,9 @@ def dlr_check(model: ModelSpec, inner_region: Box, outer_region: Box,
     rng = philox_rng(seed, 17)
     draws = rejection_sample_batch(model, outer_region, EMPTY_BOUNDARY,
                                    n_samples, rng)
-
-    # group draws by their exterior of the inner region so equal exteriors
-    # batch up; the key holds the marks, which MarkedPoint equality ignores
-    exteriors: dict[tuple, tuple[FiniteConfiguration, list[int]]] = {}
-    for i, cfg in enumerate(draws):
-        ext = FiniteConfiguration(tuple(
-            p for p in cfg.points if not inner_region.contains_point(p.position)))
-        key = tuple((p.position, p.mark) for p in ext.points)
-        exteriors.setdefault(key, (ext, []))[1].append(i)
-
-    diffs = np.empty(n_samples)
-    for ext, indices in exteriors.values():
-        inner_draws = rejection_sample_batch(model, inner_region,
-                                             BoundaryCondition(ext),
-                                             len(indices), rng)
-        for i, inner in zip(indices, inner_draws):
-            diffs[i] = len(inner) - (len(draws[i]) - len(ext))
+    inner_counts, bpos, bmarks, bmask = _split_exteriors(draws, inner_region)
+    resampled = rejection_sample_rows(model, inner_region, bpos, bmarks, bmask, rng)
+    diffs = (resampled.counts - inner_counts).astype(float)
 
     mean, se = _mean_se(diffs)
     z = abs(mean) / se if se > 0 else 0.0
@@ -839,6 +1001,29 @@ def dlr_check(model: ModelSpec, inner_region: Box, outer_region: Box,
                      locality_trials=locality_trials,
                      locality_violations=violations,
                      passed=z <= z_threshold and not violations)
+
+
+def _split_exteriors(draws: SampleStream, region: Box):
+    """Each draw's count of points inside ``region``, and its points outside
+    (its exterior), in row order, padded into (K, nb, d) positions and (K, nb)
+    marks with a (K, nb) mask of the real entries; nb is the largest exterior.
+    """
+    counts = draws.counts
+    owner = np.repeat(np.arange(counts.size), counts)
+    inside = region.contains_batch(draws.positions)
+    inner = np.bincount(owner[inside], minlength=counts.size)
+    outer = counts - inner
+    rows = np.flatnonzero(~inside)
+    # each exterior row's column: its rank among its draw's exterior rows
+    cols = np.arange(rows.size) - (np.cumsum(outer) - outer)[owner[rows]]
+    shape = (counts.size, int(outer.max(initial=0)))
+    bpos = np.zeros(shape + (draws.dimension,))
+    bmarks = np.zeros(shape)
+    bmask = np.zeros(shape, dtype=bool)
+    bpos[owner[rows], cols] = draws.positions[rows]
+    bmarks[owner[rows], cols] = draws.marks[rows]
+    bmask[owner[rows], cols] = True
+    return inner, bpos, bmarks, bmask
 
 
 def collar_locality_trials(model: ModelSpec, region: Box, trials: int = 1000,
@@ -907,13 +1092,14 @@ def write_sample_file(path, samples: SampleStream | Sequence[FiniteConfiguration
                 start = end
 
 
-def read_sample_file(path) -> list[FiniteConfiguration]:
-    """Inverse of write_sample_file. A header that is not
+def read_sample_file(path) -> SampleStream:
+    """Inverse of write_sample_file, as a stream whose samples' rows are in
+    canonical order. A header that is not
     ``# markedgibbs-samples v1 d=<integer >= 1>``, or a line that is not a
     count n followed by n(d+1) finite numbers, is a ValueError that names
     its line; a sample with coinciding positions is a DuplicatePosition
     error."""
-    out = []
+    counts, values = [], []
     with open(path) as fh:
         header = re.fullmatch(r"# markedgibbs-samples v1 d=([1-9][0-9]*)",
                               fh.readline().strip())
@@ -928,13 +1114,13 @@ def read_sample_file(path) -> list[FiniteConfiguration]:
                 raise ValueError(f"sample file line {lineno} is not a count n "
                                  f"followed by n*{d + 1} values")
             try:
-                values = [float(x) for x in parts[1:]]
+                row = [float(x) for x in parts[1:]]
             except ValueError:
                 raise ValueError(f"sample file line {lineno} holds a value that "
                                  f"is not a number") from None
-            if not all(map(math.isfinite, values)):
+            if not all(map(math.isfinite, row)):
                 raise ValueError(f"sample file line {lineno} holds a NaN or an infinity")
-            out.append(canonicalize(
-                MarkedPoint(tuple(values[base:base + d]), values[base + d])
-                for base in range(0, len(values), d + 1)))
-    return out
+            counts.append(int(parts[0]))
+            values.extend(row)
+    flat = np.asarray(values, dtype=float).reshape(-1, d + 1)
+    return SampleStream.from_arrays(counts, flat[:, :d], flat[:, d]).canonical()

@@ -141,17 +141,26 @@ def square_pair_table(values: np.ndarray, m: int, diagonal: float) -> np.ndarray
 
 def cross_phi_matrix(phi: PairPotential, positions_a: np.ndarray, marks_a: np.ndarray,
                      positions_b: np.ndarray, marks_b: np.ndarray) -> np.ndarray:
-    """Pair values between two point families: (..., Ma, d) x (Mb, d) -> (..., Ma, Mb)."""
-    r = phi.space.distance_batch(positions_a[..., :, None, :], positions_b[None, :, :])
-    return phi.radial_gated(r, marks_a[..., :, None], marks_b[None, :])
+    """Pair values between two point families, (..., Ma, d) x (..., Mb, d) ->
+    (..., Ma, Mb), their leading axes broadcast: one b-family shared by every
+    a-family, or a batch of b-families, one per a-family."""
+    r = phi.space.distance_batch(positions_a[..., :, None, :], positions_b[..., None, :, :])
+    return phi.radial_gated(r, marks_a[..., :, None], marks_b[..., None, :])
 
 
 def boltzmann_weight_batch(model: ModelSpec, positions: np.ndarray, marks: np.ndarray,
-                           bpos: np.ndarray, bmarks: np.ndarray) -> np.ndarray:
+                           bpos: np.ndarray, bmarks: np.ndarray,
+                           bmask: np.ndarray | None = None) -> np.ndarray:
     """exp(-beta * (E(x) + W(x, boundary))) for each row x of a (K, n, d), (K, n)
-    batch, against boundary arrays (B, d), (B,): the product of the pair
-    Boltzmann factors in ``upper_pairs(n)`` order, one per pair i < j, times
-    the product of the boundary cross factors."""
+    batch: the product of the pair Boltzmann factors in ``upper_pairs(n)``
+    order, one per pair i < j, times the product of the boundary cross
+    factors, point by point.
+
+    The boundary is shared, (B, d) and (B,) arrays, or one per row, (K, B, d)
+    and (K, B) arrays whose entries ``bmask`` (K, B) marks as real. A padded
+    entry contributes a factor of exactly 1.0, so a row's weight is the bits
+    of its weight against its real entries alone.
+    """
     k, n = marks.shape
     weights = np.ones(k)
     if n > 1:
@@ -160,6 +169,8 @@ def boltzmann_weight_batch(model: ModelSpec, positions: np.ndarray, marks: np.nd
     if n and bmarks.size:
         cross = cross_phi_matrix(model.potential, positions, marks, bpos, bmarks)
         cb = boltzmann_factor_batch(cross, model.beta)
+        if bmask is not None:
+            cb = np.where(bmask[:, None, :], cb, 1.0)
         weights = weights * cb.reshape(k, -1).prod(axis=-1)
     return weights
 

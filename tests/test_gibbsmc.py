@@ -430,26 +430,27 @@ def test_dlr_toy_range_cut():
 
 
 def _dlr_differences_reference(model, inner_region, outer_region, n_samples, seed):
-    """Paired inner-count differences made by resampling the inner region,
-    merging the resample with the exterior and restricting both
-    configurations to the inner region."""
+    """Paired inner-count differences made by replaying dlr_check's draws,
+    merging each inner resample with its draw's exterior and restricting both
+    configurations to the inner region. The padded exteriors are built here
+    from the configurations, one draw at a time."""
     rng = philox_rng(seed, 17)
     draws = rejection_sample_batch(model, outer_region, EMPTY_BOUNDARY, n_samples, rng)
-    exteriors, exterior_cfgs = {}, {}
-    for i, cfg in enumerate(draws):
-        ext = FiniteConfiguration(tuple(
-            p for p in cfg.points if not inner_region.contains_point(p.position)))
-        key = tuple((p.position, p.mark) for p in ext.points)
-        exteriors.setdefault(key, []).append(i)
-        exterior_cfgs[key] = ext
-    resampled = [None] * n_samples
-    for key, indices in exteriors.items():
-        ext = exterior_cfgs[key]
-        inner_draws = rejection_sample_batch(model, inner_region, BoundaryCondition(ext),
-                                             len(indices), rng)
-        for idx, inner in zip(indices, inner_draws):
-            resampled[idx] = FiniteConfiguration(
-                tuple(sorted(ext.points + inner.points, key=lambda p: p.position)))
+    exteriors = [tuple(p for p in cfg if not inner_region.contains_point(p.position))
+                 for cfg in draws]
+    nb, d = max(map(len, exteriors)), outer_region.dimension
+    bpos, bmarks = np.zeros((n_samples, nb, d)), np.zeros((n_samples, nb))
+    bmask = np.zeros((n_samples, nb), dtype=bool)
+    for i, ext in enumerate(exteriors):
+        for j, p in enumerate(ext):
+            bpos[i, j], bmarks[i, j], bmask[i, j] = p.position, p.mark, True
+    inner_draws = gibbsmc.rejection_sample_rows(model, inner_region, bpos, bmarks,
+                                                bmask, rng)
+    assert len(inner_draws) == n_samples
+    resampled = []
+    for ext, inner in zip(exteriors, inner_draws):
+        assert all(inner_region.contains_point(p.position) for p in inner)
+        resampled.append(canonicalize(ext + inner.points))
 
     def inner_count(cfg):
         return float(len(restrict(cfg, inner_region)))
@@ -487,6 +488,7 @@ def test_sample_file_roundtrip(toy_model, rng, tmp_path):
     path = tmp_path / "samples.txt"
     write_sample_file(path, samples, 1)
     back = read_sample_file(path)
+    assert isinstance(back, SampleStream)
     assert len(back) == len(samples)
     for a, b in zip(samples, back):
         assert a.points == b.points
@@ -729,6 +731,48 @@ def test_sample_stream_round_trip(rng, tmp_path):
         stream.configurations()
 
 
+def test_sample_stream_is_a_sequence_of_configurations(rng):
+    # len, iteration and indexing give the canonical configurations of
+    # samples appended in any point order, empty ones included
+    stream = SampleStream(2)
+    for n in rng.permutation(np.repeat(np.arange(5), 4)).tolist():
+        stream.append(rng.random((n, 2)), rng.choice([1.0, -1.0], n))
+    want = stream.configurations()
+    assert len(stream) == len(want) == 20
+    assert list(stream) == want
+    assert [stream[i] for i in range(len(stream))] == want
+    for a, b in zip(stream, want):
+        assert [(p.position, p.mark) for p in a] == [(p.position, p.mark) for p in b]
+    assert stream[-1] == want[-1]
+    with pytest.raises(IndexError):
+        stream[20]
+
+
+def test_sample_streams_compare_by_their_rows():
+    model = build_model("toy-repulsive-spin", z=3.0, dimension=2, boundary="periodic")
+    box = model.space.box
+
+    def draws(seed):
+        return rejection_sample_batch(model, box, EMPTY_BOUNDARY, 500, philox_rng(seed))
+    first, again, other = draws(4), draws(4), draws(5)
+    assert first == again and not first != again
+    assert first != other
+    assert first != list(first)
+    # the same rows with one mark changed, one point moved to the next
+    # sample, or read in another dimension
+    marks = first.marks.copy()
+    marks[-1] = -marks[-1]
+    assert first != SampleStream.from_arrays(first.counts, first.positions, marks)
+    counts = first.counts.copy()
+    i = int(np.flatnonzero(counts)[0])
+    counts[i] -= 1
+    counts[i + 1] += 1
+    assert first != SampleStream.from_arrays(counts, first.positions, first.marks)
+    flat = SampleStream.from_arrays(first.counts, first.positions.reshape(-1, 1)[::2],
+                                    first.marks)
+    assert first != flat
+
+
 def test_spill_blocks_change_no_byte(rng, tmp_path, monkeypatch):
     # the writer converts a block of samples at a time; blocks of 4 samples
     # (some empty, the last one short) give the bytes of the point-by-point
@@ -785,11 +829,13 @@ def test_config_energy_above_one_block_is_summed_in_bounded_memory(rng):
 
 def _rejection_sample_batch_reference(model, region, boundary, count, rng):
     """rejection_sample_batch building a configuration for every accepted row."""
-    b_prime = gibbsmc._boundary_inflation(model, region, boundary)
-    lam = model.z * math.exp(model.beta * b_prime) * model.mass(region)
     lo, hi, d = np.asarray(region.lower), np.asarray(region.upper), region.dimension
-    bpos = boundary.exterior.positions_array()
+    bpos = boundary.exterior.positions_array().reshape(-1, d)
     bmarks = boundary.exterior.marks_array()
+    # B' is the K = 1 row of the row-wise inflation
+    b_prime = float(gibbsmc._boundary_inflation(
+        model, region, bpos[None], np.ones((1, bmarks.size), dtype=bool))[0])
+    lam = model.z * math.exp(model.beta * b_prime) * model.mass(region)
     out = []
     while len(out) < count:
         batch = max(gibbsmc._MIN_BATCH, int(1.5 * (count - len(out))))
@@ -814,6 +860,96 @@ def _rejection_sample_batch_reference(model, region, boundary, count, rng):
                     accepted[rows[g]] = canonicalize(pts)
         out.extend(cfg for cfg in accepted if cfg is not None)
     return out[:count]
+
+
+def _padded_exteriors(exteriors, d, fill):
+    """Exteriors as (K, nb, d) positions and (K, nb) marks with their mask;
+    a padded entry holds ``fill`` (a position and a mark)."""
+    nb = max(map(len, exteriors))
+    bpos = np.tile(np.asarray(fill[0], dtype=float), (len(exteriors), nb, 1))
+    bmarks = np.full((len(exteriors), nb), fill[1])
+    bmask = np.zeros((len(exteriors), nb), dtype=bool)
+    for i, ext in enumerate(exteriors):
+        for j, p in enumerate(ext):
+            bpos[i, j], bmarks[i, j], bmask[i, j] = p.position, p.mark, True
+    return bpos, bmarks, bmask
+
+
+@pytest.mark.parametrize("name", ["toy-repulsive-spin-rc", "hard-core"])
+@pytest.mark.parametrize("space", [{}, {"dimension": 2, "boundary": "periodic"}],
+                         ids=["1d-free", "2d-periodic"])
+def test_per_row_boundary_weight_is_the_specification_weight(name, space, rng):
+    # each row's weight against its own padded exterior has the bits of
+    # specification_weight against that exterior alone; exteriors of 0 to 6
+    # points, some beyond the range collar. A padded entry sits on the row's
+    # first point, where a hard core would make the weight 0 if it counted.
+    model = build_model(name, z=2.0, **space, **({"r0": 0.05} if name == "hard-core" else {}))
+    d = model.space.dimension
+    region = Box((0.3,) * d, (0.7,) * d)
+    for n in (1, 2, 3):
+        candidates = [canonicalize(
+            MarkedPoint(tuple(p), m) for p, m in zip((0.3 + 0.4 * rng.random((n, d))).tolist(),
+                                                     model.marks.sample(rng, n).tolist()))
+            for _ in range(40)]
+        exteriors = []
+        for i in range(len(candidates)):
+            pts = []
+            while len(pts) < i % 7:
+                pos = tuple(rng.random(d).tolist())
+                if not region.contains_point(pos):
+                    pts.append(MarkedPoint(pos, float(model.marks.sample(rng, 1)[0])))
+            exteriors.append(canonicalize(pts))
+        positions = np.stack([c.positions_array() for c in candidates])
+        marks = np.stack([c.marks_array() for c in candidates])
+        bpos, bmarks, bmask = _padded_exteriors(exteriors, d, (positions[0, 0], marks[0, 0]))
+        bpos[~bmask] = positions[:, :1].repeat(bpos.shape[1], axis=1)[~bmask]
+        got = gibbsmc.boltzmann_weight_batch(model, positions, marks, bpos, bmarks, bmask)
+        want = [specification_weight(c, BoundaryCondition(e), model, region)
+                for c, e in zip(candidates, exteriors)]
+        assert got.tolist() == want
+        assert 0.0 < got.max()
+
+
+@pytest.mark.parametrize("case", ["toy-rc", "constant-B"])
+def test_rejection_rows_under_one_boundary_match_the_batch_in_law(case):
+    # the row-wise resampler with one boundary repeated in every row against
+    # rejection_sample_batch under it: |z| <= 3 on the mean count. The
+    # constant potential declares B = 0.1, so B' and lambda grow with the
+    # boundary.
+    region = Box((0.25,), (0.75,))
+    if case == "toy-rc":
+        model = build_model("toy-repulsive-spin-rc", z=3.0, range_cut=0.2)
+    else:
+        model = build_model("constant", z=1.0, value=0.3, declared_B=0.1)
+    boundary = canonicalize([MarkedPoint((0.1,), 1.0), MarkedPoint((0.8,), -1.0),
+                             MarkedPoint((0.95,), 1.0)])
+    k = 20000
+    bpos = np.tile(boundary.positions_array(), (k, 1, 1))
+    bmarks = np.tile(boundary.marks_array(), (k, 1))
+    rows = gibbsmc.rejection_sample_rows(model, region, bpos, bmarks,
+                                         np.ones(bmarks.shape, dtype=bool),
+                                         philox_rng(8))
+    batch = rejection_sample_batch(model, region, BoundaryCondition(boundary), k,
+                                   philox_rng(9))
+    a, b = rows.counts.astype(float), batch.counts.astype(float)
+    se = math.hypot(a.std(ddof=1) / math.sqrt(k), b.std(ddof=1) / math.sqrt(k))
+    assert abs(a.mean() - b.mean()) <= 3 * se
+    assert all(region.contains_point(p.position) for cfg in rows for p in cfg)
+
+
+def test_rejection_rows_condition_each_row_on_its_own_boundary():
+    # odd rows carry a hard-core wall 0.05 beyond the region's right end, so
+    # no point of theirs lies in [0.95, 1); even rows have no boundary
+    model = build_model("hard-core", z=2.0, r0=0.1, side=1.5)
+    region = Box((0.0,), (1.0,))
+    k = 4000
+    exteriors = [(MarkedPoint((1.05,), 1.0),) if i % 2 else () for i in range(k)]
+    bpos, bmarks, bmask = _padded_exteriors(exteriors, 1, ((0.5,), 1.0))
+    draws = gibbsmc.rejection_sample_rows(model, region, bpos, bmarks, bmask,
+                                          philox_rng(3))
+    right = [max((p.position[0] for p in cfg), default=0.0) for cfg in draws]
+    assert max(right[1::2]) < 0.95
+    assert max(right[0::2]) >= 0.95
 
 
 class _CoarseRng:
