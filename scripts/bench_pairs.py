@@ -13,10 +13,11 @@ are exported with `git archive` into a scratch directory, so both sides run
 exactly what is committed and the repository gains no worktree. For every
 workload and seed the script runs `perfbench/run.py --trace 0` once per side,
 alternating which side runs first, and records per end-to-end metric each
-side's median and quartiles, the pairs the change won, their median ratio and
-every run. `--traced` runs `--trace 1` the same way, every seed on both
+side's median and quartiles, the median and quartiles of the per-seed paired
+differences (change - parent), the pairs the change won, their median ratio
+and every run. `--traced` runs `--trace 1` the same way, every seed on both
 sides, and records per `--trace-metrics` value each side's median, quartiles
-and runs. The record also holds the environment block that perfbench prints.
+and runs, and the paired differences. The record also holds the environment block that perfbench prints.
 It is written after every finished workload, so a failing run, which stops the
 script with a message naming its side, workload and seed, loses only the
 workload it belongs to.
@@ -113,6 +114,13 @@ def quartiles(values: list[float]) -> dict:
     return {"median": round(median, 4), "q1": round(q1, 4), "q3": round(q3, 4)}
 
 
+def paired_difference(vals: dict[str, list[float]]) -> dict:
+    """Median and quartiles of the per-seed differences, change - parent: a
+    drift of the host within the round moves both runs of a pair, so it
+    leaves these apart from the change's effect."""
+    return quartiles([c - p for p, c in zip(vals["parent"], vals["change"])])
+
+
 def summarize(runs: dict[str, list[dict]], seeds: list[int], first: list[str],
               better: dict[str, str]) -> dict:
     out = {"seeds": seeds, "pairs": len(seeds), "first_in_pair": first,
@@ -128,6 +136,7 @@ def summarize(runs: dict[str, list[dict]], seeds: list[int], first: list[str],
         out["metrics"][name] = {
             "unit": runs["parent"][0]["metrics"][name]["unit"],
             "parent": quartiles(vals["parent"]), "change": quartiles(vals["change"]),
+            "paired_difference": paired_difference(vals),
             "change_better_pairs": wins,
             "change_over_parent_median": round(ratio, 4),
             "parent_runs": [round(v, 4) for v in vals["parent"]],
@@ -195,9 +204,10 @@ def main(argv=None) -> int:
                       "all_correct": all(r["correct"] for s in SIDES for r in runs[s])}
             for name in args.trace_metrics:
                 vals = {s: [r["metrics"][name]["value"] for r in runs[s]] for s in SIDES}
-                traced[name] = {s: {**quartiles(vals[s]),
-                                    "runs": [round(v, 4) for v in vals[s]]}
-                                for s in SIDES}
+                traced[name] = {**{s: {**quartiles(vals[s]),
+                                       "runs": [round(v, 4) for v in vals[s]]}
+                                   for s in SIDES},
+                                "paired_difference": paired_difference(vals)}
             record[f"traced_{workload}"] = traced
             write_record(out, record)
     finally:

@@ -15,7 +15,7 @@ from .cluster import (ExpansionReport, UrsellTable, convergence_radius,
                       tail_bound, tree_bound_q, tree_bound_q_multi,
                       tree_bound_recursive, ursell_direct, ursell_table)
 from .gibbsmc import (BoundaryCondition, ChainStats, SampleStream, SamplerConfig,
-                      dlr_check, mcmc_run, poisson_sample, rejection_sample,
+                      dlr_check, mcmc_run, poisson_sample, rejection_sample_batch,
                       specification_weight)
 
 __version__ = "0.1.0"

@@ -372,25 +372,24 @@ def _boundary_inflation(model: ModelSpec, region: Box, bpos: np.ndarray,
 
 
 def _proposal_rates(model: ModelSpec, region: Box, bpos: np.ndarray,
-                    bmask: np.ndarray, acceptance_floor: float
-                    ) -> tuple[np.ndarray, np.ndarray]:
+                    bmask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """B' and the Poisson mean lambda = z e^{beta B'} |region| of the inflated
     proposal law, one per row of (K, B, d) boundary positions with real
     entries ``bmask`` (K, B), once every real entry is checked to lie
     outside the region and the guaranteed acceptance exp(-lambda) of the
-    largest lambda to clear the floor."""
+    largest lambda to clear ``_ACCEPTANCE_FLOOR``."""
     if (bmask & region.contains_batch(bpos)).any():
         raise RegionOutOfBounds("boundary point inside the active region")
     b_prime = _boundary_inflation(model, region, bpos, bmask)
     lam = model.z * _exp_of(model.beta * b_prime) * model.mass(region)
     top = float(lam.max(initial=0.0))
-    if math.exp(-top) < acceptance_floor:
+    if math.exp(-top) < _ACCEPTANCE_FLOOR:
         raise AcceptanceTooLow(
-            f"guaranteed acceptance exp(-{top:.3g}) below floor {acceptance_floor}")
+            f"guaranteed acceptance exp(-{top:.3g}) below floor {_ACCEPTANCE_FLOOR}")
     return b_prime, lam
 
 
-# the guaranteed acceptance exp(-lambda) a rejection sampler requires by default
+# the guaranteed acceptance exp(-lambda) the rejection sampler requires
 _ACCEPTANCE_FLOOR = 1e-6
 
 
@@ -403,31 +402,8 @@ def _boundary_rows(boundary: BoundaryCondition, d: int
             np.ones((1, len(ext)), dtype=bool))
 
 
-def rejection_sample(model: ModelSpec, region: Box,
-                     boundary: BoundaryCondition, rng: np.random.Generator,
-                     acceptance_floor: float = _ACCEPTANCE_FLOOR,
-                     max_proposals: int = 1_000_000) -> FiniteConfiguration:
-    """Exact draw from the finite-volume specification.
-
-    Proposes from the marked Poisson law at inflated activity z*e^{beta B'} and
-    accepts with probability exp(-beta E_region) * exp(-beta B' n) <= 1, so the
-    output law is exactly the specification.
-    """
-    bpos, _, bmask = _boundary_rows(boundary, region.dimension)
-    b_prime, lam = (float(v[0]) for v in _proposal_rates(
-        model, region, bpos, bmask, acceptance_floor))
-    for _ in range(max_proposals):
-        n = int(rng.poisson(lam))
-        cand = _draw_points(model, region, n, rng)
-        weight = specification_weight(cand, boundary, model, region)
-        if rng.random() < weight * math.exp(-model.beta * b_prime * n):
-            return cand
-    raise AcceptanceTooLow("no acceptance within the proposal budget")
-
-
-# proposals a batched rejection round draws at least; a small floor, so that
-# a few draws, or the last few rows of rejection_sample_rows, do not draw and
-# weigh a large batch
+# proposals a rejection round draws at least; a small floor, so that a few
+# draws, or the last few pending rows, do not draw and weigh a large batch
 _MIN_BATCH = 16
 
 
@@ -485,36 +461,58 @@ def _stream_of(pieces: list, count: int, d: int) -> SampleStream:
     return SampleStream.from_arrays(counts, positions, flat_marks).canonical()
 
 
-def rejection_sample_batch(model: ModelSpec, region: Box,
-                           boundary: BoundaryCondition, count: int,
-                           rng: np.random.Generator,
-                           acceptance_floor: float = _ACCEPTANCE_FLOOR) -> SampleStream:
-    """Vectorized exact draws under one boundary condition, as a stream of
-    canonical configurations; energies are evaluated in same-size groups.
-
-    Each batch proposes at least ``_MIN_BATCH`` and 1.5 times the draws
-    still missing; the draws are the first ``count`` accepted proposals in
-    proposal order, so the kept prefix stays an i.i.d. sample.
+def _rejection_draws(model: ModelSpec, region: Box, bpos: np.ndarray,
+                     bmarks: np.ndarray, bmask: np.ndarray, need: np.ndarray,
+                     rng: np.random.Generator) -> SampleStream:
+    """``need[r]`` exact draws from the finite-volume specification under
+    boundary row r of (K, B, d) positions, (K, B) marks and (K, B) mask, as
+    one stream in row order. Proposals are marked Poisson at the row's
+    inflated activity z e^{beta B'}, accepted with probability
+    exp(-beta E_region) e^{-beta B' n} <= 1, so the law is exact. Each round
+    every pending row makes max(ceil(``_MIN_BATCH`` / pending rows),
+    int(1.5 * its missing draws)) proposals and keeps its first missing
+    accepted ones in proposal order: its draws stay an i.i.d. sample.
     """
-    bpos, bmarks, bmask = _boundary_rows(boundary, region.dimension)
-    b_prime, lam = _proposal_rates(model, region, bpos, bmask, acceptance_floor)
+    b_prime, lam = _proposal_rates(model, region, bpos, bmask)
+    left = need.copy()  # draws each row still misses
+    nxt = np.cumsum(need) - need  # each row's next sample index
     pieces = []
-    kept = 0
-    while kept < count:
-        batch = max(_MIN_BATCH, int(1.5 * (count - kept)))
-        ns = rng.poisson(lam[0], size=batch)
-        us = rng.random(batch)
+    pending = np.flatnonzero(left > 0)
+    while pending.size:
+        owner = np.repeat(pending, np.maximum(-(-_MIN_BATCH // pending.size),
+                                              (1.5 * left[pending]).astype(np.intp)))
+        ns = rng.poisson(lam[owner])
+        us = rng.random(owner.size)
         accepted, groups = _weighed_proposals(model, region, ns, us, rng, b_prime,
-                                              bpos, bmarks, bmask,
-                                              np.zeros(batch, dtype=np.intp))
-        keep = np.flatnonzero(accepted)[:count - kept]
-        sample = np.full(batch, -1)
-        sample[keep] = kept + np.arange(keep.size)
+                                              bpos, bmarks, bmask, owner)
+        first = np.flatnonzero(accepted)
+        own = owner[first]
+        # each accepted proposal's rank among its row's accepted ones
+        rank = np.arange(first.size) - np.searchsorted(own, own)
+        take = rank < left[own]
+        own = own[take]
+        sample = np.full(owner.size, -1)
+        sample[first[take]] = nxt[own] + rank[take]
         for rows, pos, marks in groups:
             which = sample[rows] >= 0
             pieces.append((sample[rows[which]], pos[which], marks[which]))
-        kept += keep.size
-    return _stream_of(pieces, count, region.dimension)
+        got = np.bincount(own, minlength=need.size)
+        nxt += got
+        left -= got
+        pending = pending[left[pending] > 0]
+    return _stream_of(pieces, int(need.sum()), region.dimension)
+
+
+def rejection_sample_batch(model: ModelSpec, region: Box,
+                           boundary: BoundaryCondition, count: int,
+                           rng: np.random.Generator) -> SampleStream:
+    """``count`` exact draws under one boundary condition, as a stream of
+    canonical configurations: `_rejection_draws` on one row, so each round
+    proposes at least ``_MIN_BATCH`` and 1.5 times the draws still missing.
+    """
+    bpos, bmarks, bmask = _boundary_rows(boundary, region.dimension)
+    return _rejection_draws(model, region, bpos, bmarks, bmask,
+                            np.array([count], dtype=np.intp), rng)
 
 
 def rejection_sample_rows(model: ModelSpec, region: Box, bpos: np.ndarray,
@@ -525,29 +523,12 @@ def rejection_sample_rows(model: ModelSpec, region: Box, bpos: np.ndarray,
     entries ``bmask`` (K, B) marks. Returns the K draws as a stream, in row
     order.
 
-    Every row has its own B' and lambda, and the acceptance floor of
-    `rejection_sample_batch` is checked on the largest lambda. Each round, every pending row makes
-    ceil(``_MIN_BATCH`` / pending rows) proposals under its own boundary and
-    keeps the first one it accepts.
+    `_rejection_draws` with one draw per row: each row has its own B' and
+    lambda, and each round every pending row makes ceil(``_MIN_BATCH`` /
+    pending rows) proposals and keeps the first one it accepts.
     """
-    b_prime, lam = _proposal_rates(model, region, bpos, bmask, _ACCEPTANCE_FLOOR)
-    pending = np.arange(bmarks.shape[0])
-    pieces = []
-    while pending.size:
-        owner = np.repeat(pending, -(-_MIN_BATCH // pending.size))
-        ns = rng.poisson(lam[owner])
-        us = rng.random(owner.size)
-        accepted, groups = _weighed_proposals(model, region, ns, us, rng, b_prime,
-                                              bpos, bmarks, bmask, owner)
-        first = np.flatnonzero(accepted)
-        done, at = np.unique(owner[first], return_index=True)
-        chosen = np.zeros(owner.size, dtype=bool)
-        chosen[first[at]] = True
-        for rows, pos, marks in groups:
-            which = chosen[rows]
-            pieces.append((owner[rows[which]], pos[which], marks[which]))
-        pending = np.setdiff1d(pending, done, assume_unique=True)
-    return _stream_of(pieces, bmarks.shape[0], region.dimension)
+    return _rejection_draws(model, region, bpos, bmarks, bmask,
+                            np.ones(bmarks.shape[0], dtype=np.intp), rng)
 
 
 # ---------------------------------------------------------------------------
@@ -1029,17 +1010,22 @@ def _split_exteriors(draws: SampleStream, region: Box):
 def collar_locality_trials(model: ModelSpec, region: Box, trials: int = 1000,
                            seed: int = 0) -> int:
     """Exact locality: perturbing the boundary outside the range collar leaves
-    the specification weight bit-identical. Returns the violation count."""
+    the specification weight bit-identical. Returns the violation count. A
+    far point has no image in the unclipped ``region.expand(range_R)``; on a
+    periodic box its shifts by +-side count as images."""
     rng_r = model.potential.range_R
     if rng_r is None:
         raise RequiresFiniteRange("locality check needs a finite-range potential")
     rng = philox_rng(seed, 23)
     space_box = model.space.box
+    reach = region.expand(rng_r)
+    collar = reach.clip_to(space_box)
+    wraps = (-1.0, 0.0, 1.0) if model.space.boundary == "periodic" else (0.0,)
+    axes = list(zip(reach.lower, reach.upper, model.space.side_lengths))
     violations = 0
     for _ in range(trials):
         candidate = poisson_sample(model, region, rng)
         near = []
-        collar = region.expand(rng_r).clip_to(space_box)
         for _ in range(int(rng.integers(0, 3))):
             pos = np.asarray(collar.lower) + rng.random(region.dimension) * (
                 np.asarray(collar.upper) - np.asarray(collar.lower))
@@ -1049,7 +1035,8 @@ def collar_locality_trials(model: ModelSpec, region: Box, trials: int = 1000,
         for _ in range(int(rng.integers(1, 4))):
             pos = np.asarray(space_box.lower) + rng.random(region.dimension) * (
                 np.asarray(space_box.upper) - np.asarray(space_box.lower))
-            if not collar.contains_point(tuple(pos)):
+            if not all(any(lo <= x + k * side < hi for k in wraps)
+                       for x, (lo, hi, side) in zip(pos.tolist(), axes)):
                 far.append(MarkedPoint(tuple(pos), float(model.marks.sample(rng, 1)[0])))
         base = specification_weight(candidate, BoundaryCondition(
             canonicalize(near)), model, region)

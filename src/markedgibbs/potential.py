@@ -312,7 +312,10 @@ def check_integrability(phi: PairPotential, model: ModelSpec,
     mirror images have one mass: each axis keeps its first ceil(p/2) of p
     midpoints. When g and 2g give the same points per axis (d >= 2 at small
     g) the grid is evaluated once, and refinement_delta is 0 by construction,
-    not evidence of convergence. The report names the kept reference point
+    not evidence of convergence. The minimum-image metric is translation
+    invariant, so a periodic box evaluates one position (the first midpoint
+    at g) per mark node, and refinement_delta is 0 in the same sense. The
+    report names the kept reference point
     (position and mark) where the maximum was found, and the number of
     (position, mark) points evaluated.
 
@@ -329,10 +332,13 @@ def check_integrability(phi: PairPotential, model: ModelSpec,
     d = model.space.dimension
     per_axis = {g: max(2, round(g ** (1.0 / d)))
                 for g in (reference_grid_size, 2 * reference_grid_size)}
+    # the minimum-image metric is translation invariant: on a periodic box
+    # the first midpoint of the requested grid stands for both grids
+    keep = 1 if model.space.boundary == "periodic" else None
     found = {}  # points per axis -> (max mass, its position, its mark)
     evaluated = 0
-    for p in dict.fromkeys(per_axis.values()):
-        refs = _orthant_references(model.space.box, p)
+    for p in list(dict.fromkeys(per_axis.values()))[:keep]:
+        refs = _orthant_references(model.space.box, p)[:keep]
         masses = np.array([_abs_mayer_masses(phi, model, ref, marks, weights)
                            for ref in refs])
         if not np.all(np.isfinite(masses)):
@@ -342,7 +348,7 @@ def check_integrability(phi: PairPotential, model: ModelSpec,
         evaluated += masses.size
 
     coarse = found[per_axis[reference_grid_size]]
-    fine = found[per_axis[2 * reference_grid_size]]
+    fine = found.get(per_axis[2 * reference_grid_size], coarse)
     c_coarse, c_fine = coarse[0], fine[0]
     c_beta, position, mark = fine if c_fine > c_coarse else coarse
     delta = abs(c_fine - c_coarse) / max(abs(c_fine), 1e-300)

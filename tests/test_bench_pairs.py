@@ -15,30 +15,38 @@ def bench_pairs():
     return module
 
 
-def test_record_keeps_finished_workloads_when_a_run_fails(bench_pairs, monkeypatch,
-                                                          tmp_path):
-    def export(commit, dest):
-        dest.mkdir(parents=True)
-        (dest / "BENCHMARK.json").write_text(json.dumps({
-            "run_seconds": 1,
-            "end_to_end": [{"name": "wall_s", "better": "lower"}]}))
+def fake_export(commit, dest):
+    dest.mkdir(parents=True)
+    (dest / "BENCHMARK.json").write_text(json.dumps({
+        "run_seconds": 1,
+        "end_to_end": [{"name": "wall_s", "better": "lower"}]}))
 
-    def run_bench(checkout, workload, seed, seconds, trace):
-        if workload == "bounds":
-            raise RuntimeError("perfbench exited with status 1")
-        env = {"commit": checkout.name, "src_sha256": checkout.name, "seed": seed,
-               "python": "3"}
-        return ({"correct": True, "failed": 0, "attempted": 1,
-                 "metrics": {"wall_s": {"value": 0.1 * seed, "unit": "s"}}}, env)
 
+def fake_run_bench(checkout, workload, seed, seconds, trace):
+    if workload == "bounds":
+        raise RuntimeError("perfbench exited with status 1")
+    env = {"commit": checkout.name, "src_sha256": checkout.name, "seed": seed,
+           "python": "3"}
+    # the change is faster by 0.01 s per unit of seed
+    value = (0.1 - (0.01 if checkout.name == "change" else 0.0)) * seed
+    return ({"correct": True, "failed": 0, "attempted": 1,
+             "metrics": {"wall_s": {"value": value, "unit": "s"}}}, env)
+
+
+@pytest.fixture
+def faked(bench_pairs, monkeypatch):
     monkeypatch.setattr(bench_pairs, "git", lambda *args: args[-1])
-    monkeypatch.setattr(bench_pairs, "export", export)
-    monkeypatch.setattr(bench_pairs, "run_bench", run_bench)
+    monkeypatch.setattr(bench_pairs, "export", fake_export)
+    monkeypatch.setattr(bench_pairs, "run_bench", fake_run_bench)
+    return bench_pairs
+
+
+def test_record_keeps_finished_workloads_when_a_run_fails(faked, tmp_path):
     out = tmp_path / "BENCH_test.json"
     with pytest.raises(SystemExit) as failure:
-        bench_pairs.main(["--tag", "test", "--parent", "p", "--change", "c",
-                          "--pairs", "series=1-2", "--pairs", "bounds=3",
-                          "--workdir", str(tmp_path), "--out", str(out)])
+        faked.main(["--tag", "test", "--parent", "p", "--change", "c",
+                    "--pairs", "series=1-2", "--pairs", "bounds=3",
+                    "--workdir", str(tmp_path), "--out", str(out)])
     assert failure.value.code not in (0, None)
     message = str(failure.value.code)
     assert "bounds" in message and "seed 3" in message
@@ -49,8 +57,25 @@ def test_record_keeps_finished_workloads_when_a_run_fails(bench_pairs, monkeypat
     series = record["end_to_end"]["series"]
     assert series["seeds"] == [1, 2]
     assert series["metrics"]["wall_s"]["parent_runs"] == [0.1, 0.2]
+    assert series["metrics"]["wall_s"]["change_runs"] == [0.09, 0.18]
+    # the per-seed differences change - parent are -0.01 and -0.02
+    assert series["metrics"]["wall_s"]["paired_difference"] == {
+        "median": -0.015, "q1": -0.0175, "q3": -0.0125}
     assert record["parent"] == {"commit": "p", "src_sha256": "parent"}
     assert record["change_src_sha256"] == "change"
     assert record["env"] == {"python": "3"}
     # the exports are removed
     assert [p.name for p in tmp_path.iterdir()] == [out.name]
+
+
+def test_record_holds_paired_differences_of_traced_metrics(faked, tmp_path):
+    out = tmp_path / "BENCH_test.json"
+    assert faked.main(["--tag", "test", "--parent", "p", "--change", "c",
+                       "--pairs", "series=1", "--traced", "sampling=2-3",
+                       "--trace-metrics", "wall_s",
+                       "--workdir", str(tmp_path), "--out", str(out)]) == 0
+    traced = json.loads(out.read_text())["traced_sampling"]["wall_s"]
+    assert traced["parent"]["runs"] == [0.2, 0.3]
+    assert traced["change"]["runs"] == [0.18, 0.27]
+    assert traced["paired_difference"] == {"median": -0.025, "q1": -0.0275,
+                                           "q3": -0.0225}

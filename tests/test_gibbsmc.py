@@ -13,9 +13,9 @@ from markedgibbs.gibbsmc import (EMPTY_BOUNDARY, BoundaryCondition,
                                  SampleStream, SamplerConfig,
                                  collar_locality_trials,
                                  dlr_check, mcmc_run, poisson_sample,
-                                 read_sample_file, rejection_sample,
-                                 rejection_sample_batch, specification_weight,
-                                 summarize_samples, write_sample_file)
+                                 read_sample_file, rejection_sample_batch,
+                                 specification_weight, summarize_samples,
+                                 write_sample_file)
 from markedgibbs.lpintegrate import philox_rng
 from markedgibbs.model import (Box, FiniteConfiguration, MarkedPoint, canonicalize,
                                restrict)
@@ -94,6 +94,16 @@ def test_collar_locality_randomized():
     assert violations == 0
 
 
+@pytest.mark.parametrize("dimension, region", [
+    (1, Box((0.0,), (0.4,))), (2, Box((0.0, 0.3), (0.4, 0.7)))], ids=["1d", "2d"])
+def test_collar_locality_counts_periodic_images(dimension, region):
+    # regions at the box edge of a periodic box: a boundary point beyond the
+    # clipped collar can still lie in range through the wrap, so it is not far
+    model = build_model("toy-repulsive-spin-rc", z=1.0, range_cut=0.25,
+                        dimension=dimension, boundary="periodic")
+    assert collar_locality_trials(model, region, trials=300, seed=0) == 0
+
+
 def test_rejection_ideal_is_poisson(ideal_model, rng):
     # zero potential accepts every proposal, so the draw is marked Poisson
     draws = rejection_sample_batch(ideal_model, ideal_model.space.box,
@@ -105,7 +115,8 @@ def test_rejection_ideal_is_poisson(ideal_model, rng):
 
 
 def test_rejection_single_and_batch_agree_in_law(toy_model, rng):
-    single = [rejection_sample(toy_model, toy_model.space.box, EMPTY_BOUNDARY, rng)
+    single = [rejection_sample_batch(toy_model, toy_model.space.box, EMPTY_BOUNDARY,
+                                     1, rng)[0]
               for _ in range(4000)]
     batch = rejection_sample_batch(toy_model, toy_model.space.box,
                                    EMPTY_BOUNDARY, 4000, rng)
@@ -158,8 +169,7 @@ def test_rejection_one_point_law(rng):
 def test_rejection_acceptance_floor():
     model = build_model("toy-repulsive-spin", z=30.0)
     with pytest.raises(AcceptanceTooLow):
-        rejection_sample(model, model.space.box, EMPTY_BOUNDARY, philox_rng(1),
-                         acceptance_floor=1e-6)
+        rejection_sample_batch(model, model.space.box, EMPTY_BOUNDARY, 1, philox_rng(1))
 
 
 def test_mcmc_ideal_matches_poisson(ideal_model):
@@ -981,6 +991,75 @@ def test_rejection_batch_matches_construction_loop(seed, case):
     rng_a, rng_b = make_rng(seed), make_rng(seed)
     got = rejection_sample_batch(model, region, boundary, 1500, rng_a)
     want = _rejection_sample_batch_reference(model, region, boundary, 1500, rng_b)
+    assert [[(p.position, p.mark) for p in c] for c in got] == \
+        [[(p.position, p.mark) for p in c] for c in want]
+    # both consumed the same draws
+    assert rng_a.random() == rng_b.random()
+
+
+def _rejection_sample_rows_reference(model, region, exteriors, rng):
+    """rejection_sample_rows building a configuration for every kept proposal:
+    each round every pending row makes ceil(16 / pending rows) proposals
+    under its own exterior alone and keeps its first accepted one."""
+    lo, hi, d = np.asarray(region.lower), np.asarray(region.upper), region.dimension
+    ext_arrays = [(e.positions_array().reshape(-1, d), e.marks_array()) for e in exteriors]
+    b_primes, lams = [], []
+    for bpos, bmarks in ext_arrays:
+        # B' is the K = 1 row of the row-wise inflation
+        b_prime = float(gibbsmc._boundary_inflation(
+            model, region, bpos[None], np.ones((1, bmarks.size), dtype=bool))[0])
+        b_primes.append(b_prime)
+        lams.append(model.z * math.exp(model.beta * b_prime) * model.mass(region))
+    out = [None] * len(exteriors)
+    pending = list(range(len(exteriors)))
+    while pending:
+        per_row = math.ceil(gibbsmc._MIN_BATCH / len(pending))
+        owner = [r for r in pending for _ in range(per_row)]
+        ns = np.array([int(rng.poisson(lams[r])) for r in owner])
+        us = rng.random(len(owner))
+        accepted = [FiniteConfiguration() if n == 0 else None for n in ns]
+        for n in np.unique(ns[ns > 0]).tolist():
+            rows = np.flatnonzero(ns == n)
+            pos = lo + rng.random((rows.size, n, d)) * (hi - lo)
+            marks = model.marks.sample(rng, rows.size * n).reshape(rows.size, n)
+            for g, i in enumerate(rows.tolist()):
+                bpos, bmarks = ext_arrays[owner[i]]
+                weight = gibbsmc.boltzmann_weight_batch(model, pos[g][None], marks[g][None],
+                                                        bpos, bmarks)[0]
+                pts = [MarkedPoint(tuple(pos[g, j]), float(marks[g, j])) for j in range(n)]
+                if (us[i] < weight * math.exp(-model.beta * b_primes[owner[i]] * n)
+                        and len({p.position for p in pts}) == n):
+                    accepted[i] = canonicalize(pts)
+        for i, r in enumerate(owner):
+            if out[r] is None and accepted[i] is not None:
+                out[r] = accepted[i]
+        pending = [r for r in pending if out[r] is None]
+    return out
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+@pytest.mark.parametrize("case", ["toy-rc", "constant-B", "collisions"])
+def test_rejection_rows_match_construction_loop(seed, case):
+    # 40 exteriors of 0 to 4 points, some beyond the range collar; the
+    # constant potential declares B = 0.1, so every row has its own lambda
+    if case == "constant-B":
+        model = build_model("constant", z=1.0, value=0.3, declared_B=0.1)
+    else:
+        model = build_model("toy-repulsive-spin-rc", z=3.0, range_cut=0.2)
+    region = Box((0.25,), (0.75,))
+    rng = philox_rng(seed, 5)
+    exteriors = []
+    for i in range(40):
+        xs = 0.5 * rng.random(i % 5)
+        xs[xs >= 0.25] += 0.5  # outside the region [0.25, 0.75)
+        exteriors.append(canonicalize(
+            MarkedPoint((x,), m)
+            for x, m in zip(xs.tolist(), model.marks.sample(rng, i % 5).tolist())))
+    bpos, bmarks, bmask = _padded_exteriors(exteriors, 1, ((0.0,), 1.0))
+    make_rng = _CoarseRng if case == "collisions" else philox_rng
+    rng_a, rng_b = make_rng(seed), make_rng(seed)
+    got = gibbsmc.rejection_sample_rows(model, region, bpos, bmarks, bmask, rng_a)
+    want = _rejection_sample_rows_reference(model, region, exteriors, rng_b)
     assert [[(p.position, p.mark) for p in c] for c in got] == \
         [[(p.position, p.mark) for p in c] for c in want]
     # both consumed the same draws

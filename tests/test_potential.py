@@ -431,6 +431,30 @@ def test_integrability_evaluates_one_mirror_orthant_per_grid(monkeypatch, cfg, g
         assert report.refinement_delta == 0.0
 
 
+@pytest.mark.parametrize("cfg, grid, per_axis", [
+    (PERIODIC_TOY_2, 16, 16),
+    ({"name": "toy-repulsive-spin", "params": {"dimension": 2, "boundary": "periodic"}},
+     9, 3),
+    ({"name": "planar-rotator", "params": {"boundary": "periodic"}}, 8, 8),
+], ids=["toy-1d-side-2", "toy-2d", "planar-rotator"])
+def test_integrability_evaluates_one_position_on_periodic_boxes(monkeypatch, cfg, grid,
+                                                                per_axis):
+    # the minimum-image metric is translation invariant: one reference
+    # position, the first midpoint of the requested grid, for both grids
+    model = model_from_dict(cfg)
+    calls = []
+    inner = potential._abs_mayer_masses
+    monkeypatch.setattr(potential, "_abs_mayer_masses",
+                        lambda *args: calls.append(args[2]) or inner(*args))
+    report = check_integrability(model.potential, model, grid)
+    sides = np.asarray(model.space.side_lengths)
+    assert len(calls) == 1
+    assert np.allclose(calls[0], sides * 0.5 / per_axis, rtol=1e-15, atol=0.0)
+    assert report.reference_points == c_beta_marks(model)[0].size
+    assert report.argmax_position == tuple(calls[0].tolist())
+    assert report.refinement_delta == 0.0
+
+
 @pytest.mark.parametrize("name", ALL_MODELS)
 def test_radial_is_bitwise_symmetric_at_c_beta_mark_nodes(name):
     # check_integrability evaluates the mark-pair table on s <= t only
