@@ -15,9 +15,12 @@ workload and seed the script runs `perfbench/run.py --trace 0` once per side,
 alternating which side runs first, and records per end-to-end metric each
 side's median and quartiles, the median and quartiles of the per-seed paired
 differences (change - parent), the pairs the change won, their median ratio
-and every run. `--traced` runs `--trace 1` the same way, every seed on both
-sides, and records per `--trace-metrics` value each side's median, quartiles
-and runs, and the paired differences. The record also holds the environment block that perfbench prints.
+and every run. Per perfbench job it records the same for the job medians
+that the `job <workload>/<name>: median ... s` lines print. `--traced` runs
+`--trace 1` the same way, every seed on both sides, and records per
+`--trace-metrics` value each side's median, quartiles and runs, and the
+paired differences. The record also holds the environment block that
+perfbench prints.
 It is written after every finished workload, so a failing run, which stops the
 script with a message naming its side, workload and seed, loses only the
 workload it belongs to.
@@ -28,6 +31,7 @@ import argparse
 import io
 import itertools
 import json
+import re
 import shutil
 import subprocess
 import sys
@@ -40,6 +44,7 @@ import numpy as np
 REPO = Path(__file__).resolve().parents[1]
 SIDES = ("parent", "change")
 ENV_KEYS_PER_SIDE = ("commit", "src_sha256", "seed")
+JOB_LINE = re.compile(r"job [^/\s]+/(\S+): median (\S+) s over ")
 
 
 def seeds_of(spec: str) -> list[int]:
@@ -73,7 +78,8 @@ def export(commit: str, dest: Path) -> None:
 
 def run_bench(checkout: Path, workload: str, seed: int, seconds: float,
               trace: int) -> tuple[dict, dict]:
-    """(result line, env block) of one perfbench run in the checkout."""
+    """(result line, env block) of one perfbench run in the checkout; the
+    result's ``jobs`` maps each job to the median seconds its line prints."""
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
          "--seconds", str(seconds), "--trace", str(trace)],
@@ -82,7 +88,9 @@ def run_bench(checkout: Path, workload: str, seed: int, seconds: float,
     if proc.returncode != 0 or len(lines) < 2:
         raise RuntimeError(f"perfbench exited with status {proc.returncode}:\n"
                            f"{proc.stderr[-2000:]}")
-    return json.loads(lines[-1]), json.loads(lines[-2])["env"]
+    result = json.loads(lines[-1])
+    result["jobs"] = {m[1]: float(m[2]) for m in map(JOB_LINE.match, lines) if m}
+    return result, json.loads(lines[-2])["env"]
 
 
 def paired_runs(checkouts: dict[str, Path], workload: str, seeds: list[int],
@@ -121,6 +129,13 @@ def paired_difference(vals: dict[str, list[float]]) -> dict:
     return quartiles([c - p for p, c in zip(vals["parent"], vals["change"])])
 
 
+def side_summary(vals: dict[str, list[float]]) -> dict:
+    """Each side's median, quartiles and runs, and the paired differences."""
+    return {**{s: {**quartiles(vals[s]), "runs": [round(v, 4) for v in vals[s]]}
+               for s in SIDES},
+            "paired_difference": paired_difference(vals)}
+
+
 def summarize(runs: dict[str, list[dict]], seeds: list[int], first: list[str],
               better: dict[str, str]) -> dict:
     out = {"seeds": seeds, "pairs": len(seeds), "first_in_pair": first,
@@ -141,6 +156,11 @@ def summarize(runs: dict[str, list[dict]], seeds: list[int], first: list[str],
             "change_over_parent_median": round(ratio, 4),
             "parent_runs": [round(v, 4) for v in vals["parent"]],
             "change_runs": [round(v, 4) for v in vals["change"]]}
+    # the jobs every run of both sides timed, in the order perfbench prints them
+    jobs = [name for name in runs["parent"][0].get("jobs", {})
+            if all(name in r.get("jobs", {}) for s in SIDES for r in runs[s])]
+    out["jobs"] = {name: side_summary({s: [r["jobs"][name] for r in runs[s]]
+                                       for s in SIDES}) for name in jobs}
     return out
 
 
@@ -203,11 +223,8 @@ def main(argv=None) -> int:
             traced = {"seeds": seeds, "pairs": len(seeds), "first_in_pair": first,
                       "all_correct": all(r["correct"] for s in SIDES for r in runs[s])}
             for name in args.trace_metrics:
-                vals = {s: [r["metrics"][name]["value"] for r in runs[s]] for s in SIDES}
-                traced[name] = {**{s: {**quartiles(vals[s]),
-                                       "runs": [round(v, 4) for v in vals[s]]}
-                                   for s in SIDES},
-                                "paired_difference": paired_difference(vals)}
+                traced[name] = side_summary(
+                    {s: [r["metrics"][name]["value"] for r in runs[s]] for s in SIDES})
             record[f"traced_{workload}"] = traced
             write_record(out, record)
     finally:

@@ -517,11 +517,9 @@ def convergence_radius(model: ModelSpec, reference_grid_size: int = 48) -> Radiu
                         reference_points=report.reference_points)
 
 
-def tail_bound(model: ModelSpec, from_order: int,
-               c_beta: float | None = None) -> float:
-    """Geometric bound on the series mass discarded from the given order on."""
-    if c_beta is None:
-        c_beta = check_integrability(model.potential, model).c_beta
+def tail_bound(model: ModelSpec, from_order: int, c_beta: float) -> float:
+    """Geometric bound on the series mass discarded from the given order on,
+    for the integrability constant ``c_beta`` of a radius report."""
     if c_beta == 0.0:
         return 0.0
     q = 2.0 * model.z * math.e * c_beta * \
@@ -692,16 +690,14 @@ def averaged_correlation(model: ModelSpec, region: Box, m: int, N: int,
                             term_errors=tuple(e / norm for e in est.term_errors))
 
 
-def correlation_tail_bound(model: ModelSpec, from_order: int,
-                           c_beta: float | None = None) -> float:
-    """Bound on the discarded mass of a 1-point correlation series.
+def correlation_tail_bound(model: ModelSpec, from_order: int, c_beta: float) -> float:
+    """Bound on the discarded mass of a 1-point correlation series, for the
+    integrability constant ``c_beta`` of a radius report.
 
     Combines the tree majorant of the two-argument coefficient with the
     integral tree bound and the tree-count factorial estimate:
     term_n <= e^{2 beta B} * e * (n+1) * (z e C e^{2 beta B})^n.
     """
-    if c_beta is None:
-        c_beta = check_integrability(model.potential, model).c_beta
     if c_beta == 0.0:
         return 0.0
     e2bb = math.exp(2.0 * model.beta * model.potential.stability_B)

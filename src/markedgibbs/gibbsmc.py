@@ -668,11 +668,6 @@ def _energy_of(values: np.ndarray) -> float:
     return float(values.sum())
 
 
-def _without(row: np.ndarray, idx: int) -> np.ndarray:
-    """A pair-value row without entry idx, in order."""
-    return np.concatenate([row[:idx], row[idx + 1:]])
-
-
 def mcmc_run(model: ModelSpec, region: Box, boundary: BoundaryCondition,
              sampler: SamplerConfig, stream: SampleStream | None = None
              ) -> ChainStats:
@@ -690,17 +685,22 @@ def mcmc_run(model: ModelSpec, region: Box, boundary: BoundaryCondition,
     or not. The block size does not depend on the sweeps left, so a chain of
     N sweeps is an exact prefix of a longer chain with the same seed.
 
-    The state is a position and a mark buffer, the n state rows followed by
-    the boundary rows, which double when the state outgrows them, plus a
-    cache of the pair values between the state points and with the boundary.
-    Each state point keeps a fixed cache slot and ``order[:n]`` lists the
-    slots in chain order, so a death moves O(n) entries. A birth, move or
-    mark proposal evaluates the potential once, against all rows; an
-    accepted one stores that row, for both points of each pair (the
-    potential is symmetric). A death's delta and a replace step's old value
-    are sums of cached values. A state that would make the cache outgrow
+    The state is one block of rows in a position and a mark buffer: rows
+    ``:nb`` are the boundary and rows ``nb:nb + n`` the n state points in
+    chain order. The buffers double when the state outgrows them. The pair
+    cache ``table`` is (cap, nb + cap): row i holds state point i's values
+    with every row of the block, 0.0 with itself, which is the row one
+    potential call returns for a proposal. A birth, move or mark proposal
+    evaluates the potential once, against all rows. An accepted birth
+    appends its row; an accepted replace step stores the candidate's row,
+    its entry against the point it replaces zeroed. Each store writes the
+    transpose too (the potential is symmetric). A death moves the last state
+    row into the hole: one row copy, one column copy and a zero on the
+    diagonal. A death's delta and a replace step's old value are sums over
+    ``table[i, :nb + n]``. A state that would make the table outgrow
     ``_CACHE_VALUES`` drops it for the rest of the chain, which then
-    evaluates those sums, in the same order, with one potential call each.
+    evaluates the same row, zeroed the same way, with one potential call, so
+    both paths sum the same values in the same order.
 
     The energy is tracked incrementally from the local energy of each
     accepted proposal. It is recomputed from scratch, without the cache, at
@@ -729,17 +729,12 @@ def mcmc_run(model: ModelSpec, region: Box, boundary: BoundaryCondition,
     bpos = boundary.exterior.positions_array().reshape(-1, d)
     bmarks = boundary.exterior.marks_array()
     nb = bmarks.size
-    # rows :n of pts and mks are the state, rows n:n + nb the boundary
+    # rows :nb of pts and mks are the boundary, rows nb:nb + n the state
     n = 0
     cap = _STATE_CAPACITY
-    pts = _grown(bpos, nb, cap + nb)
-    mks = _grown(bmarks, nb, cap + nb)
-    # cache: state point i keeps slot order[i]; pair[s, t] is the value between
-    # slots s and t and bpair[s] slot s's values with the boundary rows
-    cached = True
-    order = np.empty(0, dtype=np.intp)
-    free: list[int] = []
-    pair, bpair = np.empty((0, 0)), np.empty((0, nb))
+    pts = _grown(bpos, nb, nb + cap)
+    mks = _grown(bmarks, nb, nb + cap)
+    table = np.empty((cap, nb + cap)) if cap * (nb + cap) <= _CACHE_VALUES else None
     attempts = dict.fromkeys(_KINDS, 0)
     accepts = dict.fromkeys(_KINDS, 0)
     counts = []
@@ -756,33 +751,31 @@ def mcmc_run(model: ModelSpec, region: Box, boundary: BoundaryCondition,
                                        np.frombuffer(kept_positions).reshape(-1, d))
         kept_positions, binned, pending = bytearray(), len(counts), 0
 
-    def cross_row(pos: np.ndarray, mark: np.ndarray, others: np.ndarray,
-                  others_mark: np.ndarray) -> np.ndarray:
+    def cross_row(pos: np.ndarray, mark: np.ndarray) -> np.ndarray:
         """Pair values of one point, given as (1, d) and (1,) arrays, with
-        each of the rows ``others``."""
-        if not others_mark.size:
+        every row of the block."""
+        if not nb + n:
             return np.zeros(0)
-        return cross_phi_matrix(model.potential, pos, mark, others, others_mark)[0]
+        return cross_phi_matrix(model.potential, pos, mark, pts[:nb + n], mks[:nb + n])[0]
 
     def held(idx: int) -> np.ndarray:
-        """State point idx's values with the other state rows, then the
-        boundary rows."""
-        if cached:
-            s = order[idx]
-            row = pair[s].take(order[:n])
-            return np.concatenate([row[:idx], row[idx + 1:], bpair[s]])
-        return cross_row(pts[idx:idx + 1], mks[idx:idx + 1],
-                         np.delete(pts[:n + nb], idx, axis=0),
-                         np.delete(mks[:n + nb], idx))
+        """State point idx's values with every row, 0.0 with itself."""
+        if table is not None:
+            return table[idx, :nb + n]
+        row = cross_row(pts[nb + idx:nb + idx + 1], mks[nb + idx:nb + idx + 1])
+        row[nb + idx] = 0.0
+        return row
 
-    def store(s: int, row: np.ndarray) -> None:
-        live = order[:n]
-        pair[s, live] = pair[live, s] = row[:n]
-        bpair[s] = row[n:]
+    def store(idx: int, row: np.ndarray) -> None:
+        """Row idx of the table and its transpose, from state point idx's
+        values with the first row.size rows."""
+        table[idx, :row.size] = row
+        table[:row.size - nb, nb + idx] = row[nb:]
 
     def check_state() -> None:
-        _check_energy(energy, _config_energy_arrays(model, pts[:n], mks[:n])
-                      + _interaction_sum(model, pts[:n], mks[:n], bpos, bmarks))
+        state_pts, state_mks = pts[nb:nb + n], mks[nb:nb + n]
+        _check_energy(energy, _config_energy_arrays(model, state_pts, state_mks)
+                      + _interaction_sum(model, state_pts, state_mks, bpos, bmarks))
 
     # The chain starts empty and rejects every proposal into infinite energy,
     # so the state energy, a death's delta and a replace step's old value
@@ -802,36 +795,26 @@ def mcmc_run(model: ModelSpec, region: Box, boundary: BoundaryCondition,
         if kind == "birth":
             pos = births[j:j + 1]
             # an exact position collision is a null proposal
-            if not (pts[:n] == pos).all(axis=1).any():
-                row = cross_row(pos, new_marks[j:j + 1], pts[:n + nb], mks[:n + nb])
+            if not (pts[nb:nb + n] == pos).all(axis=1).any():
+                row = cross_row(pos, new_marks[j:j + 1])
                 delta = _energy_of(row)
                 ratio = (model.z * mass / (n + 1)) * \
                     (0.0 if math.isinf(delta) else math.exp(-beta * delta))
                 if u_accept < min(1.0, ratio * sampler.p_death / sampler.p_birth):
                     if n == cap:
                         cap *= 2
-                        pts = _grown(pts, n + nb, cap + nb)
-                        mks = _grown(mks, n + nb, cap + nb)
-                    # row n becomes the new point; the boundary rows move up one
-                    pts[n + 1:n + 1 + nb] = pts[n:n + nb]
-                    mks[n + 1:n + 1 + nb] = mks[n:n + nb]
-                    pts[n], mks[n] = pos[0], new_marks[j]
-                    if cached and not free:
-                        slots = max(_STATE_CAPACITY, 2 * n)
-                        if slots * (slots + nb) > _CACHE_VALUES:
-                            cached, pair, bpair = False, None, None
+                        pts = _grown(pts, nb + n, nb + cap)
+                        mks = _grown(mks, nb + n, nb + cap)
+                        if table is not None and cap * (nb + cap) <= _CACHE_VALUES:
+                            grown = np.empty((cap, nb + cap))
+                            grown[:n, :nb + n] = table[:n, :nb + n]
+                            table = grown
                         else:
-                            grown = np.empty((slots, slots))
-                            bgrown = np.empty((slots, nb))
-                            grown[:n, :n], bgrown[:n] = pair, bpair
-                            pair, bpair = grown, bgrown
-                            order = np.concatenate(
-                                [order, np.empty(slots - n, dtype=np.intp)])
-                            free = list(range(slots - 1, n - 1, -1))
-                    if cached:
-                        s = free.pop()
-                        store(s, row)
-                        order[n] = s
+                            table = None
+                    pts[nb + n], mks[nb + n] = pos[0], new_marks[j]
+                    if table is not None:
+                        store(n, row)
+                        table[n, nb + n] = 0.0
                     n += 1
                     energy += delta
                     accepts[kind] += 1
@@ -840,12 +823,13 @@ def mcmc_run(model: ModelSpec, region: Box, boundary: BoundaryCondition,
             delta = float(held(idx).sum())
             ratio = (n / (model.z * mass)) * math.exp(beta * delta)
             if u_accept < min(1.0, ratio * sampler.p_birth / sampler.p_death):
-                pts[idx:n + nb - 1] = pts[idx + 1:n + nb]
-                mks[idx:n + nb - 1] = mks[idx + 1:n + nb]
-                if cached:
-                    free.append(int(order[idx]))
-                    order[idx:n - 1] = order[idx + 1:n]
+                # the last state row moves into the hole
                 n -= 1
+                pts[nb + idx], mks[nb + idx] = pts[nb + n], mks[nb + n]
+                if table is not None:
+                    table[idx, :nb + n] = table[n, :nb + n]
+                    table[:n, nb + idx] = table[:n, nb + n]
+                    table[idx, nb + idx] = 0.0
                 if n == 0:
                     # the last point's local energy is the whole state energy
                     _check_energy(energy, delta)
@@ -853,7 +837,7 @@ def mcmc_run(model: ModelSpec, region: Box, boundary: BoundaryCondition,
                 accepts[kind] += 1
         elif n > 0:
             idx = min(int(u_indices[j] * n), n - 1)
-            new_pos, new_mark = pts[idx:idx + 1], mks[idx:idx + 1]
+            new_pos, new_mark = pts[nb + idx:nb + idx + 1], mks[nb + idx:nb + idx + 1]
             if kind == "move":
                 new_pos = new_pos + offsets[j]
                 if model.space.boundary == "periodic":
@@ -862,28 +846,29 @@ def mcmc_run(model: ModelSpec, region: Box, boundary: BoundaryCondition,
                 new_mark = new_marks[j:j + 1]
             # a move out of the region is a null proposal
             if region.contains_point(new_pos[0].tolist()):
-                # entry idx of the candidate's row pairs it with the point it
-                # replaces; neither energy counts it
-                row = cross_row(new_pos, new_mark, pts[:n + nb], mks[:n + nb])
+                # entry nb + idx of the candidate's row pairs it with the point
+                # it replaces; neither energy counts it
+                row = cross_row(new_pos, new_mark)
+                row[nb + idx] = 0.0
                 old = float(held(idx).sum())
-                new = _energy_of(_without(row, idx))
+                new = _energy_of(row)
                 log_ratio = -math.inf if math.isinf(new) else -beta * (new - old)
                 if math.log(max(u_accept, 1e-300)) < log_ratio:
-                    pts[idx], mks[idx] = new_pos[0], new_mark[0]
-                    if cached:
-                        store(order[idx], row)
+                    pts[nb + idx], mks[nb + idx] = new_pos[0], new_mark[0]
+                    if table is not None:
+                        store(idx, row)
                     energy += new - old
                     accepts[kind] += 1
 
         if sweep >= sampler.burn_in and (sweep - sampler.burn_in) % sampler.thinning == 0:
             counts.append(n)
             energies.append(energy)
-            kept_positions += pts[:n].tobytes()
+            kept_positions += pts[nb:nb + n].tobytes()
             pending += n + n * (n - 1) // 2
             if pending >= _FLUSH_PAIRS:
                 bin_kept()
             if stream is not None:
-                stream.append(pts[:n], mks[:n])
+                stream.append(pts[nb:nb + n], mks[nb:nb + n])
             if len(counts) & (len(counts) - 1) == 0:  # kept states 1, 2, 4, ...
                 check_state()
 
@@ -1012,15 +997,19 @@ def collar_locality_trials(model: ModelSpec, region: Box, trials: int = 1000,
     """Exact locality: perturbing the boundary outside the range collar leaves
     the specification weight bit-identical. Returns the violation count. A
     far point has no image in the unclipped ``region.expand(range_R)``; on a
-    periodic box its shifts by +-side count as images."""
+    periodic box its shifts by +-side count as images. Near points are drawn
+    in the collar: on a free box the expanded region clipped to the box, on a
+    periodic box the unclipped one, each draw wrapped into the box, so that
+    points in range across the wrap are drawn too."""
     rng_r = model.potential.range_R
     if rng_r is None:
         raise RequiresFiniteRange("locality check needs a finite-range potential")
     rng = philox_rng(seed, 23)
     space_box = model.space.box
+    periodic = model.space.boundary == "periodic"
     reach = region.expand(rng_r)
-    collar = reach.clip_to(space_box)
-    wraps = (-1.0, 0.0, 1.0) if model.space.boundary == "periodic" else (0.0,)
+    collar = reach if periodic else reach.clip_to(space_box)
+    wraps = (-1.0, 0.0, 1.0) if periodic else (0.0,)
     axes = list(zip(reach.lower, reach.upper, model.space.side_lengths))
     violations = 0
     for _ in range(trials):
@@ -1029,6 +1018,8 @@ def collar_locality_trials(model: ModelSpec, region: Box, trials: int = 1000,
         for _ in range(int(rng.integers(0, 3))):
             pos = np.asarray(collar.lower) + rng.random(region.dimension) * (
                 np.asarray(collar.upper) - np.asarray(collar.lower))
+            if periodic:
+                pos = np.mod(pos, model.space.side_lengths)
             if not region.contains_point(tuple(pos)):
                 near.append(MarkedPoint(tuple(pos), float(model.marks.sample(rng, 1)[0])))
         far = []

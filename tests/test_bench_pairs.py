@@ -1,5 +1,6 @@
 import importlib.util
 import json
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -22,22 +23,30 @@ def fake_export(commit, dest):
         "end_to_end": [{"name": "wall_s", "better": "lower"}]}))
 
 
-def fake_run_bench(checkout, workload, seed, seconds, trace):
+def fake_perfbench(cmd, cwd, **kwargs):
+    """The stdout of `perfbench/run.py` in the checkout cwd: job lines, then
+    the env block and the result line."""
+    workload, seed = cmd[cmd.index("--workload") + 1], int(cmd[cmd.index("--seed") + 1])
     if workload == "bounds":
-        raise RuntimeError("perfbench exited with status 1")
-    env = {"commit": checkout.name, "src_sha256": checkout.name, "seed": seed,
-           "python": "3"}
-    # the change is faster by 0.01 s per unit of seed
-    value = (0.1 - (0.01 if checkout.name == "change" else 0.0)) * seed
-    return ({"correct": True, "failed": 0, "attempted": 1,
-             "metrics": {"wall_s": {"value": value, "unit": "s"}}}, env)
+        return subprocess.CompletedProcess(cmd, 1, "", "worker failed with status 1")
+    side = Path(cwd).name
+    env = {"commit": side, "src_sha256": side, "seed": seed, "python": "3"}
+    # the change is faster by 0.01 s per unit of seed, all of it in job "slow"
+    value = (0.1 - (0.01 if side == "change" else 0.0)) * seed
+    result = {"correct": True, "failed": 0, "attempted": 1,
+              "metrics": {"wall_s": {"value": value, "unit": "s"}}}
+    lines = [f"job {workload}/slow: median {value - 0.001:.4f} s over 3 passes",
+             f"job {workload}/fast: median 0.0010 s over 3 passes",
+             "ops: attempted 1, failed 0, fail_frac 0.0000",
+             json.dumps({"env": env}), json.dumps(result)]
+    return subprocess.CompletedProcess(cmd, 0, "\n".join(lines) + "\n", "")
 
 
 @pytest.fixture
 def faked(bench_pairs, monkeypatch):
     monkeypatch.setattr(bench_pairs, "git", lambda *args: args[-1])
     monkeypatch.setattr(bench_pairs, "export", fake_export)
-    monkeypatch.setattr(bench_pairs, "run_bench", fake_run_bench)
+    monkeypatch.setattr(bench_pairs.subprocess, "run", fake_perfbench)
     return bench_pairs
 
 
@@ -61,6 +70,14 @@ def test_record_keeps_finished_workloads_when_a_run_fails(faked, tmp_path):
     # the per-seed differences change - parent are -0.01 and -0.02
     assert series["metrics"]["wall_s"]["paired_difference"] == {
         "median": -0.015, "q1": -0.0175, "q3": -0.0125}
+    # the job lines' medians, in the order perfbench prints them
+    jobs = series["jobs"]
+    assert list(jobs) == ["slow", "fast"]
+    assert jobs["slow"]["parent"]["runs"] == [0.099, 0.199]
+    assert jobs["slow"]["change"]["runs"] == [0.089, 0.179]
+    assert jobs["slow"]["paired_difference"] == {"median": -0.015, "q1": -0.0175,
+                                                 "q3": -0.0125}
+    assert jobs["fast"]["paired_difference"] == {"median": 0.0, "q1": 0.0, "q3": 0.0}
     assert record["parent"] == {"commit": "p", "src_sha256": "parent"}
     assert record["change_src_sha256"] == "change"
     assert record["env"] == {"python": "3"}

@@ -104,6 +104,27 @@ def test_collar_locality_counts_periodic_images(dimension, region):
     assert collar_locality_trials(model, region, trials=300, seed=0) == 0
 
 
+def test_collar_locality_draws_near_points_across_the_wrap(monkeypatch):
+    # region [0, 0.4) at the edge of a periodic unit box with range 0.25: the
+    # band [0.75, 1) is in range through the wrap, so near points land there
+    model = build_model("toy-repulsive-spin-rc", z=1.0, range_cut=0.25,
+                        boundary="periodic")
+    region = Box((0.0,), (0.4,))
+    weight = gibbsmc.specification_weight
+    boundaries = []
+
+    def spy(candidate, boundary, *args):
+        boundaries.append(boundary.exterior)
+        return weight(candidate, boundary, *args)
+
+    monkeypatch.setattr(gibbsmc, "specification_weight", spy)
+    assert collar_locality_trials(model, region, trials=100, seed=0) == 0
+    # the first call of each trial is weighed against its near points alone
+    near = [p.position[0] for exterior in boundaries[::2] for p in exterior]
+    assert all(0.4 <= x < 0.65 or 0.75 <= x < 1.0 for x in near)
+    assert any(x >= 0.75 for x in near)
+
+
 def test_rejection_ideal_is_poisson(ideal_model, rng):
     # zero potential accepts every proposal, so the draw is marked Poisson
     draws = rejection_sample_batch(ideal_model, ideal_model.space.box,

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -188,6 +189,22 @@ def test_model_spec_validation(toy_model):
         toy_model.replace(z=-1.0)
     with pytest.raises(ValueError):
         toy_model.replace(beta=0.0)
+
+
+def test_model_spec_rejects_a_potential_on_another_metric(toy_model):
+    # the potential measures distance on its own space; a position space that
+    # measures it differently would mix two metrics in one model
+    for space in (PositionSpace(1, (1.0,), "periodic"), PositionSpace(2, (1.0, 1.0))):
+        with pytest.raises(ValueError, match="measure distance"):
+            toy_model.replace(space=space)
+    periodic = toy_model.replace(space=PositionSpace(1, (1.0,), "periodic"),
+                                 potential=dataclasses.replace(
+                                     toy_model.potential,
+                                     space=PositionSpace(1, (1.0,), "periodic")))
+    with pytest.raises(ValueError, match="measure distance"):
+        periodic.replace(space=PositionSpace(1, (2.0,), "periodic"))
+    # a free metric ignores the sides, so a larger free box keeps the model
+    assert toy_model.replace(space=PositionSpace(1, (1.5,))).mass() == pytest.approx(1.5)
 
 
 def test_union_disjoint_commutes_with_restrict(toy_model, rng):
