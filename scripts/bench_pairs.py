@@ -6,7 +6,8 @@ Example, from the root of the repository:
     python scripts/bench_pairs.py --tag sampling_chain --change-note "..." \\
         --pairs sampling=201-210 --pairs series=301-303 --pairs bounds=401-403 \\
         --traced sampling=501-505 --trace-metrics potential.cross_phi.calls \\
-        gibbsmc.mcmc.proposals_per_s gibbsmc.spill.s
+        gibbsmc.mcmc.proposals_per_s gibbsmc.spill.s \\
+        --cli-configs configs/toy_sample.json configs/verify.json
 
 The committed files of the parent and of the change (default HEAD~1 and HEAD)
 are exported with `git archive` into a scratch directory, so both sides run
@@ -19,8 +20,11 @@ and every run. Per perfbench job it records the same for the job medians
 that the `job <workload>/<name>: median ... s` lines print. `--traced` runs
 `--trace 1` the same way, every seed on both sides, and records per
 `--trace-metrics` value each side's median, quartiles and runs, and the
-paired differences. The record also holds the environment block that
-perfbench prints.
+paired differences. `--cli-configs` times cold `markedgibbs --config` runs
+of each named config, ``CLI_RUNS`` per side, parent and change alternating
+which runs first, each in a fresh directory, and records the same summary of
+their wall seconds plus whether every run of both sides wrote the same
+bytes. The record also holds the environment block that perfbench prints.
 It is written after every finished workload, so a failing run, which stops the
 script with a message naming its side, workload and seed, loses only the
 workload it belongs to.
@@ -28,15 +32,18 @@ workload it belongs to.
 from __future__ import annotations
 
 import argparse
+import hashlib
 import io
 import itertools
 import json
+import os
 import re
 import shutil
 import subprocess
 import sys
 import tarfile
 import tempfile
+import time
 from pathlib import Path
 
 import numpy as np
@@ -45,6 +52,8 @@ REPO = Path(__file__).resolve().parents[1]
 SIDES = ("parent", "change")
 ENV_KEYS_PER_SIDE = ("commit", "src_sha256", "seed")
 JOB_LINE = re.compile(r"job [^/\s]+/(\S+): median (\S+) s over ")
+# cold CLI runs per side and config
+CLI_RUNS = 5
 
 
 def seeds_of(spec: str) -> list[int]:
@@ -117,6 +126,58 @@ def paired_runs(checkouts: dict[str, Path], workload: str, seeds: list[int],
     return runs, first, envs
 
 
+def run_cli(checkout: Path, config: str, rundir: Path) -> tuple[float, dict]:
+    """(wall seconds, sha256 of every file it wrote) of one cold
+    `markedgibbs --config` process of the checkout's config, run in a fresh
+    directory ``rundir`` that holds a copy of the config."""
+    rundir.mkdir(parents=True)
+    shutil.copy(checkout / config, rundir)
+    env = {**os.environ, "PYTHONPATH": str(checkout / "src")}
+    start = time.perf_counter()
+    proc = subprocess.run([sys.executable, "-m", "markedgibbs.cli", "--config",
+                           Path(config).name], cwd=rundir, env=env,
+                          capture_output=True, text=True, timeout=600)
+    wall = time.perf_counter() - start
+    if proc.returncode != 0:
+        raise RuntimeError(f"markedgibbs exited with status {proc.returncode}:\n"
+                           f"{proc.stderr[-2000:]}")
+    outputs = {f.name: hashlib.sha256(f.read_bytes()).hexdigest()
+               for f in sorted(rundir.iterdir()) if f.name != Path(config).name}
+    shutil.rmtree(rundir)
+    return wall, outputs
+
+
+def paired_cli_runs(checkouts: dict[str, Path], config: str, rundir: Path,
+                    orders) -> dict:
+    """``CLI_RUNS`` cold runs of one config per side, the side that runs
+    first taken from the ``orders`` cycle: each side's wall seconds and
+    their paired differences, the pairs the change won and whether every
+    run of both sides wrote the same files with the same bytes."""
+    walls = {s: [] for s in SIDES}
+    outputs = []
+    first = []
+    for i in range(CLI_RUNS):
+        order = next(orders)
+        first.append(order[0])
+        for side in order:
+            try:
+                wall, out = run_cli(checkouts[side], config, rundir / f"{side}-{i}")
+            except (OSError, RuntimeError, subprocess.SubprocessError) as exc:
+                raise SystemExit(f"{side} run {i} of {config} failed: {exc}") from exc
+            walls[side].append(wall)
+            outputs.append(out)
+            print(f"{config} run {i} {side}: done", flush=True)
+    wins = sum(c < p for p, c in zip(walls["parent"], walls["change"]))
+    return {"command": f"python -m markedgibbs.cli --config {Path(config).name} in a "
+                       f"fresh directory holding a copy of {config}, with "
+                       f"PYTHONPATH=<checkout>/src",
+            "runs": CLI_RUNS, "first_in_pair": first,
+            "wall_s": side_summary(walls), "change_better_pairs": wins,
+            "change_over_parent_median": round(
+                float(np.median(walls["change"]) / np.median(walls["parent"])), 4),
+            "outputs_identical": all(out == outputs[0] for out in outputs)}
+
+
 def quartiles(values: list[float]) -> dict:
     q1, median, q3 = np.percentile(values, [25, 50, 75]).tolist()
     return {"median": round(median, 4), "q1": round(q1, 4), "q3": round(q3, 4)}
@@ -175,17 +236,22 @@ def main(argv=None) -> int:
     ap.add_argument("--change-note", default="", help="what the change does")
     ap.add_argument("--parent", default="HEAD~1")
     ap.add_argument("--change", default="HEAD")
-    ap.add_argument("--pairs", type=workload_seeds, action="append", required=True,
+    ap.add_argument("--pairs", type=workload_seeds, action="append", default=[],
                     metavar="WORKLOAD=SEEDS", help="e.g. sampling=201-210 or series=5,11")
     ap.add_argument("--traced", type=workload_seeds, action="append", default=[],
                     metavar="WORKLOAD=SEEDS",
                     help="--trace 1 runs of every seed on both sides")
     ap.add_argument("--trace-metrics", nargs="*", default=[])
+    ap.add_argument("--cli-configs", nargs="*", default=[], metavar="CONFIG",
+                    help="configs, relative to the repository root, whose cold "
+                         f"CLI runs are timed {CLI_RUNS} times per side")
     ap.add_argument("--workdir", type=Path, default=None,
                     help="where the two exports go (default: a temporary directory)")
     ap.add_argument("--out", type=Path, default=None,
                     help="output path (default: BENCH_<tag>.json at the repository root)")
     args = ap.parse_args(argv)
+    if not (args.pairs or args.cli_configs):
+        ap.error("nothing to run: give --pairs or --cli-configs")
 
     commits = {"parent": git("rev-parse", args.parent),
                "change": git("rev-parse", args.change)}
@@ -226,6 +292,10 @@ def main(argv=None) -> int:
                 traced[name] = side_summary(
                     {s: [r["metrics"][name]["value"] for r in runs[s]] for s in SIDES})
             record[f"traced_{workload}"] = traced
+            write_record(out, record)
+        for config in args.cli_configs:
+            record.setdefault("cli", {})[config] = paired_cli_runs(
+                checkouts, config, scratch / "cli", orders)
             write_record(out, record)
     finally:
         shutil.rmtree(scratch, ignore_errors=True)

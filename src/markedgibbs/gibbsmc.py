@@ -9,14 +9,13 @@ from __future__ import annotations
 
 import math
 import re
-from bisect import bisect_right
 from dataclasses import asdict, dataclass
 from typing import Sequence
 
 import numpy as np
 
 from .errors import (AcceptanceTooLow, DuplicatePosition, EnergyDrift,
-                     RegionOutOfBounds, RequiresFiniteRange)
+                     RegionOutOfBounds, RequiresFiniteRange, StabilityViolation)
 from .lpintegrate import philox_rng
 from .model import Box, FiniteConfiguration, MarkedPoint, ModelSpec, canonicalize
 from .potential import (boltzmann_weight_batch, cross_phi_matrix,
@@ -190,6 +189,18 @@ class SampleStream:
 
     def append(self, positions: np.ndarray, marks: np.ndarray) -> None:
         """Add one sample given as (n, d) positions and (n,) marks."""
+        self.extend([marks.shape[0]], positions, marks)
+
+    def extend(self, counts: Sequence[int], positions: np.ndarray,
+               marks: np.ndarray) -> None:
+        """Add samples given as their point counts and flat (rows, d)
+        positions and (rows,) marks: sample i is the ``counts[i]`` rows that
+        follow those of the samples before it. Counts that are negative or do
+        not add up to the rows are a ValueError."""
+        counts = np.asarray(counts, dtype=np.intp)
+        if (counts < 0).any() or int(counts.sum()) != marks.shape[0]:
+            raise ValueError(f"sample counts that sum to {int(counts.sum())} "
+                             f"do not split {marks.shape[0]} rows")
         end = self._rows + marks.shape[0]
         if end > self._marks.size:
             cap = max(end, 2 * self._marks.size)
@@ -197,7 +208,7 @@ class SampleStream:
             self._marks = _grown(self._marks, self._rows, cap)
         self._positions[self._rows:end] = positions
         self._marks[self._rows:end] = marks
-        self._counts.append(end - self._rows)
+        self._counts.extend(counts.tolist())
         self._rows = end
 
     @classmethod
@@ -421,6 +432,11 @@ def _weighed_proposals(model: ModelSpec, region: Box, ns: np.ndarray,
     weight 1 and is always accepted. Returns the accepted mask and, per size
     n > 0, the group's proposal indices with its (k, n, d) positions and
     (k, n) marks.
+
+    A proposal without coinciding points whose weight times exp(-beta B' n)
+    exceeds 1 (by more than 1e-12) witnesses that B' is too small, so the
+    potential breaks its declared stability bound: it is a
+    StabilityViolation, not an acceptance with probability 1.
     """
     lo = np.asarray(region.lower)
     hi = np.asarray(region.upper)
@@ -437,8 +453,17 @@ def _weighed_proposals(model: ModelSpec, region: Box, ns: np.ndarray,
                                          bmask[own])
         iu, ju = upper_pairs(n)
         collision = (pos[:, iu] == pos[:, ju]).all(axis=-1).any(axis=-1)
-        accepted[rows] = ((us[rows] < weights * _exp_of(-model.beta * b_prime[own] * n))
-                          & ~collision)
+        ratio = weights * _exp_of(-model.beta * b_prime[own] * n)
+        broken = np.flatnonzero((ratio > 1.0 + 1e-12) & ~collision)
+        if broken.size:
+            g = int(broken[0])
+            raise StabilityViolation(
+                f"a {n}-point proposal has weight {float(weights[g])!r} above "
+                f"exp(beta B' n) for B' = {float(b_prime[own[g]])!r}: the declared "
+                f"stability bound B = {model.potential.stability_B!r} does not hold",
+                witness=canonicalize(MarkedPoint(tuple(p), m) for p, m in
+                                     zip(pos[g].tolist(), marks[g].tolist())))
+        accepted[rows] = (us[rows] < ratio) & ~collision
         groups.append((rows, pos, marks))
     return accepted, groups
 
@@ -481,7 +506,11 @@ def _rejection_draws(model: ModelSpec, region: Box, bpos: np.ndarray,
     while pending.size:
         owner = np.repeat(pending, np.maximum(-(-_MIN_BATCH // pending.size),
                                               (1.5 * left[pending]).astype(np.intp)))
-        ns = rng.poisson(lam[owner])
+        # one mean for every pending row draws as a scalar: the same draws
+        # without a broadcast over the proposals
+        lam0 = lam[pending[0]]
+        ns = (rng.poisson(lam0, size=owner.size) if (lam[pending] == lam0).all()
+              else rng.poisson(lam[owner]))
         us = rng.random(owner.size)
         accepted, groups = _weighed_proposals(model, region, ns, us, rng, b_prime,
                                               bpos, bmarks, bmask, owner)
@@ -660,12 +689,15 @@ _CACHE_VALUES = 1 << 20
 # sweeps whose randoms mcmc_run draws at once; fixed, not cut to the sweeps
 # left, so a chain of N sweeps is a prefix of a longer one with the same seed
 _DRAW_BLOCK = 256
+# the pair values of a point with an empty block of rows
+_NO_VALUES = np.zeros(0)
+_NO_VALUES.flags.writeable = False
 
 
 def _energy_of(values: np.ndarray) -> float:
     """Sum of pair values, +inf if any is: a pair value is finite or +inf,
-    so the one sum is +inf exactly when a value is."""
-    return float(values.sum())
+    so the one sum is +inf exactly when a value is. No values sum to 0.0."""
+    return float(values.sum()) if values.size else 0.0
 
 
 def mcmc_run(model: ModelSpec, region: Box, boundary: BoundaryCondition,
@@ -685,9 +717,9 @@ def mcmc_run(model: ModelSpec, region: Box, boundary: BoundaryCondition,
     or not. The block size does not depend on the sweeps left, so a chain of
     N sweeps is an exact prefix of a longer chain with the same seed.
 
-    The state is one block of rows in a position and a mark buffer: rows
-    ``:nb`` are the boundary and rows ``nb:nb + n`` the n state points in
-    chain order. The buffers double when the state outgrows them. The pair
+    The state is one block of (d + 1)-wide rows, a position and a mark each:
+    rows ``:nb`` are the boundary and rows ``nb:nb + n`` the n state points
+    in chain order. The block doubles when the state outgrows it. The pair
     cache ``table`` is (cap, nb + cap): row i holds state point i's values
     with every row of the block, 0.0 with itself, which is the row one
     potential call returns for a proposal. A birth, move or mark proposal
@@ -700,7 +732,10 @@ def mcmc_run(model: ModelSpec, region: Box, boundary: BoundaryCondition,
     ``table[i, :nb + n]``. A state that would make the table outgrow
     ``_CACHE_VALUES`` drops it for the rest of the chain, which then
     evaluates the same row, zeroed the same way, with one potential call, so
-    both paths sum the same values in the same order.
+    both paths sum the same values in the same order. A birth onto a state
+    position is a null proposal; the state's positions are kept as a
+    multiset of tuples, so the test is one lookup (tuples compare as numpy
+    does, -0.0 equal to 0.0).
 
     The energy is tracked incrementally from the local energy of each
     accepted proposal. It is recomputed from scratch, without the cache, at
@@ -709,19 +744,23 @@ def mcmc_run(model: ModelSpec, region: Box, boundary: BoundaryCondition,
     cache that lost track of the values the energy added); a gap above
     1e-9 * max(1, |E|) raises EnergyDrift.
 
-    Each kept state is appended to ``stream`` when one is given. The chain
-    also records the kept point counts plus one flat position buffer, and
-    builds the pair histogram from it one group of same-size states at a
-    time, whenever the buffer holds about ``_FLUSH_PAIRS`` points plus pairs
-    and once after the chain, so memory stays bounded on long chains.
+    A kept state is one copy of its rows into a buffer of kept rows, which
+    is flushed whenever it holds about ``_FLUSH_PAIRS`` points plus pairs,
+    once after the chain and before an error leaves it: each flush adds the
+    rows to the pair histogram, one group of same-size states at a time, and
+    to ``stream`` when one is given, so memory stays bounded on long chains
+    and the stream holds every state kept before an EnergyDrift.
     """
     boundary.validate_for(region)
     rng = philox_rng(sampler.seed)
     beta = model.beta
-    mass = model.mass(region)
+    z_mass = model.z * model.mass(region)
+    p_birth, p_death = sampler.p_birth, sampler.p_death
     lo = np.asarray(region.lower)
     hi = np.asarray(region.upper)
+    bounds = list(zip(region.lower, region.upper))
     d = region.dimension
+    periodic = model.space.boundary == "periodic"
     sides = np.asarray(model.space.side_lengths)
     step = sampler.move_step
     if step is None:
@@ -729,33 +768,38 @@ def mcmc_run(model: ModelSpec, region: Box, boundary: BoundaryCondition,
     bpos = boundary.exterior.positions_array().reshape(-1, d)
     bmarks = boundary.exterior.marks_array()
     nb = bmarks.size
-    # rows :nb of pts and mks are the boundary, rows nb:nb + n the state
+    # rows :nb of the block are the boundary, rows nb:nb + n the state
     n = 0
     cap = _STATE_CAPACITY
-    pts = _grown(bpos, nb, nb + cap)
-    mks = _grown(bmarks, nb, nb + cap)
+    block = np.empty((nb + cap, d + 1))
+    block[:nb, :d], block[:nb, d] = bpos, bmarks
+    pts, mks = block[:, :d], block[:, d]
+    taken: dict[tuple, int] = {}  # how many state points sit at each position
     table = np.empty((cap, nb + cap)) if cap * (nb + cap) <= _CACHE_VALUES else None
-    attempts = dict.fromkeys(_KINDS, 0)
-    accepts = dict.fromkeys(_KINDS, 0)
+    attempts = np.zeros(len(_KINDS), dtype=np.intp)
+    accepts = [0] * len(_KINDS)
     counts = []
     energies = []
     pair_bins = _pair_bins(region)
     pair_counts = np.zeros(len(pair_bins) - 1)
-    kept_positions = bytearray()  # rows of the kept states not yet binned
-    binned = 0  # kept states already in pair_counts
-    pending = 0  # points plus pairs in kept_positions
+    kept = bytearray()  # rows of the kept states not yet flushed
+    flushed = 0  # kept states already flushed
+    pending = 0  # points plus pairs in kept
 
-    def bin_kept() -> None:
-        nonlocal pair_counts, kept_positions, binned, pending
-        pair_counts += _pair_histogram(model, pair_bins, np.asarray(counts[binned:]),
-                                       np.frombuffer(kept_positions).reshape(-1, d))
-        kept_positions, binned, pending = bytearray(), len(counts), 0
+    def flush() -> None:
+        nonlocal pair_counts, kept, flushed, pending
+        rows = np.frombuffer(kept).reshape(-1, d + 1)
+        new = counts[flushed:]
+        pair_counts += _pair_histogram(model, pair_bins, np.asarray(new), rows[:, :d])
+        if stream is not None:
+            stream.extend(new, rows[:, :d], rows[:, d])
+        kept, flushed, pending = bytearray(), len(counts), 0
 
     def cross_row(pos: np.ndarray, mark: np.ndarray) -> np.ndarray:
         """Pair values of one point, given as (1, d) and (1,) arrays, with
         every row of the block."""
         if not nb + n:
-            return np.zeros(0)
+            return _NO_VALUES
         return cross_phi_matrix(model.potential, pos, mark, pts[:nb + n], mks[:nb + n])[0]
 
     def held(idx: int) -> np.ndarray:
@@ -772,6 +816,13 @@ def mcmc_run(model: ModelSpec, region: Box, boundary: BoundaryCondition,
         table[idx, :row.size] = row
         table[:row.size - nb, nb + idx] = row[nb:]
 
+    def leave(key: tuple) -> None:
+        """One state point fewer at position key."""
+        if taken[key] == 1:
+            del taken[key]
+        else:
+            taken[key] -= 1
+
     def check_state() -> None:
         state_pts, state_mks = pts[nb:nb + n], mks[nb:nb + n]
         _check_energy(energy, _config_energy_arrays(model, state_pts, state_mks)
@@ -781,105 +832,123 @@ def mcmc_run(model: ModelSpec, region: Box, boundary: BoundaryCondition,
     # so the state energy, a death's delta and a replace step's old value
     # are always finite.
     energy = 0.0
-    thresholds = np.cumsum([sampler.p_birth, sampler.p_death, sampler.p_move]).tolist()
-    for sweep in range(sampler.sweeps):
-        j = sweep % _DRAW_BLOCK
-        if j == 0:
-            u_kinds, u_indices, u_accepts = rng.random((_DRAW_BLOCK, 3)).T.tolist()
+    thresholds = np.cumsum([p_birth, p_death, sampler.p_move])
+    next_keep = sampler.burn_in  # the next sweep whose state is kept
+    next_check = 1  # the next kept state whose energy is recomputed
+    try:
+        for first in range(0, sampler.sweeps, _DRAW_BLOCK):
+            u_kinds, u_indices, u_accepts = rng.random((_DRAW_BLOCK, 3)).T
             births = lo + rng.random((_DRAW_BLOCK, d)) * (hi - lo)
             offsets = (rng.random((_DRAW_BLOCK, d)) - 0.5) * 2.0 * step
             new_marks = model.marks.sample(rng, _DRAW_BLOCK)
-        kind = _KINDS[bisect_right(thresholds, u_kinds[j])]
-        u_accept = u_accepts[j]
-        attempts[kind] += 1
-        if kind == "birth":
-            pos = births[j:j + 1]
-            # an exact position collision is a null proposal
-            if not (pts[nb:nb + n] == pos).all(axis=1).any():
-                row = cross_row(pos, new_marks[j:j + 1])
-                delta = _energy_of(row)
-                ratio = (model.z * mass / (n + 1)) * \
-                    (0.0 if math.isinf(delta) else math.exp(-beta * delta))
-                if u_accept < min(1.0, ratio * sampler.p_death / sampler.p_birth):
-                    if n == cap:
-                        cap *= 2
-                        pts = _grown(pts, nb + n, nb + cap)
-                        mks = _grown(mks, nb + n, nb + cap)
-                        if table is not None and cap * (nb + cap) <= _CACHE_VALUES:
-                            grown = np.empty((cap, nb + cap))
-                            grown[:n, :nb + n] = table[:n, :nb + n]
-                            table = grown
-                        else:
-                            table = None
-                    pts[nb + n], mks[nb + n] = pos[0], new_marks[j]
-                    if table is not None:
-                        store(n, row)
-                        table[n, nb + n] = 0.0
-                    n += 1
-                    energy += delta
-                    accepts[kind] += 1
-        elif kind == "death" and n > 0:
-            idx = min(int(u_indices[j] * n), n - 1)
-            delta = float(held(idx).sum())
-            ratio = (n / (model.z * mass)) * math.exp(beta * delta)
-            if u_accept < min(1.0, ratio * sampler.p_birth / sampler.p_death):
-                # the last state row moves into the hole
-                n -= 1
-                pts[nb + idx], mks[nb + idx] = pts[nb + n], mks[nb + n]
-                if table is not None:
-                    table[idx, :nb + n] = table[n, :nb + n]
-                    table[:n, nb + idx] = table[:n, nb + n]
-                    table[idx, nb + idx] = 0.0
-                if n == 0:
-                    # the last point's local energy is the whole state energy
-                    _check_energy(energy, delta)
-                energy = energy - delta if n else 0.0
-                accepts[kind] += 1
-        elif n > 0:
-            idx = min(int(u_indices[j] * n), n - 1)
-            new_pos, new_mark = pts[nb + idx:nb + idx + 1], mks[nb + idx:nb + idx + 1]
-            if kind == "move":
-                new_pos = new_pos + offsets[j]
-                if model.space.boundary == "periodic":
-                    new_pos = np.mod(new_pos, sides)
-            else:
-                new_mark = new_marks[j:j + 1]
-            # a move out of the region is a null proposal
-            if region.contains_point(new_pos[0].tolist()):
-                # entry nb + idx of the candidate's row pairs it with the point
-                # it replaces; neither energy counts it
-                row = cross_row(new_pos, new_mark)
-                row[nb + idx] = 0.0
-                old = float(held(idx).sum())
-                new = _energy_of(row)
-                log_ratio = -math.inf if math.isinf(new) else -beta * (new - old)
-                if math.log(max(u_accept, 1e-300)) < log_ratio:
-                    pts[nb + idx], mks[nb + idx] = new_pos[0], new_mark[0]
-                    if table is not None:
-                        store(idx, row)
-                    energy += new - old
-                    accepts[kind] += 1
+            # 0 birth, 1 death, 2 move, 3 mark: where each uniform falls among
+            # the thresholds, a value equal to one counting as above it
+            kinds = np.searchsorted(thresholds, u_kinds, side="right")
+            used = min(_DRAW_BLOCK, sampler.sweeps - first)
+            attempts += np.bincount(kinds[:used], minlength=len(_KINDS))
+            kinds, u_indices = kinds.tolist(), u_indices.tolist()
+            u_accepts = u_accepts.tolist()
+            birth_keys = list(map(tuple, births.tolist()))
+            for j, sweep in enumerate(range(first, first + used)):
+                kind = kinds[j]
+                u_accept = u_accepts[j]
+                if kind == 0:
+                    key = birth_keys[j]
+                    # an exact position collision is a null proposal
+                    if key not in taken:
+                        row = cross_row(births[j:j + 1], new_marks[j:j + 1])
+                        delta = _energy_of(row)
+                        ratio = (z_mass / (n + 1)) * \
+                            (0.0 if math.isinf(delta) else math.exp(-beta * delta))
+                        if u_accept < min(1.0, ratio * p_death / p_birth):
+                            if n == cap:
+                                cap *= 2
+                                block = _grown(block, nb + n, nb + cap)
+                                pts, mks = block[:, :d], block[:, d]
+                                if table is not None and cap * (nb + cap) <= _CACHE_VALUES:
+                                    grown = np.empty((cap, nb + cap))
+                                    grown[:n, :nb + n] = table[:n, :nb + n]
+                                    table = grown
+                                else:
+                                    table = None
+                            pts[nb + n], mks[nb + n] = births[j], new_marks[j]
+                            taken[key] = taken.get(key, 0) + 1
+                            if table is not None:
+                                store(n, row)
+                                table[n, nb + n] = 0.0
+                            n += 1
+                            energy += delta
+                            accepts[0] += 1
+                elif kind == 1 and n > 0:
+                    idx = min(int(u_indices[j] * n), n - 1)
+                    delta = float(held(idx).sum())
+                    ratio = (n / z_mass) * math.exp(beta * delta)
+                    if u_accept < min(1.0, ratio * p_birth / p_death):
+                        leave(tuple(pts[nb + idx].tolist()))
+                        # the last state row moves into the hole
+                        n -= 1
+                        block[nb + idx] = block[nb + n]
+                        if table is not None:
+                            table[idx, :nb + n] = table[n, :nb + n]
+                            table[:n, nb + idx] = table[:n, nb + n]
+                            table[idx, nb + idx] = 0.0
+                        if n == 0:
+                            # the last point's local energy is the whole state energy
+                            _check_energy(energy, delta)
+                        energy = energy - delta if n else 0.0
+                        accepts[1] += 1
+                elif kind > 1 and n > 0:
+                    idx = min(int(u_indices[j] * n), n - 1)
+                    new_pos, new_mark = pts[nb + idx:nb + idx + 1], mks[nb + idx:nb + idx + 1]
+                    if kind == 2:
+                        new_pos = new_pos + offsets[j]
+                        if periodic:
+                            new_pos = np.mod(new_pos, sides)
+                    else:
+                        new_mark = new_marks[j:j + 1]
+                    coords = new_pos[0].tolist()
+                    # a move out of the region is a null proposal
+                    if all(l <= x < u for x, (l, u) in zip(coords, bounds)):
+                        # entry nb + idx of the candidate's row pairs it with the
+                        # point it replaces; neither energy counts it
+                        row = cross_row(new_pos, new_mark)
+                        row[nb + idx] = 0.0
+                        old = float(held(idx).sum())
+                        new = _energy_of(row)
+                        log_ratio = -math.inf if math.isinf(new) else -beta * (new - old)
+                        if math.log(max(u_accept, 1e-300)) < log_ratio:
+                            if kind == 2:
+                                leave(tuple(pts[nb + idx].tolist()))
+                                key = tuple(coords)
+                                taken[key] = taken.get(key, 0) + 1
+                            pts[nb + idx], mks[nb + idx] = new_pos[0], new_mark[0]
+                            if table is not None:
+                                store(idx, row)
+                            energy += new - old
+                            accepts[kind] += 1
 
-        if sweep >= sampler.burn_in and (sweep - sampler.burn_in) % sampler.thinning == 0:
-            counts.append(n)
-            energies.append(energy)
-            kept_positions += pts[nb:nb + n].tobytes()
-            pending += n + n * (n - 1) // 2
-            if pending >= _FLUSH_PAIRS:
-                bin_kept()
-            if stream is not None:
-                stream.append(pts[nb:nb + n], mks[nb:nb + n])
-            if len(counts) & (len(counts) - 1) == 0:  # kept states 1, 2, 4, ...
-                check_state()
+                if sweep == next_keep:
+                    next_keep += sampler.thinning
+                    counts.append(n)
+                    energies.append(energy)
+                    if n:
+                        kept += block[nb:nb + n].tobytes()
+                        pending += n * (n + 1) // 2
+                        if pending >= _FLUSH_PAIRS:
+                            flush()
+                    if len(counts) == next_check:  # kept states 1, 2, 4, ...
+                        next_check *= 2
+                        check_state()
 
-    check_state()
-
-    bin_kept()
+        check_state()
+    finally:
+        flush()
     return _chain_stats(model, region, np.asarray(counts, dtype=float),
                         np.asarray(energies, dtype=float), pair_bins, pair_counts,
                         iid=False, sweeps=sampler.sweeps, burn_in=sampler.burn_in,
-                        thinning=sampler.thinning, attempts=attempts,
-                        accepts=accepts)
+                        thinning=sampler.thinning,
+                        attempts=dict(zip(_KINDS, attempts.tolist())),
+                        accepts=dict(zip(_KINDS, accepts)))
 
 
 def summarize_samples(samples: SampleStream | Sequence[FiniteConfiguration],
@@ -1038,36 +1107,54 @@ def collar_locality_trials(model: ModelSpec, region: Box, trials: int = 1000,
     return violations
 
 
-# samples write_sample_file converts to Python values at a time
+# samples write_sample_file formats at a time
 _SPILL_BLOCK = 1024
+
+
+def _texts_of(values: np.ndarray, text) -> np.ndarray:
+    """``text`` of each entry, as an object array, evaluated once per
+    distinct bit pattern (so -0.0 and 0.0 keep their own text)."""
+    distinct, inverse = np.unique(values.view(f"u{values.itemsize}"),
+                                  return_inverse=True)
+    return np.array([text(v) for v in distinct.view(values.dtype).tolist()],
+                    dtype=object)[inverse]
 
 
 def write_sample_file(path, samples: SampleStream | Sequence[FiniteConfiguration],
                       dimension: int):
     """Line-delimited sample spill: count then per-point coordinates and mark,
     each sample's points in canonical order. ``samples`` is a SampleStream or
-    a sequence of configurations, which is written as its stream."""
+    a sequence of configurations, which is written as its stream.
+
+    A block of ``_SPILL_BLOCK`` samples is written with one join, each
+    distinct count and value of the block formatted once (``str`` of the
+    count, ``repr`` of each value)."""
     if not isinstance(samples, SampleStream):
         samples = SampleStream.from_configurations(samples, dimension)
     if samples.dimension != dimension:
         raise ValueError(f"a {samples.dimension}-d stream written as d={dimension}")
     order = samples.canonical_rows()
     width = dimension + 1
-    counts = samples.counts.tolist()
-    offsets = np.concatenate([[0], np.cumsum(counts, dtype=np.intp)]).tolist()
+    counts = samples.counts
+    offsets = np.concatenate([[0], np.cumsum(counts)])
     with open(path, "w") as fh:
         fh.write(f"# markedgibbs-samples v1 d={dimension}\n")
-        # one block of samples at a time, so no list of every value is built
-        for first in range(0, len(counts), _SPILL_BLOCK):
-            last = min(first + _SPILL_BLOCK, len(counts))
+        # one block of samples at a time, so no text of every value is built
+        for first in range(0, counts.size, _SPILL_BLOCK):
+            last = min(first + _SPILL_BLOCK, counts.size)
             rows = order[offsets[first]:offsets[last]]
             values = np.column_stack([samples.positions[rows],
-                                      samples.marks[rows]]).ravel().tolist()
-            start = 0
-            for n in counts[first:last]:
-                end = start + n * width
-                fh.write(" ".join([str(n), *map(repr, values[start:end])]) + "\n")
-                start = end
+                                      samples.marks[rows]]).ravel()
+            sizes = counts[first:last] * width
+            # each line is its count's token, "\n<count>", then one " <value>"
+            # token per value
+            heads = np.cumsum(sizes) - sizes + np.arange(last - first)
+            tokens = np.empty(heads.size + values.size, dtype=object)
+            tokens[heads] = _texts_of(counts[first:last], "\n{}".format)
+            body = np.ones(tokens.size, dtype=bool)
+            body[heads] = False
+            tokens[body] = _texts_of(values, " {!r}".format)
+            fh.write("".join(tokens.tolist())[1:] + "\n")
 
 
 def read_sample_file(path) -> SampleStream:

@@ -96,3 +96,82 @@ def test_record_holds_paired_differences_of_traced_metrics(faked, tmp_path):
     assert traced["change"]["runs"] == [0.18, 0.27]
     assert traced["paired_difference"] == {"median": -0.025, "q1": -0.0275,
                                            "q3": -0.0225}
+
+
+def fake_cli(clock):
+    """A stand-in for `subprocess.run` of `python -m markedgibbs.cli`: it
+    writes the config's report into the run directory and advances
+    ``clock`` by 0.3 s in the parent's checkout and 0.2 s in the change's.
+    The change writes other bytes for configs named ``*_drift.json``."""
+    def run(cmd, cwd, env, **kwargs):
+        assert cmd[1:4] == ["-m", "markedgibbs.cli", "--config"]
+        config = json.loads((Path(cwd) / cmd[4]).read_text())
+        side = Path(env["PYTHONPATH"]).parent.name
+        if config.get("fail") == side:
+            return subprocess.CompletedProcess(cmd, 2, "", "bad config")
+        body = "changed" if side == "change" and cmd[4].endswith("_drift.json") else "same"
+        (Path(cwd) / config["out"]).write_text(body)
+        clock[0] += 0.3 if side == "parent" else 0.2
+        return subprocess.CompletedProcess(cmd, 0, "", "")
+    return run
+
+
+@pytest.fixture
+def faked_cli(bench_pairs, monkeypatch):
+    configs = {"a.json": {"out": "a_report.json"},
+               "b_drift.json": {"out": "b_report.json"},
+               "c.json": {"out": "c_report.json", "fail": "change"}}
+
+    def export(commit, dest):
+        fake_export(commit, dest)
+        (dest / "configs").mkdir()
+        for name, config in configs.items():
+            (dest / "configs" / name).write_text(json.dumps(config))
+    clock = [0.0]
+    monkeypatch.setattr(bench_pairs, "git", lambda *args: args[-1])
+    monkeypatch.setattr(bench_pairs, "export", export)
+    monkeypatch.setattr(bench_pairs.subprocess, "run", fake_cli(clock))
+    monkeypatch.setattr(bench_pairs.time, "perf_counter", lambda: clock[0])
+    return bench_pairs
+
+
+def test_record_holds_interleaved_cold_cli_runs(faked_cli, tmp_path):
+    out = tmp_path / "BENCH_test.json"
+    assert faked_cli.main(["--tag", "test", "--parent", "p", "--change", "c",
+                           "--cli-configs", "configs/a.json", "configs/b_drift.json",
+                           "--workdir", str(tmp_path), "--out", str(out)]) == 0
+    cli = json.loads(out.read_text())["cli"]
+    assert list(cli) == ["configs/a.json", "configs/b_drift.json"]
+    runs = faked_cli.CLI_RUNS
+    a = cli["configs/a.json"]
+    assert a["runs"] == runs
+    # the side that runs first alternates, across configs too
+    assert a["first_in_pair"] == ["parent", "change"] * (runs // 2) + ["parent"] * (runs % 2)
+    assert cli["configs/b_drift.json"]["first_in_pair"][0] == \
+        ("change" if runs % 2 else "parent")
+    assert a["wall_s"]["parent"]["runs"] == [0.3] * runs
+    assert a["wall_s"]["change"]["runs"] == [0.2] * runs
+    assert a["wall_s"]["paired_difference"] == {"median": -0.1, "q1": -0.1, "q3": -0.1}
+    assert a["change_better_pairs"] == runs
+    assert a["change_over_parent_median"] == round(0.2 / 0.3, 4)
+    assert a["outputs_identical"]
+    assert not cli["configs/b_drift.json"]["outputs_identical"]
+    # the exports and run directories are removed
+    assert [p.name for p in tmp_path.iterdir()] == [out.name]
+
+
+def test_failing_cli_run_names_its_side_and_config(faked_cli, tmp_path):
+    out = tmp_path / "BENCH_test.json"
+    with pytest.raises(SystemExit) as failure:
+        faked_cli.main(["--tag", "test", "--parent", "p", "--change", "c",
+                        "--cli-configs", "configs/a.json", "configs/c.json",
+                        "--workdir", str(tmp_path), "--out", str(out)])
+    message = str(failure.value.code)
+    assert message.startswith("change run 0 of configs/c.json failed")
+    assert list(json.loads(out.read_text())["cli"]) == ["configs/a.json"]
+
+
+def test_nothing_to_run_is_a_usage_error(bench_pairs):
+    with pytest.raises(SystemExit) as failure:
+        bench_pairs.main(["--tag", "test"])
+    assert failure.value.code == 2

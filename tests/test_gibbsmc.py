@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import math
 import tracemalloc
@@ -8,7 +9,8 @@ import pytest
 from conftest import random_config
 from markedgibbs import gibbsmc
 from markedgibbs.errors import (AcceptanceTooLow, DuplicatePosition, EnergyDrift,
-                                RegionOutOfBounds, RequiresFiniteRange)
+                                RegionOutOfBounds, RequiresFiniteRange,
+                                StabilityViolation)
 from markedgibbs.gibbsmc import (EMPTY_BOUNDARY, BoundaryCondition,
                                  SampleStream, SamplerConfig,
                                  collar_locality_trials,
@@ -1085,3 +1087,197 @@ def test_rejection_rows_match_construction_loop(seed, case):
         [[(p.position, p.mark) for p in c] for c in want]
     # both consumed the same draws
     assert rng_a.random() == rng_b.random()
+
+
+# Chains pinned bit for bit: sha256 prefixes of the kept counts (int64), the
+# kept energies, the stream's positions and marks and the pair histogram
+# (float64, little-endian), then the attempts and accepts per kind (birth,
+# death, move, mark). "coinciding" draws its uniforms on a grid of eighths
+# and moves by multiples of 1/8, so its points stay on eight positions: moves
+# stack points on one position, and a birth there stays a null proposal
+# until the last of them leaves.
+_PINNED_CHAINS = {
+    "perfbench-toy": (("7767029b0e522fd7", "f3590d98c48c4b03", "6b59bf435d0106c3",
+                       "3797e275f943c983", "2c500e3bf809e9ba"),
+                      (1810, 1823, 1791, 576), (1444, 1441, 1589, 558)),
+    "low-z-toy": (("a78c001328624db0", "07d065e6f1896aa0", "7d4f61b21bbd2f48",
+                   "629c3f9490dbb75f", "5341e6b2646979a7"),
+                  (1841, 1748, 1812, 599), (106, 106, 105, 38)),
+    "toy-rc-boundary": (("e8fdd6748e70643c", "82d25b7749059ffc", "ab04269d3bfc3626",
+                         "21c86adc37325ae1", "ca01e1e169ed640e"),
+                        (1234, 1203, 1179, 384), (761, 760, 1015, 343)),
+    "hard-core-wall": (("3e5bc74973a44897", "aa928f485c335e07", "5ca2687de5e1bfbe",
+                        "98e7c7c825af124b", "904bd4354b64420a"),
+                       (1234, 1203, 1179, 384), (727, 726, 884, 315)),
+    "toy-2d-periodic": (("e0e2b30a25ce9748", "5e511f5fcea21826", "74891120da85c21e",
+                         "dba9dce9a1f3c96c", "cce39a4db59ce6ca"),
+                        (1247, 1174, 1193, 386), (1045, 1025, 1093, 372)),
+    "coinciding": (("0ae5a8a6818cfe42", "b0764b7d878962fa", "78dd41c2a1ad4e72",
+                    "8e44cb5498c9db8b", "c7e7bca946763682"),
+                   (1467, 987, 1546, 0), (758, 756, 969, 0)),
+}
+
+
+def _pinned_chain(case):
+    """(model, region, boundary, sampler) of a pinned chain."""
+    if case in ("toy-rc-boundary", "hard-core-wall"):
+        model, region, boundary = _chain_case(
+            "toy-rc-sub-region" if case == "toy-rc-boundary" else case)
+        return model, region, boundary, SamplerConfig(
+            seed=3, sweeps=4000, burn_in=100, thinning=3 if case == "toy-rc-boundary" else 2)
+    if case == "perfbench-toy":
+        model = build_model("toy-repulsive-spin", z=0.35, side=12.0)
+        sampler = SamplerConfig(seed=5, sweeps=6000, burn_in=1000)
+    elif case == "low-z-toy":
+        model = build_model("toy-repulsive-spin", z=0.05)
+        sampler = SamplerConfig(seed=7, sweeps=6000, burn_in=500)
+    elif case == "coinciding":
+        model = build_model("toy-repulsive-spin", z=3.0)
+        sampler = SamplerConfig(seed=2, sweeps=4000, burn_in=100, move_step=0.5)
+    else:
+        model = build_model("toy-repulsive-spin", z=3.0, side=3.0, dimension=2,
+                            boundary="periodic")
+        sampler = SamplerConfig(seed=3, sweeps=4000, burn_in=100)
+    return model, model.space.box, EMPTY_BOUNDARY, sampler
+
+
+class _CoarseUniforms:
+    """A generator whose uniforms lie on a grid of eighths."""
+
+    def __init__(self, seed):
+        self._rng = philox_rng(seed)
+
+    def random(self, size=None):
+        return np.floor(self._rng.random(size) * 8.0) / 8.0
+
+
+@pytest.mark.parametrize("case", ["perfbench-toy", "low-z-toy", "toy-rc-boundary",
+                                  "hard-core-wall", "toy-2d-periodic", "no-cache",
+                                  "flush-7", "coinciding"])
+def test_chain_stays_bit_identical(case, monkeypatch):
+    # the 2-D periodic chain passes 32 points, so its buffers double twice;
+    # "no-cache" runs it with a cache that is dropped when they first double,
+    # "flush-7" flushes its kept rows every few states: both keep its bits
+    pinned = "toy-2d-periodic" if case in ("no-cache", "flush-7") else case
+    if case == "no-cache":
+        monkeypatch.setattr(gibbsmc, "_CACHE_VALUES", 16 * 16)
+    if case == "flush-7":
+        monkeypatch.setattr(gibbsmc, "_FLUSH_PAIRS", 7)
+    if case == "coinciding":
+        monkeypatch.setattr(gibbsmc, "philox_rng", _CoarseUniforms)
+    energies = []
+    chain_stats = gibbsmc._chain_stats
+
+    def recording(model, region, counts, kept_energies, *args, **kwargs):
+        energies.append(kept_energies)
+        return chain_stats(model, region, counts, kept_energies, *args, **kwargs)
+
+    monkeypatch.setattr(gibbsmc, "_chain_stats", recording)
+    model, region, boundary, sampler = _pinned_chain(pinned)
+    stream = SampleStream(model.space.dimension)
+    chain = mcmc_run(model, region, boundary, sampler, stream=stream)
+    parts = (stream.counts.astype("<i8"), energies[0].astype("<f8"),
+             stream.positions.astype("<f8"), stream.marks.astype("<f8"),
+             np.asarray(chain.pair_histogram_counts, dtype="<f8"))
+    hashes = tuple(hashlib.sha256(p.tobytes()).hexdigest()[:16] for p in parts)
+    assert (hashes, tuple(chain.attempts.values()),
+            tuple(chain.accepts.values())) == _PINNED_CHAINS[pinned]
+    if case == "coinciding":
+        starts = (np.cumsum(stream.counts) - stream.counts).tolist()
+        assert any(len(set(map(tuple, stream.positions[s:s + n].tolist()))) < n
+                   for s, n in zip(starts, stream.counts.tolist()))
+
+
+def _spill_reference(stream, d):
+    """The spill text, one sample's line at a time: its count, then repr of
+    each coordinate and mark of its points in canonical order."""
+    canon = stream.canonical()
+    rows = np.column_stack([canon.positions, canon.marks]).tolist()
+    lines = [f"# markedgibbs-samples v1 d={d}"]
+    start = 0
+    for n in canon.counts.tolist():
+        values = [v for row in rows[start:start + n] for v in row]
+        lines.append(" ".join([str(n), *map(repr, values)]))
+        start += n
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_spill_formats_each_value_by_its_bits(d, tmp_path):
+    # -0.0 and 0.0, subnormals, values where repr switches notation (1e16,
+    # 1e-5) and their neighbours, empty samples, and more samples than one
+    # block; the first coordinate is unique, so no sample has coinciding
+    # positions
+    rng = philox_rng(12)
+    specials = np.array([0.0, -0.0, 5e-324, 1e-310, 2.2250738585072014e-308, 1e16,
+                         np.nextafter(1e16, 0.0), 1e-5, np.nextafter(1e-5, 1.0),
+                         0.1, 1.0, -3.5, 123456789.125])
+    counts = rng.integers(0, 5, size=2 * gibbsmc._SPILL_BLOCK + 37)
+    counts[:40] = 0
+    rows = int(counts.sum())
+    positions = np.empty((rows, d))
+    positions[:, 0] = rng.permutation(rows) / 7.0 - 40.0
+    positions[rng.random(rows) < 0.1, 0] = -0.0
+    positions[:, 1:] = rng.choice(specials, size=(rows, d - 1))
+    marks = rng.choice(specials, size=rows)
+    # only one -0.0 per sample in the first coordinate: every zero but the
+    # first of each sample becomes a unique value again
+    starts = np.cumsum(counts) - counts
+    for s, n in zip(starts.tolist(), counts.tolist()):
+        zeros = np.flatnonzero(positions[s:s + n, 0] == 0.0)
+        positions[s + zeros[1:], 0] = 1e6 + s + zeros[1:]
+    stream = SampleStream.from_arrays(counts, positions, marks)
+    path = tmp_path / "spill.txt"
+    write_sample_file(path, stream, d)
+    assert path.read_text() == _spill_reference(stream, d)
+    text = path.read_text()
+    assert " -0.0" in text and " 0.0" in text and " 5e-324" in text
+    assert " 1e+16" in text and " 1e-05" in text
+    back = read_sample_file(path)
+    canon = stream.canonical()
+    np.testing.assert_array_equal(back.counts, canon.counts)
+    assert back.positions.tobytes() == canon.positions.tobytes()
+    assert back.marks.tobytes() == canon.marks.tobytes()
+
+
+def test_sample_stream_extend_adds_samples_in_order(rng):
+    # one extend of 40 rows (past the initial 16) equals appending its
+    # samples one at a time; counts that do not split the rows are refused
+    counts = [3, 0, 7, 1, 0, 12, 9, 8]
+    positions, marks = rng.random((40, 2)), rng.choice([1.0, -1.0], 40)
+    extended = SampleStream(2)
+    extended.extend(counts, positions, marks)
+    appended = SampleStream(2)
+    for s, n in zip((np.cumsum(counts) - counts).tolist(), counts):
+        appended.append(positions[s:s + n], marks[s:s + n])
+    assert extended == appended
+    np.testing.assert_array_equal(extended.counts, counts)
+    for bad in ([39], [41], [-1, 41]):
+        with pytest.raises(ValueError):
+            extended.extend(bad, positions, marks)
+    assert extended == appended
+
+
+def test_rejection_sampler_fails_closed_on_an_unstable_potential():
+    # the constant potential -1.0 under its declared B = 0 gives a 2-point
+    # proposal the weight e > exp(beta B' n) = 1: that proposal witnesses
+    # the false bound, instead of counting as accepted with probability 1
+    model = build_model("constant", value=-1.0, z=0.5)
+    box = model.space.box
+    with pytest.raises(StabilityViolation) as err:
+        rejection_sample_batch(model, box, EMPTY_BOUNDARY, 2000, philox_rng(1))
+    witness = err.value.witness
+    assert len(witness) >= 2
+    assert specification_weight(witness, EMPTY_BOUNDARY, model, box) > 1.0
+    rows = np.zeros((50, 0, 1)), np.zeros((50, 0)), np.zeros((50, 0), dtype=bool)
+    with pytest.raises(StabilityViolation):
+        gibbsmc.rejection_sample_rows(model, box, *rows, philox_rng(2))
+
+
+@pytest.mark.parametrize("lam", [0.3, 4.0, 25.0])
+def test_one_poisson_mean_draws_as_its_broadcast(lam):
+    # the rejection rounds draw one scalar mean for every proposal when all
+    # pending rows share it, which takes the draws of the per-proposal array
+    # (25 takes numpy's other Poisson algorithm)
+    np.testing.assert_array_equal(philox_rng(3).poisson(lam, size=500),
+                                  philox_rng(3).poisson(np.full(500, lam)))
