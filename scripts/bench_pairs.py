@@ -21,10 +21,10 @@ that the `job <workload>/<name>: median ... s` lines print. `--traced` runs
 `--trace 1` the same way, every seed on both sides, and records per
 `--trace-metrics` value each side's median, quartiles and runs, and the
 paired differences. `--cli-configs` times cold `markedgibbs --config` runs
-of each named config, ``CLI_RUNS`` per side, parent and change alternating
-which runs first, each in a fresh directory, and records the same summary of
-their wall seconds plus whether every run of both sides wrote the same
-bytes. The record also holds the environment block that perfbench prints.
+of each named config, ``CLI_RUNS`` per side after one untimed run per side,
+parent and change alternating which runs first, each in a fresh directory,
+and records the same summary of their wall seconds plus whether every run
+of both sides wrote the same bytes. The record also holds the environment block that perfbench prints.
 It is written after every finished workload, so a failing run, which stops the
 script with a message naming its side, workload and seed, loses only the
 workload it belongs to.
@@ -150,23 +150,28 @@ def run_cli(checkout: Path, config: str, rundir: Path) -> tuple[float, dict]:
 def paired_cli_runs(checkouts: dict[str, Path], config: str, rundir: Path,
                     orders) -> dict:
     """``CLI_RUNS`` cold runs of one config per side, the side that runs
-    first taken from the ``orders`` cycle: each side's wall seconds and
-    their paired differences, the pairs the change won and whether every
-    run of both sides wrote the same files with the same bytes."""
+    first taken from the ``orders`` cycle, after one untimed run per side
+    (the first run of an export also writes its bytecode caches): each
+    side's wall seconds and their paired differences, the pairs the change
+    won and whether every run of both sides wrote the same files with the
+    same bytes."""
     walls = {s: [] for s in SIDES}
     outputs = []
     first = []
-    for i in range(CLI_RUNS):
-        order = next(orders)
-        first.append(order[0])
+    runs = [(-1, SIDES)] + [(i, next(orders)) for i in range(CLI_RUNS)]
+    for i, order in runs:
+        if i >= 0:
+            first.append(order[0])
         for side in order:
+            name = f"run {i}" if i >= 0 else "untimed run"
             try:
-                wall, out = run_cli(checkouts[side], config, rundir / f"{side}-{i}")
+                wall, out = run_cli(checkouts[side], config, rundir / f"{side}{i}")
             except (OSError, RuntimeError, subprocess.SubprocessError) as exc:
-                raise SystemExit(f"{side} run {i} of {config} failed: {exc}") from exc
-            walls[side].append(wall)
+                raise SystemExit(f"{side} {name} of {config} failed: {exc}") from exc
             outputs.append(out)
-            print(f"{config} run {i} {side}: done", flush=True)
+            if i >= 0:
+                walls[side].append(wall)
+            print(f"{config} {name} {side}: done", flush=True)
     wins = sum(c < p for p, c in zip(walls["parent"], walls["change"]))
     return {"command": f"python -m markedgibbs.cli --config {Path(config).name} in a "
                        f"fresh directory holding a copy of {config}, with "

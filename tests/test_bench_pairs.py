@@ -167,7 +167,7 @@ def test_failing_cli_run_names_its_side_and_config(faked_cli, tmp_path):
                         "--cli-configs", "configs/a.json", "configs/c.json",
                         "--workdir", str(tmp_path), "--out", str(out)])
     message = str(failure.value.code)
-    assert message.startswith("change run 0 of configs/c.json failed")
+    assert message.startswith("change untimed run of configs/c.json failed")
     assert list(json.loads(out.read_text())["cli"]) == ["configs/a.json"]
 
 

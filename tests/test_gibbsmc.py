@@ -1141,16 +1141,6 @@ def _pinned_chain(case):
     return model, model.space.box, EMPTY_BOUNDARY, sampler
 
 
-class _CoarseUniforms:
-    """A generator whose uniforms lie on a grid of eighths."""
-
-    def __init__(self, seed):
-        self._rng = philox_rng(seed)
-
-    def random(self, size=None):
-        return np.floor(self._rng.random(size) * 8.0) / 8.0
-
-
 @pytest.mark.parametrize("case", ["perfbench-toy", "low-z-toy", "toy-rc-boundary",
                                   "hard-core-wall", "toy-2d-periodic", "no-cache",
                                   "flush-7", "coinciding"])
@@ -1164,7 +1154,7 @@ def test_chain_stays_bit_identical(case, monkeypatch):
     if case == "flush-7":
         monkeypatch.setattr(gibbsmc, "_FLUSH_PAIRS", 7)
     if case == "coinciding":
-        monkeypatch.setattr(gibbsmc, "philox_rng", _CoarseUniforms)
+        monkeypatch.setattr(gibbsmc, "philox_rng", _CoarseRng)
     energies = []
     chain_stats = gibbsmc._chain_stats
 
