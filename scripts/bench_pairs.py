@@ -23,8 +23,10 @@ that the `job <workload>/<name>: median ... s` lines print. `--traced` runs
 paired differences. `--cli-configs` times cold `markedgibbs --config` runs
 of each named config, ``CLI_RUNS`` per side after one untimed run per side,
 parent and change alternating which runs first, each in a fresh directory,
-and records the same summary of their wall seconds plus whether every run
-of both sides wrote the same bytes. The record also holds the environment block that perfbench prints.
+and records the same summary of their wall seconds, whether each side's
+runs all wrote the same bytes, and the names of the files that the two
+sides wrote differently. The record also holds the environment block that
+perfbench prints.
 It is written after every finished workload, so a failing run, which stops the
 script with a message naming its side, workload and seed, loses only the
 workload it belongs to.
@@ -147,16 +149,25 @@ def run_cli(checkout: Path, config: str, rundir: Path) -> tuple[float, dict]:
     return wall, outputs
 
 
+def differing_files(parent: list[dict], change: list[dict]) -> list[str]:
+    """The names of the files whose digests, over all runs of a side, are not
+    the same set on both sides; a file that one side did not write has the
+    digest None in that run."""
+    names = {name for out in parent + change for name in out}
+    return sorted(name for name in names
+                  if {out.get(name) for out in parent} != {out.get(name) for out in change})
+
+
 def paired_cli_runs(checkouts: dict[str, Path], config: str, rundir: Path,
                     orders) -> dict:
     """``CLI_RUNS`` cold runs of one config per side, the side that runs
     first taken from the ``orders`` cycle, after one untimed run per side
     (the first run of an export also writes its bytecode caches): each
     side's wall seconds and their paired differences, the pairs the change
-    won and whether every run of both sides wrote the same files with the
-    same bytes."""
+    won, whether each side's runs all wrote the same files with the same
+    bytes, and the files that differ between the sides."""
     walls = {s: [] for s in SIDES}
-    outputs = []
+    outputs = {s: [] for s in SIDES}
     first = []
     runs = [(-1, SIDES)] + [(i, next(orders)) for i in range(CLI_RUNS)]
     for i, order in runs:
@@ -168,7 +179,7 @@ def paired_cli_runs(checkouts: dict[str, Path], config: str, rundir: Path,
                 wall, out = run_cli(checkouts[side], config, rundir / f"{side}{i}")
             except (OSError, RuntimeError, subprocess.SubprocessError) as exc:
                 raise SystemExit(f"{side} {name} of {config} failed: {exc}") from exc
-            outputs.append(out)
+            outputs[side].append(out)
             if i >= 0:
                 walls[side].append(wall)
             print(f"{config} {name} {side}: done", flush=True)
@@ -180,7 +191,9 @@ def paired_cli_runs(checkouts: dict[str, Path], config: str, rundir: Path,
             "wall_s": side_summary(walls), "change_better_pairs": wins,
             "change_over_parent_median": round(
                 float(np.median(walls["change"]) / np.median(walls["parent"])), 4),
-            "outputs_identical": all(out == outputs[0] for out in outputs)}
+            "repeats_identical": {s: all(out == outputs[s][0] for out in outputs[s])
+                                  for s in SIDES},
+            "files_differing": differing_files(outputs["parent"], outputs["change"])}
 
 
 def quartiles(values: list[float]) -> dict:

@@ -31,7 +31,7 @@ def main():
     scheme = QuadratureScheme.tensor((48, 24, 12, 8), seed=args.seed)
     expansion = averaged_correlation(model, region, m=1, N=args.order,
                                      scheme=scheme)
-    c_beta = check_integrability(model.potential, model, 24).c_beta
+    c_beta = check_integrability(model, 24).c_beta
     budget = expansion.error + correlation_tail_bound(model, args.order + 1,
                                                       c_beta)
 

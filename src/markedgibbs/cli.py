@@ -3,7 +3,7 @@
 One JSON configuration file per run plus flag overrides; reports are
 machine-readable JSON (optionally with a CSV table) carrying full provenance.
 Reports contain no timestamps, so identical configurations produce
-byte-identical bodies regardless of the worker-count flag.
+byte-identical bodies.
 """
 from __future__ import annotations
 
@@ -62,6 +62,10 @@ class RunConfig:
 CONFIG_KEYS = ("command", "model", "region", "order", "scheme", "seed", "out",
                "format", "points", "sampler", "sample_file", "reference_grid_size")
 SCHEME_KEYS = tuple(f.name for f in fields(QuadratureScheme))
+# the scheme keys that each kind reads
+KIND_SCHEME_KEYS = {"tensor_grid": ("kind", "points_per_axis", "mc_fallback_samples",
+                                    "mark_nodes", "seed"),
+                    "monte_carlo": ("kind", "samples", "mark_nodes", "seed")}
 SAMPLER_KEYS = tuple(f.name for f in fields(SamplerConfig))
 
 
@@ -125,12 +129,15 @@ def load_config(path: str | None, overrides: dict) -> RunConfig:
 
 
 def _build_scheme(cfg: dict, seed: int) -> QuadratureScheme:
-    """The default series scheme with the config's entries in place of its own."""
+    """The default series scheme with the config's entries in place of its own.
+    A key that the scheme's kind does not read is a ConfigError."""
     plan = default_series_scheme(_integer("seed", cfg.get("seed", seed)))
-    common = {"seed": plan.seed, "mark_rule": cfg.get("mark_rule", plan.mark_rule),
+    common = {"seed": plan.seed,
               "mark_nodes": _integer("mark_nodes",
                                      cfg.get("mark_nodes", plan.mark_nodes))}
     kind = cfg.get("kind", plan.kind)
+    if kind in KIND_SCHEME_KEYS:
+        check_keys(f"{kind} scheme", cfg, KIND_SCHEME_KEYS[kind])
     if kind == "monte_carlo":
         return QuadratureScheme.monte_carlo(
             _integer("samples", cfg.get("samples", plan.mc_fallback_samples)), **common)
@@ -329,8 +336,6 @@ def main(argv=None) -> int:
     parser.add_argument("--command", choices=COMMANDS,
                         help="override the command from the config")
     parser.add_argument("--seed", type=int, help="override the seed")
-    parser.add_argument("--workers", type=int, default=1,
-                        help="accepted but not used yet; runs are single-process")
     parser.add_argument("--out", help="report output path")
     parser.add_argument("--format", choices=("report", "csv"),
                         help="emit a CSV table next to the report")

@@ -49,8 +49,8 @@ from .lpintegrate import (BatchIntegrand, IntegralEstimate, QuadratureScheme,
 from .model import Box, FiniteConfiguration, MarkedPoint, ModelSpec
 from .potential import (boltzmann_factor_batch, boltzmann_weight_batch,
                         check_integrability, mayer_factor, mayer_factor_batch,
-                        pair_index, pair_phi_matrix, square_pair_table,
-                        upper_pairs)
+                        pair_index, pair_phi_matrix, pair_value,
+                        square_pair_table, upper_pairs)
 
 URSELL_SIZE_CAP = 16
 TREE_ZETA_CAP = 8
@@ -148,7 +148,7 @@ def _pair_tables(model: ModelSpec, positions: np.ndarray, marks: np.ndarray
                  ) -> np.ndarray:
     """Pair Boltzmann factors of each row, one per pair i < j: (K, M(M-1)/2)
     in ``upper_pairs(M)`` order; ``pair_index(M)`` gives pair (i, j)'s column."""
-    return boltzmann_factor_batch(pair_phi_matrix(model.potential, positions, marks),
+    return boltzmann_factor_batch(pair_phi_matrix(model, positions, marks),
                                   model.beta)
 
 
@@ -261,7 +261,7 @@ def ursell_direct(omega: FiniteConfiguration, model: ModelSpec) -> float:
     f = {}
     for i in range(n):
         for j in range(i + 1, n):
-            f[(i, j)] = mayer_factor(model.potential.evaluate(pts[i], pts[j]),
+            f[(i, j)] = mayer_factor(pair_value(model, pts[i], pts[j]),
                                      model.beta)
     return math.fsum(math.prod(f[e] for e in edges)
                      for edges in enumerate_connected_graphs(n))
@@ -301,13 +301,12 @@ def kbar_recursive(omega: FiniteConfiguration, zeta: FiniteConfiguration,
     m = len(omega.points)
     total = len(points)
     beta = model.beta
-    pot = model.potential
     bolt = np.zeros((total, total))
     mayer = np.zeros((total, total))
     for i in range(total):
         for j in range(total):
             if i != j:
-                v = pot.evaluate(points[i], points[j])
+                v = pair_value(model, points[i], points[j])
                 mayer[i, j] = mayer_factor(v, beta)
                 bolt[i, j] = 1.0 + mayer[i, j]
 
@@ -386,7 +385,7 @@ def _abs_mayer_matrix(model: ModelSpec, points: Sequence[MarkedPoint]) -> np.nda
     zero diagonal, the Laplacian's weights."""
     pos = np.asarray([p.position for p in points], dtype=float)[None, :, :]
     mks = np.asarray([p.mark for p in points], dtype=float)[None, :]
-    pairs = np.abs(mayer_factor_batch(pair_phi_matrix(model.potential, pos, mks),
+    pairs = np.abs(mayer_factor_batch(pair_phi_matrix(model, pos, mks),
                                       model.beta))
     return square_pair_table(pairs, len(points), 0.0)[0]
 
@@ -499,7 +498,7 @@ def convergence_radius(model: ModelSpec, reference_grid_size: int = 48) -> Radiu
     an estimate of the essential supremum rather than a rigorous upper bound,
     so z_star and within_radius are estimates too.
     """
-    report = check_integrability(model.potential, model, reference_grid_size)
+    report = check_integrability(model, reference_grid_size)
     if not report.finite:
         raise InfiniteCBeta("integrability constant is not finite")
     c = report.c_beta

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 import re
+from array import array
 from dataclasses import asdict, dataclass
 from typing import Sequence
 
@@ -142,8 +143,9 @@ class SampleStream:
 
     Sample i is the ``counts[i]`` rows of ``positions`` (rows, d) and
     ``marks`` (rows,) that follow those of the samples before it, in the
-    order they were appended. The buffers grow by doubling; the array
-    properties are read-only views of the filled part.
+    order they were appended. The stream keeps each sample's first row, so
+    indexing a sample costs the same wherever it lies. The buffers grow by
+    doubling; the array properties are read-only views of the filled part.
 
     Read as a sequence, the stream holds canonical configurations: ``len``,
     iteration and indexing build them, sample by sample, only where a caller
@@ -153,31 +155,34 @@ class SampleStream:
 
     def __init__(self, dimension: int):
         self.dimension = dimension
-        self._counts: list[int] = []
+        # each sample's first row, then the row count, as int64 items: a list
+        # would hold one Python int object per offset above 256
+        self._offsets = array("q", [0])
         self._positions = np.empty((16, dimension))
         self._marks = np.empty(16)
-        self._rows = 0
+
+    @property
+    def _rows(self) -> int:
+        return self._offsets[-1]
 
     def __len__(self) -> int:
-        return len(self._counts)
+        return len(self._offsets) - 1
 
     def __iter__(self):
         order = self.canonical_rows()
-        start = 0
-        for n in self._counts:
+        for start, stop in zip(self._offsets, self._offsets[1:]):
             # one sample's rows at a time, so no list of every row is built
-            yield FiniteConfiguration(self._points(order[start:start + n]))
-            start += n
+            yield FiniteConfiguration(self._points(order[start:stop]))
 
     def __getitem__(self, i: int) -> FiniteConfiguration:
         i = range(len(self))[i]
-        start = sum(self._counts[:i])
-        return canonicalize(self._points(np.arange(start, start + self._counts[i])))
+        rows = np.arange(self._offsets[i], self._offsets[i + 1])
+        return canonicalize(self._points(rows))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, SampleStream):
             return NotImplemented
-        return (self.dimension == other.dimension and self._counts == other._counts
+        return (self.dimension == other.dimension and self._offsets == other._offsets
                 and np.array_equal(self.positions, other.positions)
                 and np.array_equal(self.marks, other.marks))
 
@@ -208,8 +213,7 @@ class SampleStream:
             self._marks = _grown(self._marks, self._rows, cap)
         self._positions[self._rows:end] = positions
         self._marks[self._rows:end] = marks
-        self._counts.extend(counts.tolist())
-        self._rows = end
+        self._offsets.frombytes((self._rows + counts.cumsum(dtype=np.int64)).tobytes())
 
     @classmethod
     def from_arrays(cls, counts: Sequence[int], positions: np.ndarray,
@@ -217,10 +221,9 @@ class SampleStream:
         """The stream of flat (rows, d) positions and (rows,) marks, sample i
         being the ``counts[i]`` rows after those of the samples before it."""
         stream = cls(positions.shape[1])
-        stream._counts = np.asarray(counts, dtype=np.intp).tolist()
         stream._positions = positions
         stream._marks = marks
-        stream._rows = marks.shape[0]
+        stream._offsets.frombytes(np.cumsum(counts, dtype=np.int64).tobytes())
         return stream
 
     @classmethod
@@ -236,7 +239,7 @@ class SampleStream:
 
     @property
     def counts(self) -> np.ndarray:
-        return np.asarray(self._counts, dtype=np.intp)
+        return np.diff(np.array(self._offsets, dtype=np.intp))
 
     @property
     def positions(self) -> np.ndarray:
@@ -270,7 +273,7 @@ class SampleStream:
     def canonical(self) -> "SampleStream":
         """The stream with every sample's rows in canonical order, one gather."""
         order = self.canonical_rows()
-        return SampleStream.from_arrays(self._counts, self._positions[order],
+        return SampleStream.from_arrays(self.counts, self._positions[order],
                                         self._marks[order])
 
     def configurations(self) -> list[FiniteConfiguration]:
@@ -294,7 +297,7 @@ def _pair_energy_batch(model: ModelSpec, positions: np.ndarray,
     k, n = marks.shape
     if n < 2:
         return np.zeros(k)
-    vals = pair_phi_matrix(model.potential, positions, marks)
+    vals = pair_phi_matrix(model, positions, marks)
     return np.where(np.isinf(vals).any(axis=1), math.inf, vals.sum(axis=1))
 
 
@@ -314,7 +317,7 @@ def _config_energy_arrays(model: ModelSpec, positions: np.ndarray,
     total = 0.0
     for a in range(0, n - 1, rows):
         b = min(a + rows, n - 1)
-        vals = cross_phi_matrix(model.potential, positions[a:b], marks[a:b],
+        vals = cross_phi_matrix(model, positions[a:b], marks[a:b],
                                 positions[a + 1:], marks[a + 1:])
         vals = vals[np.arange(a, b)[:, None] < np.arange(a + 1, n)]
         if np.isinf(vals).any():
@@ -327,7 +330,7 @@ def _interaction_sum(model: ModelSpec, positions: np.ndarray, marks: np.ndarray,
                      bpos: np.ndarray, bmarks: np.ndarray) -> float:
     if positions.shape[0] == 0 or bpos.shape[0] == 0:
         return 0.0
-    cross = cross_phi_matrix(model.potential, positions[None], marks[None],
+    cross = cross_phi_matrix(model, positions[None], marks[None],
                              bpos, bmarks)[0]
     if np.any(np.isinf(cross)):
         return math.inf
@@ -800,7 +803,7 @@ def mcmc_run(model: ModelSpec, region: Box, boundary: BoundaryCondition,
         every row of the block."""
         if not nb + n:
             return _NO_VALUES
-        return cross_phi_matrix(model.potential, pos, mark, pts[:nb + n], mks[:nb + n])[0]
+        return cross_phi_matrix(model, pos, mark, pts[:nb + n], mks[:nb + n])[0]
 
     def held(idx: int) -> np.ndarray:
         """State point idx's values with every row, 0.0 with itself."""

@@ -7,8 +7,8 @@ integral over region x marks. Tensor midpoint grids serve low total dimension
 enumerates each symmetric block of slots (a run of slots sharing one
 ``SlotDomain`` object) once, as multisets of single-slot nodes with
 multinomial weights, so an integrand must be symmetric within each such run.
-All reductions run in a fixed chunked order so results are bit-reproducible
-and worker-count independent; the PRNG is counter-based (Philox).
+All reductions run in a fixed chunked order so results are bit-reproducible;
+the PRNG is counter-based (Philox).
 """
 from __future__ import annotations
 
@@ -25,9 +25,6 @@ from .model import Box, FiniteConfiguration, MarkedPoint, ModelSpec
 TENSOR_DIMENSION_CAP = 6
 TENSOR_NODE_BUDGET = 1 << 23
 _CHUNK = 1 << 18
-# the mark kind that each explicit mark rule needs
-MARK_RULE_KINDS = {"exact_discrete": "discrete", "trapezoid": "circle",
-                   "gauss": "interval"}
 
 
 def philox_rng(seed: int, *stream: int) -> np.random.Generator:
@@ -40,17 +37,14 @@ class QuadratureScheme:
     """Node plan for the n-fold position-mark integrals.
 
     ``points_per_axis`` may be a single count or a tuple indexed by the particle
-    number n (the last entry repeats beyond the tuple). Each ``mark_rule``
-    needs one mark kind: "exact_discrete" discrete marks, "trapezoid" (periodic)
-    circle marks, "gauss" (Gauss-Legendre) interval marks; "auto" picks the
-    one that fits.
+    number n (the last entry repeats beyond the tuple). ``mark_nodes`` is the
+    node count of the mark rule of continuous marks; see ``mark_nodes_weights``.
     """
 
     kind: str  # "tensor_grid" | "monte_carlo"
     points_per_axis: int | tuple[int, ...] | None = None
     samples: int | None = None
     seed: int = 0
-    mark_rule: str = "auto"  # "auto" | "exact_discrete" | "trapezoid" | "gauss"
     mark_nodes: int = 16
     mc_fallback_samples: int | None = None
 
@@ -70,22 +64,19 @@ class QuadratureScheme:
             raise ValueError("mark node count must be positive")
         if self.mc_fallback_samples is not None and self.mc_fallback_samples <= 0:
             raise ValueError("mc_fallback_samples must be positive")
-        if self.mark_rule != "auto" and self.mark_rule not in MARK_RULE_KINDS:
-            raise ValueError(f"unknown mark rule {self.mark_rule!r}")
 
     @staticmethod
-    def tensor(points_per_axis, mark_rule="auto", mark_nodes=16,
-               mc_fallback_samples=None, seed=0) -> "QuadratureScheme":
+    def tensor(points_per_axis, mark_nodes=16, mc_fallback_samples=None,
+               seed=0) -> "QuadratureScheme":
         pts = points_per_axis if isinstance(points_per_axis, int) else tuple(points_per_axis)
         return QuadratureScheme(kind="tensor_grid", points_per_axis=pts,
-                                mark_rule=mark_rule, mark_nodes=mark_nodes,
+                                mark_nodes=mark_nodes,
                                 mc_fallback_samples=mc_fallback_samples, seed=seed)
 
     @staticmethod
-    def monte_carlo(samples: int, seed: int = 0, mark_rule="auto",
-                    mark_nodes=16) -> "QuadratureScheme":
+    def monte_carlo(samples: int, seed: int = 0, mark_nodes=16) -> "QuadratureScheme":
         return QuadratureScheme(kind="monte_carlo", samples=samples, seed=seed,
-                                mark_rule=mark_rule, mark_nodes=mark_nodes)
+                                mark_nodes=mark_nodes)
 
     def grid_points_for(self, n: int) -> int:
         pts = self.points_per_axis
@@ -99,7 +90,6 @@ class QuadratureScheme:
             "points_per_axis": self.points_per_axis,
             "samples": self.samples,
             "seed": self.seed,
-            "mark_rule": self.mark_rule,
             "mark_nodes": self.mark_nodes,
             "mc_fallback_samples": self.mc_fallback_samples,
             "generator": "philox",
@@ -121,25 +111,18 @@ class IntegralEstimate:
             raise ValueError("error must be nonnegative")
 
 
-def resolve_mark_rule(model: ModelSpec, scheme: QuadratureScheme) -> str:
-    kind = model.marks.kind
-    rule = scheme.mark_rule
-    if rule == "auto":
-        return next(r for r, k in MARK_RULE_KINDS.items() if k == kind)
-    if MARK_RULE_KINDS[rule] != kind:
-        raise SchemeMismatch(f"mark rule {rule!r} needs {MARK_RULE_KINDS[rule]} "
-                             f"marks, not {kind}")
-    return rule
-
-
 def mark_nodes_weights(model: ModelSpec, scheme: QuadratureScheme
                        ) -> tuple[np.ndarray, np.ndarray]:
-    """Single-point mark nodes and weights; weights sum to the mark mass."""
+    """Single-point mark nodes and weights; weights sum to the mark mass.
+
+    The mark space picks the rule: its labels and weights for discrete marks,
+    the periodic trapezoid rule for circle marks and Gauss-Legendre for
+    interval marks, both on ``scheme.mark_nodes`` nodes.
+    """
     marks = model.marks
-    rule = resolve_mark_rule(model, scheme)
-    if rule == "exact_discrete":
+    if marks.kind == "discrete":
         return np.asarray(marks.labels), np.asarray(marks.weights, dtype=float)
-    if rule == "trapezoid":
+    if marks.kind == "circle":
         m = scheme.mark_nodes
         return (2.0 * math.pi * np.arange(m) / m,
                 np.full(m, marks.total_mass / m))
@@ -333,7 +316,6 @@ def resolve_scheme_for_order(scheme: QuadratureScheme, d: int, n: int
                 "mc_fallback_samples or use a Monte Carlo scheme")
         return QuadratureScheme.monte_carlo(scheme.mc_fallback_samples,
                                             seed=scheme.seed,
-                                            mark_rule=scheme.mark_rule,
                                             mark_nodes=scheme.mark_nodes)
     return scheme
 

@@ -265,9 +265,8 @@ def restrict(config: FiniteConfiguration, region: Box,
 class ModelSpec:
     """Everything needed to define the reference measure and the Gibbs weights.
 
-    ``potential`` is a :class:`markedgibbs.potential.PairPotential` whose space
-    measures distance as ``space`` does: the same dimension and boundary, and
-    on a periodic box the same side lengths (a free metric ignores the sides).
+    ``potential`` is a :class:`markedgibbs.potential.PairPotential`; it
+    measures distance with the metric of ``space``.
     """
 
     space: PositionSpace
@@ -284,12 +283,6 @@ class ModelSpec:
                 f"inverse temperature beta must be finite and positive, got {self.beta}")
         if not math.isfinite(self.space.volume * self.marks.total_mass):
             raise ValueError("reference mass must be finite")
-        metric = self.potential.space
-        if (metric.dimension, metric.boundary) != (self.space.dimension, self.space.boundary) \
-                or (metric.boundary == "periodic"
-                    and tuple(metric.side_lengths) != tuple(self.space.side_lengths)):
-            raise ValueError("the potential must measure distance as the position "
-                             "space does: same dimension, boundary and periodic sides")
 
     def mass(self, region: Box | None = None) -> float:
         """Reference measure of region x marks (volume times mark mass)."""

@@ -26,7 +26,8 @@ _PANEL_RULE = np.polynomial.legendre.leggauss(32)
 
 @dataclass(frozen=True, eq=False)
 class PairPotential:
-    """Symmetric pair interaction phi(x_hat, y_hat) = radial(d(x,y), s_x, s_y).
+    """Symmetric pair interaction phi(x_hat, y_hat) = radial(d(x,y), s_x, s_y),
+    d being the metric of the model's position space.
 
     ``radial`` must be symmetric in the marks and vectorized over numpy
     arrays. ``stability_B`` is declared by the model author and only falsified
@@ -36,7 +37,6 @@ class PairPotential:
     """
 
     name: str
-    space: PositionSpace
     radial: Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray]
     stability_B: float = 0.0
     range_R: float | None = None
@@ -51,18 +51,22 @@ class PairPotential:
             raise ValueError(f"breakpoints must be finite and >= 0, "
                              f"got {self.breakpoints}")
 
-    def evaluate(self, p: MarkedPoint, q: MarkedPoint) -> float:
-        r = self.space.distance(p.position, q.position)
-        if self.range_R is not None and r >= self.range_R:
-            return 0.0
-        return float(self.radial(np.asarray(r), np.asarray(p.mark), np.asarray(q.mark)))
-
     def radial_gated(self, r: np.ndarray, s: np.ndarray, t: np.ndarray) -> np.ndarray:
         """Vectorized pair values with the finite-range gate applied."""
         vals = np.asarray(self.radial(r, s, t), dtype=float)
         if self.range_R is not None:
             vals = np.where(np.asarray(r) >= self.range_R, 0.0, vals)
         return vals
+
+
+def pair_value(model: ModelSpec, p: MarkedPoint, q: MarkedPoint) -> float:
+    """phi(p, q) of the model's potential, one pair at a time: the scalar
+    oracle of the batched pair values."""
+    phi = model.potential
+    r = model.space.distance(p.position, q.position)
+    if phi.range_R is not None and r >= phi.range_R:
+        return 0.0
+    return float(phi.radial(np.asarray(r), np.asarray(p.mark), np.asarray(q.mark)))
 
 
 def boltzmann_factor(phi_value: float, beta: float) -> float:
@@ -110,15 +114,15 @@ def upper_pairs(n: int) -> tuple[np.ndarray, np.ndarray]:
     return _cached_triu(n) if n < _CACHED_UPPER_PAIRS else _triu(n)
 
 
-def pair_phi_matrix(phi: PairPotential, positions: np.ndarray,
+def pair_phi_matrix(model: ModelSpec, positions: np.ndarray,
                     marks: np.ndarray) -> np.ndarray:
     """Pair values of a batch, one per unordered pair i < j:
     (K, M, d), (K, M) -> (K, M(M-1)/2), in ``upper_pairs(M)`` order."""
     iu, ju = upper_pairs(marks.shape[-1])
     # take, not fancy indexing: its C-contiguous result keeps every pair
     # value C-contiguous, so a row sums in the order of a 1-D sum
-    r = phi.space.distance_batch(positions.take(iu, axis=-2), positions.take(ju, axis=-2))
-    return phi.radial_gated(r, marks.take(iu, axis=-1), marks.take(ju, axis=-1))
+    r = model.space.distance_batch(positions.take(iu, axis=-2), positions.take(ju, axis=-2))
+    return model.potential.radial_gated(r, marks.take(iu, axis=-1), marks.take(ju, axis=-1))
 
 
 def pair_index(m: int) -> np.ndarray:
@@ -139,13 +143,14 @@ def square_pair_table(values: np.ndarray, m: int, diagonal: float) -> np.ndarray
     return padded.take(pair_index(m), axis=-1)
 
 
-def cross_phi_matrix(phi: PairPotential, positions_a: np.ndarray, marks_a: np.ndarray,
+def cross_phi_matrix(model: ModelSpec, positions_a: np.ndarray, marks_a: np.ndarray,
                      positions_b: np.ndarray, marks_b: np.ndarray) -> np.ndarray:
     """Pair values between two point families, (..., Ma, d) x (..., Mb, d) ->
     (..., Ma, Mb), their leading axes broadcast: one b-family shared by every
     a-family, or a batch of b-families, one per a-family."""
-    r = phi.space.distance_batch(positions_a[..., :, None, :], positions_b[..., None, :, :])
-    return phi.radial_gated(r, marks_a[..., :, None], marks_b[..., None, :])
+    r = model.space.distance_batch(positions_a[..., :, None, :],
+                                   positions_b[..., None, :, :])
+    return model.potential.radial_gated(r, marks_a[..., :, None], marks_b[..., None, :])
 
 
 def boltzmann_weight_batch(model: ModelSpec, positions: np.ndarray, marks: np.ndarray,
@@ -164,10 +169,10 @@ def boltzmann_weight_batch(model: ModelSpec, positions: np.ndarray, marks: np.nd
     k, n = marks.shape
     weights = np.ones(k)
     if n > 1:
-        weights = boltzmann_factor_batch(pair_phi_matrix(model.potential, positions, marks),
+        weights = boltzmann_factor_batch(pair_phi_matrix(model, positions, marks),
                                          model.beta).prod(axis=-1)
     if n and bmarks.size:
-        cross = cross_phi_matrix(model.potential, positions, marks, bpos, bmarks)
+        cross = cross_phi_matrix(model, positions, marks, bpos, bmarks)
         cb = boltzmann_factor_batch(cross, model.beta)
         if bmask is not None:
             cb = np.where(bmask[:, None, :], cb, 1.0)
@@ -175,13 +180,13 @@ def boltzmann_weight_batch(model: ModelSpec, positions: np.ndarray, marks: np.nd
     return weights
 
 
-def energy(omega: FiniteConfiguration, phi: PairPotential) -> float:
+def energy(omega: FiniteConfiguration, model: ModelSpec) -> float:
     """Total pair energy; 0 on the empty and single-point configurations."""
     pts = omega.points
     total = 0.0
     for i in range(len(pts)):
         for j in range(i + 1, len(pts)):
-            v = phi.evaluate(pts[i], pts[j])
+            v = pair_value(model, pts[i], pts[j])
             if math.isinf(v):
                 return INF
             total += v
@@ -189,14 +194,14 @@ def energy(omega: FiniteConfiguration, phi: PairPotential) -> float:
 
 
 def interaction(omega: FiniteConfiguration, zeta: FiniteConfiguration,
-                phi: PairPotential) -> float:
+                model: ModelSpec) -> float:
     """Interaction energy between two position-disjoint configurations."""
     if omega.position_set() & zeta.position_set():
         raise OverlappingConfigurations("configurations share a position")
     total = 0.0
     for p in omega.points:
         for q in zeta.points:
-            v = phi.evaluate(p, q)
+            v = pair_value(model, p, q)
             if math.isinf(v):
                 return INF
             total += v
@@ -204,14 +209,14 @@ def interaction(omega: FiniteConfiguration, zeta: FiniteConfiguration,
 
 
 def conditional_energy(region: Box, omega: FiniteConfiguration,
-                       phi: PairPotential) -> float:
+                       model: ModelSpec) -> float:
     """Energy of the region part plus its interaction with the exterior part."""
     inside = tuple(p for p in omega.points if region.contains_point(p.position))
     outside = tuple(p for p in omega.points if not region.contains_point(p.position))
-    e_in = energy(FiniteConfiguration(inside), phi)
+    e_in = energy(FiniteConfiguration(inside), model)
     if math.isinf(e_in):
         return INF
-    w = interaction(FiniteConfiguration(inside), FiniteConfiguration(outside), phi)
+    w = interaction(FiniteConfiguration(inside), FiniteConfiguration(outside), model)
     if math.isinf(w):
         return INF
     return e_in + w
@@ -253,15 +258,15 @@ def _axis_rule(ref: float, side: float, radii: list[float], periodic: bool
     return (lo + half * (x + 1.0)).ravel(), (half * w).ravel()
 
 
-def _abs_mayer_masses(phi: PairPotential, model: ModelSpec, ref: np.ndarray,
-                      marks: np.ndarray, weights: np.ndarray) -> np.ndarray:
+def _abs_mayer_masses(model: ModelSpec, ref: np.ndarray, marks: np.ndarray,
+                      weights: np.ndarray) -> np.ndarray:
     """Integral of |e^{-beta phi(., (ref, t))} - 1| over box x marks, one per
     reference mark t in ``marks``.
 
     ``radial`` is symmetric in the marks, so the mark-pair table is evaluated
     on the pairs s <= t only and mirrored before the sum over s.
     """
-    space = model.space
+    space, phi = model.space, model.potential
     radii = [0.0, *phi.breakpoints] + ([phi.range_R] if phi.range_R is not None else [])
     rules = [_axis_rule(x0, side, radii, space.boundary == "periodic")
              for x0, side in zip(ref, space.side_lengths)]
@@ -294,7 +299,7 @@ def _orthant_references(box: Box, per_axis: int) -> np.ndarray:
     return refs.reshape((per_axis,) * d + (d,))[keep].reshape(-1, d)
 
 
-def check_integrability(phi: PairPotential, model: ModelSpec,
+def check_integrability(model: ModelSpec,
                         reference_grid_size: int = 48) -> IntegrabilityReport:
     """Estimate C(beta), the ess-sup over reference points of the absolute Mayer mass.
 
@@ -339,7 +344,7 @@ def check_integrability(phi: PairPotential, model: ModelSpec,
     evaluated = 0
     for p in list(dict.fromkeys(per_axis.values()))[:keep]:
         refs = _orthant_references(model.space.box, p)[:keep]
-        masses = np.array([_abs_mayer_masses(phi, model, ref, marks, weights)
+        masses = np.array([_abs_mayer_masses(model, ref, marks, weights)
                            for ref in refs])
         if not np.all(np.isfinite(masses)):
             raise QuadratureFailure("non-finite Mayer mass at reference point")
@@ -370,11 +375,11 @@ class StabilityReport:
     passed: bool
 
 
-def spot_check_stability(phi: PairPotential, model: ModelSpec, trials: int = 1000,
-                         max_n: int = 6, seed: int = 0) -> StabilityReport:
+def spot_check_stability(model: ModelSpec, trials: int = 1000, max_n: int = 6,
+                         seed: int = 0) -> StabilityReport:
     """Falsification-only check of E(omega) >= -B|omega| on random configurations."""
     rng = np.random.Generator(np.random.Philox(seed))
-    space = model.space
+    space, phi = model.space, model.potential
     sides = np.asarray(space.side_lengths)
     worst = INF
     for _ in range(trials):
@@ -382,7 +387,7 @@ def spot_check_stability(phi: PairPotential, model: ModelSpec, trials: int = 100
         pos = rng.random((n, space.dimension)) * sides
         mks = model.marks.sample(rng, n)
         config = canonicalize([MarkedPoint(tuple(p), float(m)) for p, m in zip(pos, mks)])
-        e = energy(config, phi)
+        e = energy(config, model)
         if math.isinf(e):
             continue
         margin = e + phi.stability_B * n
@@ -482,10 +487,9 @@ def _build_toy(z, beta, params):
                  "boundary": "free", "range_cut": None}, params)
     space = _space(int(p["dimension"]), p["side"], p["boundary"])
     marks = MarkSpace.discrete([1.0, -1.0], [0.5, 0.5])
-    pot = PairPotential(
-        name="toy-repulsive-spin", space=space,
-        radial=_toy_repulsive_spin_radial(p["ell"], p["coupling"]),
-        stability_B=0.0, range_R=p["range_cut"], params=dict(p))
+    pot = PairPotential(name="toy-repulsive-spin",
+                        radial=_toy_repulsive_spin_radial(p["ell"], p["coupling"]),
+                        stability_B=0.0, range_R=p["range_cut"], params=dict(p))
     return ModelSpec(space=space, marks=marks, potential=pot, z=z, beta=beta)
 
 
@@ -498,7 +502,7 @@ def _build_ideal(z, beta, params):
     p = _params({"side": 1.0, "dimension": 1, "boundary": "free"}, params)
     space = _space(int(p["dimension"]), p["side"], p["boundary"])
     marks = MarkSpace.discrete([1.0, -1.0], [0.5, 0.5])
-    pot = PairPotential(name="ideal", space=space, radial=_constant_radial(0.0),
+    pot = PairPotential(name="ideal", radial=_constant_radial(0.0),
                         stability_B=0.0, range_R=0.0, params=dict(p))
     return ModelSpec(space=space, marks=marks, potential=pot, z=z, beta=beta)
 
@@ -507,8 +511,7 @@ def _build_hard_core(z, beta, params):
     p = _params({"r0": 0.1, "side": 1.0, "dimension": 1, "boundary": "free"}, params)
     space = _space(int(p["dimension"]), p["side"], p["boundary"])
     marks = MarkSpace.discrete([1.0, -1.0], [0.5, 0.5])
-    pot = PairPotential(name="hard-core", space=space,
-                        radial=_hard_core_radial(p["r0"]),
+    pot = PairPotential(name="hard-core", radial=_hard_core_radial(p["r0"]),
                         stability_B=0.0, range_R=p["r0"], params=dict(p))
     return ModelSpec(space=space, marks=marks, potential=pot, z=z, beta=beta)
 
@@ -518,7 +521,7 @@ def _build_rotator(z, beta, params):
                  "side": 1.0, "dimension": 1, "boundary": "free"}, params)
     space = _space(int(p["dimension"]), p["side"], p["boundary"])
     marks = MarkSpace.circle(mass=1.0)
-    pot = PairPotential(name="planar-rotator", space=space,
+    pot = PairPotential(name="planar-rotator",
                         radial=_rotator_radial(p["a"], p["ell_phi"], p["j0"], p["ell_j"]),
                         stability_B=0.0, range_R=None, params=dict(p))
     return ModelSpec(space=space, marks=marks, potential=pot, z=z, beta=beta)
@@ -529,7 +532,7 @@ def _build_ferrofluid(z, beta, params):
                  "boundary": "free"}, params)
     space = _space(int(p["dimension"]), p["side"], p["boundary"])
     marks = MarkSpace.interval(-1.0, 1.0, mass=1.0)
-    pot = PairPotential(name="ferrofluid", space=space,
+    pot = PairPotential(name="ferrofluid",
                         radial=_ferrofluid_radial(p["a"], p["j0"], p["ell"]),
                         stability_B=0.0, range_R=None, params=dict(p))
     return ModelSpec(space=space, marks=marks, potential=pot, z=z, beta=beta)
@@ -541,7 +544,7 @@ def _build_potts(z, beta, params):
     q = int(p["q"])
     space = _space(int(p["dimension"]), p["side"], p["boundary"])
     marks = MarkSpace.discrete([float(i) for i in range(1, q + 1)], [1.0 / q] * q)
-    pot = PairPotential(name="continuum-potts", space=space,
+    pot = PairPotential(name="continuum-potts",
                         radial=_potts_radial(p["a"], p["r2"], p["r1"]),
                         stability_B=0.0, range_R=p["r2"],
                         breakpoints=(float(p["r1"]),), params=dict(p))
@@ -549,12 +552,14 @@ def _build_potts(z, beta, params):
 
 
 def _build_constant(z, beta, params):
-    p = _params({"value": -1.0, "declared_B": 0.0, "side": 1.0, "dimension": 1,
+    p = _params({"value": 0.5, "declared_B": 0.0, "side": 1.0, "dimension": 1,
                  "boundary": "free"}, params)
+    # for c < 0, E = c N(N-1)/2 falls below -B N at large N for every B
+    if p["value"] < 0:
+        raise ValueError(f"a constant potential below 0 is unstable, got {p['value']!r}")
     space = _space(int(p["dimension"]), p["side"], p["boundary"])
     marks = MarkSpace.discrete([1.0, -1.0], [0.5, 0.5])
-    pot = PairPotential(name="constant", space=space,
-                        radial=_constant_radial(p["value"]),
+    pot = PairPotential(name="constant", radial=_constant_radial(p["value"]),
                         stability_B=p["declared_B"], range_R=None, params=dict(p))
     return ModelSpec(space=space, marks=marks, potential=pot, z=z, beta=beta)
 
@@ -630,8 +635,6 @@ def model_from_dict(cfg: dict) -> ModelSpec:
                            side=space.side_lengths[0],
                            boundary=space.boundary,
                            **pot_cfg.get("params", {}))
-        pot = replace(base.potential, space=space)
-        return ModelSpec(space=space, marks=marks, potential=pot,
-                         z=cfg.get("z", 0.05), beta=cfg.get("beta", 1.0))
+        return base.replace(space=space, marks=marks)
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"bad model configuration: {exc}") from exc

@@ -100,17 +100,23 @@ def test_record_holds_paired_differences_of_traced_metrics(faked, tmp_path):
 
 def fake_cli(clock):
     """A stand-in for `subprocess.run` of `python -m markedgibbs.cli`: it
-    writes the config's report into the run directory and advances
+    writes the config's report and a log into the run directory and advances
     ``clock`` by 0.3 s in the parent's checkout and 0.2 s in the change's.
-    The change writes other bytes for configs named ``*_drift.json``."""
+    The change writes another report for configs named ``*_drift.json``, and
+    one that differs from run to run for configs named ``*_noisy.json``."""
     def run(cmd, cwd, env, **kwargs):
         assert cmd[1:4] == ["-m", "markedgibbs.cli", "--config"]
         config = json.loads((Path(cwd) / cmd[4]).read_text())
         side = Path(env["PYTHONPATH"]).parent.name
         if config.get("fail") == side:
             return subprocess.CompletedProcess(cmd, 2, "", "bad config")
-        body = "changed" if side == "change" and cmd[4].endswith("_drift.json") else "same"
+        body = "same"
+        if side == "change" and cmd[4].endswith("_drift.json"):
+            body = "changed"
+        if side == "change" and cmd[4].endswith("_noisy.json"):
+            body = str(clock[0])
         (Path(cwd) / config["out"]).write_text(body)
+        (Path(cwd) / "log.txt").write_text("same")
         clock[0] += 0.3 if side == "parent" else 0.2
         return subprocess.CompletedProcess(cmd, 0, "", "")
     return run
@@ -120,6 +126,7 @@ def fake_cli(clock):
 def faked_cli(bench_pairs, monkeypatch):
     configs = {"a.json": {"out": "a_report.json"},
                "b_drift.json": {"out": "b_report.json"},
+               "d_noisy.json": {"out": "d_report.json"},
                "c.json": {"out": "c_report.json", "fail": "change"}}
 
     def export(commit, dest):
@@ -154,10 +161,24 @@ def test_record_holds_interleaved_cold_cli_runs(faked_cli, tmp_path):
     assert a["wall_s"]["paired_difference"] == {"median": -0.1, "q1": -0.1, "q3": -0.1}
     assert a["change_better_pairs"] == runs
     assert a["change_over_parent_median"] == round(0.2 / 0.3, 4)
-    assert a["outputs_identical"]
-    assert not cli["configs/b_drift.json"]["outputs_identical"]
+    assert a["repeats_identical"] == {"parent": True, "change": True}
+    assert a["files_differing"] == []
+    # the drifting report differs between the sides, the log does not
+    drift = cli["configs/b_drift.json"]
+    assert drift["repeats_identical"] == {"parent": True, "change": True}
+    assert drift["files_differing"] == ["b_report.json"]
     # the exports and run directories are removed
     assert [p.name for p in tmp_path.iterdir()] == [out.name]
+
+
+def test_record_names_the_side_whose_repeats_differ(faked_cli, tmp_path):
+    out = tmp_path / "BENCH_test.json"
+    assert faked_cli.main(["--tag", "test", "--parent", "p", "--change", "c",
+                           "--cli-configs", "configs/d_noisy.json",
+                           "--workdir", str(tmp_path), "--out", str(out)]) == 0
+    noisy = json.loads(out.read_text())["cli"]["configs/d_noisy.json"]
+    assert noisy["repeats_identical"] == {"parent": True, "change": False}
+    assert noisy["files_differing"] == ["d_report.json"]
 
 
 def test_failing_cli_run_names_its_side_and_config(faked_cli, tmp_path):

@@ -61,7 +61,7 @@ def test_radius_report_refinement_delta(tmp_path):
     assert run(cfg) == 0
     radius = json.loads(out.read_text())["results"]["radius"]
     model = model_from_dict(BASE_MODEL)
-    expected = check_integrability(model.potential, model, 8)
+    expected = check_integrability(model, 8)
     assert radius["refinement_delta"] == expected.refinement_delta
     # and where the maximum was found, and how many reference points it scanned
     assert radius["c_beta_argmax"] == {"position": list(expected.argmax_position),
@@ -141,10 +141,9 @@ def test_report_byte_determinism_across_workers(tmp_path):
         "scheme": {"kind": "monte_carlo", "samples": 3000},
         "seed": 9})
     outs = []
-    for workers, tag in ((1, "a"), (4, "b")):
+    for tag in ("a", "b"):
         out = tmp_path / f"report_{tag}.json"
-        code = main(["--config", conf, "--out", str(out),
-                     "--workers", str(workers)])
+        code = main(["--config", conf, "--out", str(out)])
         assert code == 0
         outs.append(out.read_bytes())
     assert outs[0] == outs[1]
@@ -244,6 +243,7 @@ def test_cli_entrypoint_error_paths(tmp_path):
                            ("toy-repulsive-spin", {"ell": math.nan}),
                            ("toy-repulsive-spin", {"coupling": math.inf}),
                            ("constant", {"value": math.nan}),
+                           ("constant", {"value": -1.0}),
                            ("planar-rotator", {"ell_phi": 0.0}),
                            ("continuum-potts", {"q": 0}),
                            ("toy-repulsive-spin", {"dimension": 1.7}),
@@ -296,6 +296,15 @@ def test_cli_entrypoint_error_paths(tmp_path):
      "sampler": {"sweeps": 50, "burn_in": True}},
     {"command": "sample", "model": BASE_MODEL,
      "sampler": {"sweeps": 50.5, "burn_in": 10}},
+    # the mark space picks the mark rule; the key is gone
+    {"command": "expand", "model": BASE_MODEL, "order": 1,
+     "scheme": {"kind": "tensor_grid", "points_per_axis": 8, "mark_rule": "auto"}},
+    # a key that the scheme's kind does not read
+    {"command": "expand", "model": BASE_MODEL, "order": 1,
+     "scheme": {"kind": "tensor_grid", "points_per_axis": 16, "samples": 5}},
+    {"command": "expand", "model": BASE_MODEL, "order": 1,
+     "scheme": {"kind": "monte_carlo", "samples": 2000, "points_per_axis": 16,
+                "mc_fallback_samples": 7}},
 ], ids=["points_per_axis_0", "unknown_mark_rule", "unknown_sampler_key",
         "probabilities_not_summing_to_1", "negative_activity",
         "unknown_scheme_kind", "thinning_0", "burn_in_past_sweeps",
@@ -308,7 +317,8 @@ def test_cli_entrypoint_error_paths(tmp_path):
         "p_birth_nan", "move_step_nan", "interval_bound_nan",
         "interval_bound_infinite", "discrete_label_nan", "range_cut_negative",
         "range_cut_infinite", "range_cut_nan", "hard_core_r0_nan", "potts_r1_nan",
-        "ell_nan", "coupling_infinite", "constant_value_nan", "rotator_ell_phi_0",
+        "ell_nan", "coupling_infinite", "constant_value_nan", "constant_value_negative",
+        "rotator_ell_phi_0",
         "potts_q_0", "dimension_not_whole", "unknown_model_param",
         "unknown_scheme_key", "unknown_config_key", "config_not_an_object",
         "sampler_not_an_object", "inline_dimension_not_whole", "unknown_model_key",
@@ -317,7 +327,8 @@ def test_cli_entrypoint_error_paths(tmp_path):
         "grid_true", "order_fractional", "seed_fractional",
         "points_per_axis_fractional", "points_per_axis_true",
         "mark_nodes_fractional", "samples_fractional", "fallback_fractional",
-        "sampler_seed_fractional", "sampler_burn_in_true", "sampler_sweeps_fractional"])
+        "sampler_seed_fractional", "sampler_burn_in_true", "sampler_sweeps_fractional",
+        "mark_rule_key", "tensor_grid_samples", "monte_carlo_grid_keys"])
 def test_cli_malformed_values_are_config_errors(tmp_path, capsys, payload):
     assert main(["--config", write_config(tmp_path, payload)]) == 2
     assert capsys.readouterr().err.startswith("config error")

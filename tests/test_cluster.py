@@ -24,7 +24,7 @@ from markedgibbs.lpintegrate import (QuadratureScheme, SlotDomain,
                                      resolve_scheme_for_order)
 from markedgibbs.model import (Box, FiniteConfiguration, MarkedPoint,
                                canonicalize)
-from markedgibbs.potential import build_model, energy, interaction
+from markedgibbs.potential import build_model, energy, interaction, pair_value
 
 
 def test_ursell_direct_small_cases(toy_model):
@@ -33,7 +33,7 @@ def test_ursell_direct_small_cases(toy_model):
 
     pts = [MarkedPoint((0.2,), 1.0), MarkedPoint((0.6,), -1.0)]
     pair = canonicalize(pts)
-    f = math.expm1(-toy_model.beta * toy_model.potential.evaluate(*pts))
+    f = math.expm1(-toy_model.beta * pair_value(toy_model, *pts))
     assert ursell_direct(pair, toy_model) == pytest.approx(f, rel=1e-14)
 
 
@@ -42,9 +42,9 @@ def test_ursell_direct_three_point_formula(toy_model):
            MarkedPoint((0.8,), 1.0)]
     cfg = canonicalize(pts)
     beta = toy_model.beta
-    f01 = math.expm1(-beta * toy_model.potential.evaluate(pts[0], pts[1]))
-    f02 = math.expm1(-beta * toy_model.potential.evaluate(pts[0], pts[2]))
-    f12 = math.expm1(-beta * toy_model.potential.evaluate(pts[1], pts[2]))
+    f01 = math.expm1(-beta * pair_value(toy_model, pts[0], pts[1]))
+    f02 = math.expm1(-beta * pair_value(toy_model, pts[0], pts[2]))
+    f12 = math.expm1(-beta * pair_value(toy_model, pts[1], pts[2]))
     expected = f01 * f02 + f01 * f12 + f02 * f12 + f01 * f02 * f12
     assert ursell_direct(cfg, toy_model) == pytest.approx(expected, rel=1e-13)
 
@@ -211,7 +211,7 @@ def test_tree_bound_q_small_cases(toy_model):
     assert tree_bound_q(anchor, FiniteConfiguration(), toy_model) == 1.0  # B = 0
     other = MarkedPoint((0.7,), -1.0)
     expected = abs(math.expm1(-toy_model.beta *
-                              toy_model.potential.evaluate(anchor, other)))
+                              pair_value(toy_model, anchor, other)))
     got = tree_bound_q(anchor, canonicalize([other]), toy_model)
     assert got == pytest.approx(expected, rel=1e-14)
 
@@ -404,7 +404,7 @@ def test_correlation_matches_ratio_oracle(toy_model):
         den = partition_direct_truncated(toy_model, region,
                                          FiniteConfiguration(), N=6,
                                          scheme=scheme)
-        e_pts = energy(pts, toy_model.potential)
+        e_pts = energy(pts, toy_model)
         oracle = math.exp(-toy_model.beta * e_pts) * num.value / den.value
         budget = (series.error + num.error + den.error + 5e-5)
         assert abs(series.value - oracle) <= budget
@@ -423,7 +423,7 @@ def test_correlation_far_pair_factorizes():
     # the cross-truncation mismatch is controlled by the series tails
     from markedgibbs.cluster import correlation_tail_bound
     from markedgibbs.potential import check_integrability
-    c_beta = check_integrability(model.potential, model, 16).c_beta
+    c_beta = check_integrability(model, 16).c_beta
     tail = correlation_tail_bound(model, 4, c_beta=c_beta)
     budget = rho_a.error + rho_b.error + rho_ab.error + 3.0 * tail
     assert abs(rho_ab.value - rho_a.value * rho_b.value) <= budget

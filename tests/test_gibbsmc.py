@@ -6,7 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import random_config
+from conftest import random_config, unstable_constant_model
 from markedgibbs import gibbsmc
 from markedgibbs.errors import (AcceptanceTooLow, DuplicatePosition, EnergyDrift,
                                 RegionOutOfBounds, RequiresFiniteRange,
@@ -21,7 +21,7 @@ from markedgibbs.gibbsmc import (EMPTY_BOUNDARY, BoundaryCondition,
 from markedgibbs.lpintegrate import philox_rng
 from markedgibbs.model import (Box, FiniteConfiguration, MarkedPoint, canonicalize,
                                restrict)
-from markedgibbs.potential import build_model, pair_phi_matrix
+from markedgibbs.potential import build_model, pair_phi_matrix, pair_value
 
 
 def test_poisson_mean_and_marks(toy_model, rng):
@@ -158,7 +158,6 @@ def test_rejection_one_point_law(rng):
     # enlarge the spatial box so the boundary point sits outside the region
     model = model.replace(space=model.space.__class__(1, (1.5,)))
     region = Box((0.0,), (1.0,))
-    pot = model.potential
 
     kept = []
     while len(kept) < 4000:
@@ -173,7 +172,7 @@ def test_rejection_one_point_law(rng):
     bpt = MarkedPoint((1.2,), 1.0)
 
     def dens(x, s):
-        return math.exp(-model.beta * pot.evaluate(MarkedPoint((x,), s), bpt))
+        return math.exp(-model.beta * pair_value(model, MarkedPoint((x,), s), bpt))
 
     masses = {}
     for s in (1.0, -1.0):
@@ -591,7 +590,7 @@ def _energy_reference(model, s):
     """Pair energy of one sample as a 1-D sum, +inf where any pair is."""
     if len(s) < 2:
         return 0.0
-    vals = pair_phi_matrix(model.potential, s.positions_array()[None],
+    vals = pair_phi_matrix(model, s.positions_array()[None],
                            s.marks_array()[None])[0]
     return math.inf if np.any(np.isinf(vals)) else float(np.sum(vals))
 
@@ -779,6 +778,13 @@ def test_sample_stream_is_a_sequence_of_configurations(rng):
     assert stream[-1] == want[-1]
     with pytest.raises(IndexError):
         stream[20]
+    # an index past a further append reads that sample's rows, not its
+    # predecessors'
+    stream.append(np.array([[0.5, 0.25], [0.125, 0.75]]), np.array([1.0, -1.0]))
+    assert len(stream) == 21 and list(stream)[:-1] == want
+    assert [(p.position, p.mark) for p in stream[20]] == [((0.125, 0.75), -1.0),
+                                                         ((0.5, 0.25), 1.0)]
+    assert stream[-2] == want[-1]
 
 
 def test_sample_streams_compare_by_their_rows():
@@ -832,7 +838,7 @@ def test_config_energy_is_a_row_of_the_batch(model, rng):
             s = random_config(model, n, rng)
             e = 0.0
             if n >= 2:
-                vals = pair_phi_matrix(model.potential, s.positions_array()[None],
+                vals = pair_phi_matrix(model, s.positions_array()[None],
                                        s.marks_array()[None])[0]
                 e = math.inf if np.any(np.isinf(vals)) else float(np.sum(vals))
             got = gibbsmc._config_energy_arrays(model, s.positions_array(),
@@ -1255,7 +1261,7 @@ def test_rejection_sampler_fails_closed_on_an_unstable_potential():
     # the constant potential -1.0 under its declared B = 0 gives a 2-point
     # proposal the weight e > exp(beta B' n) = 1: that proposal witnesses
     # the false bound, instead of counting as accepted with probability 1
-    model = build_model("constant", value=-1.0, z=0.5)
+    model = unstable_constant_model(z=0.5)
     box = model.space.box
     with pytest.raises(StabilityViolation) as err:
         rejection_sample_batch(model, box, EMPTY_BOUNDARY, 2000, philox_rng(1))

@@ -166,20 +166,6 @@ def test_dimension_cap_and_fallback(toy_model):
     assert est.value == pytest.approx(expected, rel=1e-6)
 
 
-def test_trapezoid_requires_circle_marks(toy_model):
-    scheme = QuadratureScheme.tensor(8, mark_rule="trapezoid")
-    with pytest.raises(SchemeMismatch):
-        list(marked_point_nodes(toy_model, toy_model.space.box, 1, scheme))
-
-
-def test_gauss_requires_interval_marks(toy_model):
-    scheme = QuadratureScheme.tensor(8, mark_rule="gauss")
-    with pytest.raises(SchemeMismatch):
-        list(marked_point_nodes(toy_model, toy_model.space.box, 1, scheme))
-    with pytest.raises(ValueError):
-        QuadratureScheme.tensor(8, mark_rule="simpson")
-
-
 def test_circle_marks_trapezoid_nodes():
     model = build_model("planar-rotator")
     scheme = QuadratureScheme.tensor(4, mark_nodes=8)

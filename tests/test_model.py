@@ -1,4 +1,3 @@
-import dataclasses
 import math
 
 import numpy as np
@@ -6,10 +5,12 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from markedgibbs.cluster import convergence_radius, log_partition_truncated
 from markedgibbs.errors import DuplicatePosition, RegionOutOfBounds
 from markedgibbs.lpintegrate import philox_rng
 from markedgibbs.model import (Box, FiniteConfiguration, MarkSpace, MarkedPoint,
                                PositionSpace, canonicalize, restrict)
+from markedgibbs.potential import build_model
 
 positions = st.tuples(st.floats(0.0, 0.999, allow_nan=False))
 points = st.builds(MarkedPoint, position=positions,
@@ -191,20 +192,18 @@ def test_model_spec_validation(toy_model):
         toy_model.replace(beta=0.0)
 
 
-def test_model_spec_rejects_a_potential_on_another_metric(toy_model):
-    # the potential measures distance on its own space; a position space that
-    # measures it differently would mix two metrics in one model
-    for space in (PositionSpace(1, (1.0,), "periodic"), PositionSpace(2, (1.0, 1.0))):
-        with pytest.raises(ValueError, match="measure distance"):
-            toy_model.replace(space=space)
-    periodic = toy_model.replace(space=PositionSpace(1, (1.0,), "periodic"),
-                                 potential=dataclasses.replace(
-                                     toy_model.potential,
-                                     space=PositionSpace(1, (1.0,), "periodic")))
-    with pytest.raises(ValueError, match="measure distance"):
-        periodic.replace(space=PositionSpace(1, (2.0,), "periodic"))
-    # a free metric ignores the sides, so a larger free box keeps the model
-    assert toy_model.replace(space=PositionSpace(1, (1.5,))).mass() == pytest.approx(1.5)
+def test_replacing_the_space_replaces_the_metric(toy_model):
+    # the potential measures distance with the model's space, so the toy moved
+    # onto a periodic box is the toy built periodic, bit for bit
+    periodic = PositionSpace(1, (1.0,), "periodic")
+    moved = toy_model.replace(space=periodic)
+    built = build_model("toy-repulsive-spin", z=0.05, beta=1.0, boundary="periodic")
+    assert built.space == periodic
+    c_beta = convergence_radius(moved, 24).c_beta
+    assert c_beta == convergence_radius(built, 24).c_beta
+    assert c_beta != convergence_radius(toy_model, 24).c_beta
+    assert (log_partition_truncated(moved, periodic.box, 3).log_z
+            == log_partition_truncated(built, periodic.box, 3).log_z)
 
 
 def test_union_disjoint_commutes_with_restrict(toy_model, rng):

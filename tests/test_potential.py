@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy import integrate
 
-from conftest import random_config
+from conftest import random_config, unstable_constant_model
 from markedgibbs import potential
 from markedgibbs.errors import OverlappingConfigurations, StabilityViolation
 from markedgibbs.lpintegrate import QuadratureScheme, mark_nodes_weights
@@ -13,8 +13,8 @@ from markedgibbs.potential import (REGISTRY, boltzmann_factor, build_model,
                                    check_integrability, conditional_energy,
                                    cross_phi_matrix, energy, interaction,
                                    mayer_factor, model_from_dict,
-                                   pair_phi_matrix, spot_check_stability,
-                                   upper_pairs)
+                                   pair_phi_matrix, pair_value,
+                                   spot_check_stability, upper_pairs)
 
 ALL_MODELS = sorted(REGISTRY)
 
@@ -25,7 +25,7 @@ def test_symmetry_random_pairs(name, rng):
     for _ in range(200):
         a = random_config(model, 1, rng)[0]
         b = random_config(model, 1, rng)[0]
-        assert model.potential.evaluate(a, b) == model.potential.evaluate(b, a)
+        assert pair_value(model, a, b) == pair_value(model, b, a)
 
 
 def test_symmetry_vectorized(toy_model, rng):
@@ -33,16 +33,15 @@ def test_symmetry_vectorized(toy_model, rng):
     pos = rng.random((10000, 2, 1))
     marks = toy_model.marks.sample(rng, 20000).reshape(10000, 2)
     np.testing.assert_array_equal(
-        pair_phi_matrix(toy_model.potential, pos, marks),
-        pair_phi_matrix(toy_model.potential, pos[:, ::-1], marks[:, ::-1]))
+        pair_phi_matrix(toy_model, pos, marks),
+        pair_phi_matrix(toy_model, pos[:, ::-1], marks[:, ::-1]))
 
 
 def _broadcast_pair_values(model, pos, marks):
     """Every ordered pair of each row, (K, M, M): the potential evaluated on
     (M, 1) against (1, M) broadcasts."""
-    phi = model.potential
-    r = phi.space.distance_batch(pos[:, :, None, :], pos[:, None, :, :])
-    return phi.radial_gated(r, marks[:, :, None], marks[:, None, :])
+    r = model.space.distance_batch(pos[:, :, None, :], pos[:, None, :, :])
+    return model.potential.radial_gated(r, marks[:, :, None], marks[:, None, :])
 
 
 SPACES = pytest.mark.parametrize(
@@ -59,7 +58,7 @@ def test_pair_phi_matrix_is_the_upper_triangle_of_a_broadcast(name, params, rng)
         pos = rng.random((30, m, d))
         marks = model.marks.sample(rng, 30 * m).reshape(30, m)
         iu, ju = upper_pairs(m)
-        got = pair_phi_matrix(model.potential, pos, marks)
+        got = pair_phi_matrix(model, pos, marks)
         assert got.shape == (30, iu.size)
         np.testing.assert_array_equal(
             got, _broadcast_pair_values(model, pos, marks)[:, iu, ju])
@@ -73,7 +72,7 @@ def test_square_pair_table_is_exactly_symmetric(name, params, rng):
     m = 7
     pos = rng.random((30, m, d))
     marks = model.marks.sample(rng, 30 * m).reshape(30, m)
-    pairs = pair_phi_matrix(model.potential, pos, marks)
+    pairs = pair_phi_matrix(model, pos, marks)
     table = potential.square_pair_table(pairs, m, -2.5)
     iu, ju = upper_pairs(m)
     assert table.shape == (30, m, m)
@@ -110,8 +109,8 @@ def test_cross_phi_matrix_is_bitwise_symmetric(name, rng):
         a, b = rng.random((50, d)), rng.random((40, d))
         sa, sb = model.marks.sample(rng, 50), model.marks.sample(rng, 40)
         np.testing.assert_array_equal(
-            cross_phi_matrix(model.potential, a, sa, b, sb),
-            cross_phi_matrix(model.potential, b, sb, a, sa).T)
+            cross_phi_matrix(model, a, sa, b, sb),
+            cross_phi_matrix(model, b, sb, a, sa).T)
 
 
 def test_upper_pairs_is_triu_indices():
@@ -128,55 +127,53 @@ def test_upper_pairs_is_triu_indices():
 
 
 def test_energy_trivial_cases(toy_model):
-    assert energy(FiniteConfiguration(), toy_model.potential) == 0.0
+    assert energy(FiniteConfiguration(), toy_model) == 0.0
     single = canonicalize([MarkedPoint((0.5,), 1.0)])
-    assert energy(single, toy_model.potential) == 0.0
+    assert energy(single, toy_model) == 0.0
 
 
 def test_energy_three_points_matches_hand_sum(toy_model):
     pts = [MarkedPoint((0.1,), 1.0), MarkedPoint((0.3,), -1.0),
            MarkedPoint((0.8,), 1.0)]
     cfg = canonicalize(pts)
-    phi = toy_model.potential
-    expected = (phi.evaluate(pts[0], pts[1]) + phi.evaluate(pts[0], pts[2]) +
-                phi.evaluate(pts[1], pts[2]))
-    assert energy(cfg, phi) == pytest.approx(expected, rel=1e-15)
+    expected = (pair_value(toy_model, pts[0], pts[1]) + pair_value(toy_model, pts[0], pts[2])
+                + pair_value(toy_model, pts[1], pts[2]))
+    assert energy(cfg, toy_model) == pytest.approx(expected, rel=1e-15)
 
 
 def test_interaction_trivial_and_error(toy_model):
     x = canonicalize([MarkedPoint((0.2,), 1.0)])
     y = canonicalize([MarkedPoint((0.7,), -1.0)])
-    assert interaction(FiniteConfiguration(), y, toy_model.potential) == 0.0
-    assert interaction(x, y, toy_model.potential) == pytest.approx(
-        toy_model.potential.evaluate(x[0], y[0]))
+    assert interaction(FiniteConfiguration(), y, toy_model) == 0.0
+    assert interaction(x, y, toy_model) == pytest.approx(
+        pair_value(toy_model, x[0], y[0]))
     with pytest.raises(OverlappingConfigurations):
-        interaction(x, x, toy_model.potential)
+        interaction(x, x, toy_model)
 
 
 def test_energy_additivity(toy_model, rng):
     for _ in range(50):
         cfg = random_config(toy_model, 6, rng)
         om, ze = cfg.subset(range(3)), cfg.subset(range(3, 6))
-        total = energy(cfg, toy_model.potential)
-        split = (energy(om, toy_model.potential) + energy(ze, toy_model.potential) +
-                 interaction(om, ze, toy_model.potential))
+        total = energy(cfg, toy_model)
+        split = (energy(om, toy_model) + energy(ze, toy_model) +
+                 interaction(om, ze, toy_model))
         assert total == pytest.approx(split, rel=1e-12)
 
 
 def test_conditional_energy(toy_model, rng):
     region = Box((0.0,), (0.5,))
-    phi = toy_model.potential
     inside = canonicalize([MarkedPoint((0.2,), 1.0), MarkedPoint((0.4,), -1.0)])
-    assert conditional_energy(region, inside, phi) == pytest.approx(
-        energy(inside, phi))
+    assert conditional_energy(region, inside, toy_model) == pytest.approx(
+        energy(inside, toy_model))
     outside = canonicalize([MarkedPoint((0.7,), 1.0), MarkedPoint((0.9,), -1.0)])
-    assert conditional_energy(region, outside, phi) == 0.0
+    assert conditional_energy(region, outside, toy_model) == 0.0
     for _ in range(20):
         cfg = random_config(toy_model, 5, rng)
         out_part = FiniteConfiguration(tuple(
             p for p in cfg.points if not region.contains_point(p.position)))
-        expected = energy(cfg, phi) - energy(out_part, phi)
-        assert conditional_energy(region, cfg, phi) == pytest.approx(
+        expected = energy(cfg, toy_model) - energy(out_part, toy_model)
+        assert conditional_energy(region, cfg, toy_model) == pytest.approx(
             expected, rel=1e-12, abs=1e-14)
 
 
@@ -185,22 +182,22 @@ def test_finite_range_exact_zero():
     a = MarkedPoint((0.125,), 1.0)
     b = MarkedPoint((0.375,), 1.0)  # distance exactly at the range
     c = MarkedPoint((0.9,), -1.0)
-    assert model.potential.evaluate(a, b) == 0.0
-    assert model.potential.evaluate(a, c) == 0.0
+    assert pair_value(model, a, b) == 0.0
+    assert pair_value(model, a, c) == 0.0
     inside = MarkedPoint((0.3,), 1.0)
-    assert model.potential.evaluate(a, inside) != 0.0
+    assert pair_value(model, a, inside) != 0.0
 
 
 def test_hard_core_inf_propagation():
     model = build_model("hard-core", r0=0.1)
     a = MarkedPoint((0.5,), 1.0)
     b = MarkedPoint((0.55,), -1.0)
-    v = model.potential.evaluate(a, b)
+    v = pair_value(model, a, b)
     assert math.isinf(v)
     assert boltzmann_factor(v, model.beta) == 0.0
     assert mayer_factor(v, model.beta) == -1.0
     cfg = canonicalize([a, b])
-    assert math.isinf(energy(cfg, model.potential))
+    assert math.isinf(energy(cfg, model))
 
 
 def test_rotator_and_ferrofluid_forms():
@@ -211,7 +208,7 @@ def test_rotator_and_ferrofluid_forms():
     r = 0.3
     expected = (p["a"] * math.exp(-r / p["ell_phi"]) -
                 p["j0"] * math.exp(-r / p["ell_j"]) * math.cos(0.3 - 2.0))
-    assert rot.potential.evaluate(a, b) == pytest.approx(expected, rel=1e-12)
+    assert pair_value(rot, a, b) == pytest.approx(expected, rel=1e-12)
 
     ferro = build_model("ferrofluid")
     q = ferro.potential.params
@@ -219,16 +216,16 @@ def test_rotator_and_ferrofluid_forms():
     b = MarkedPoint((0.6,), -0.9)
     r = 0.4
     expected = (q["a"] + q["j0"] * 0.4 * (-0.9)) * math.exp(-(r / q["ell"]) ** 2)
-    assert ferro.potential.evaluate(a, b) == pytest.approx(expected, rel=1e-12)
+    assert pair_value(ferro, a, b) == pytest.approx(expected, rel=1e-12)
 
 
 def test_potts_form():
     model = build_model("continuum-potts", q=3, r1=0.05, r2=0.2, a=1.0)
-    same = model.potential.evaluate(MarkedPoint((0.1,), 2.0), MarkedPoint((0.2,), 2.0))
+    same = pair_value(model, MarkedPoint((0.1,), 2.0), MarkedPoint((0.2,), 2.0))
     assert same == 0.0  # same species feel only the hard core
-    diff = model.potential.evaluate(MarkedPoint((0.1,), 1.0), MarkedPoint((0.2,), 2.0))
+    diff = pair_value(model, MarkedPoint((0.1,), 1.0), MarkedPoint((0.2,), 2.0))
     assert diff == pytest.approx((1 - 0.1 / 0.2) ** 2)
-    core = model.potential.evaluate(MarkedPoint((0.1,), 1.0), MarkedPoint((0.12,), 2.0))
+    core = pair_value(model, MarkedPoint((0.1,), 1.0), MarkedPoint((0.12,), 2.0))
     assert math.isinf(core)
 
 
@@ -236,30 +233,28 @@ def test_potts_form():
                                   "ferrofluid", "continuum-potts", "hard-core"])
 def test_builtin_stability_spot_checks(name):
     model = build_model(name)
-    report = spot_check_stability(model.potential, model, trials=2000, max_n=6,
-                                  seed=3)
+    report = spot_check_stability(model, trials=2000, max_n=6, seed=3)
     assert report.passed
     assert report.worst_margin >= -1e-12
 
 
 def test_unstable_constant_fails():
-    model = build_model("constant", value=-1.0, declared_B=0.0)
+    model = unstable_constant_model()
     with pytest.raises(StabilityViolation) as err:
-        spot_check_stability(model.potential, model, trials=500, max_n=3, seed=1)
+        spot_check_stability(model, trials=500, max_n=3, seed=1)
     assert err.value.witness is not None
     assert len(err.value.witness) >= 2
 
 
 def test_integrability_zero_potential():
     model = build_model("constant", value=0.0)
-    report = check_integrability(model.potential, model, reference_grid_size=8)
+    report = check_integrability(model, reference_grid_size=8)
     assert report.c_beta == 0.0
     assert report.finite
 
 
 def test_integrability_toy_vs_dense_grid_oracle(toy_model):
-    report = check_integrability(toy_model.potential, toy_model,
-                                 reference_grid_size=32)
+    report = check_integrability(toy_model, reference_grid_size=32)
 
     # dense midpoint-grid oracle for the inner integral, evaluated on the
     # same reference family the checker scans
@@ -283,7 +278,7 @@ def test_integrability_toy_vs_dense_grid_oracle(toy_model):
 
 def test_integrability_hard_core_geometry():
     model = build_model("hard-core", r0=0.1)
-    report = check_integrability(model.potential, model, reference_grid_size=64)
+    report = check_integrability(model, reference_grid_size=64)
     # the absolute Mayer factor is the indicator of the core, so the mass is
     # the covered length inside the box times the mark mass
     assert report.c_beta == pytest.approx(0.2, rel=1e-3)
@@ -335,7 +330,7 @@ def dense_c_beta(model, grid, cells):
 ], ids=["continuum-potts", "planar-rotator", "ferrofluid", "toy-periodic-2"])
 def test_integrability_registry_vs_dense_grid_oracle(cfg):
     model = model_from_dict(cfg)
-    report = check_integrability(model.potential, model, reference_grid_size=2)
+    report = check_integrability(model, reference_grid_size=2)
     # 8000 cells put every reference point (odd multiples of side/8) and each
     # jump or kink around it (+-r1, +-r2 of continuum-potts, +-side/2) on a cell edge
     assert report.c_beta == pytest.approx(dense_c_beta(model, 2, 8000), rel=1e-6)
@@ -396,7 +391,7 @@ REDUCTION_CASES = {
 def test_integrability_matches_full_reference_family(case):
     cfg, grid = REDUCTION_CASES[case]
     model = model_from_dict(cfg)
-    report = check_integrability(model.potential, model, grid)
+    report = check_integrability(model, grid)
     c_beta, delta = full_family_c_beta(model, grid)
     assert report.c_beta == pytest.approx(c_beta, rel=1e-12, abs=1e-300)
     assert report.refinement_delta == pytest.approx(delta, rel=0, abs=1e-12)
@@ -420,8 +415,8 @@ def test_integrability_evaluates_one_mirror_orthant_per_grid(monkeypatch, cfg, g
     calls = []
     inner = potential._abs_mayer_masses
     monkeypatch.setattr(potential, "_abs_mayer_masses",
-                        lambda *args: calls.append(args[2]) or inner(*args))
-    report = check_integrability(model.potential, model, grid)
+                        lambda *args: calls.append(args[1]) or inner(*args))
+    report = check_integrability(model, grid)
     d = model.space.dimension
     assert len(calls) == sum(math.ceil(p / 2) ** d for p in per_axis)
     assert report.reference_points == len(calls) * c_beta_marks(model)[0].size
@@ -445,8 +440,8 @@ def test_integrability_evaluates_one_position_on_periodic_boxes(monkeypatch, cfg
     calls = []
     inner = potential._abs_mayer_masses
     monkeypatch.setattr(potential, "_abs_mayer_masses",
-                        lambda *args: calls.append(args[2]) or inner(*args))
-    report = check_integrability(model.potential, model, grid)
+                        lambda *args: calls.append(args[1]) or inner(*args))
+    report = check_integrability(model, grid)
     sides = np.asarray(model.space.side_lengths)
     assert len(calls) == 1
     assert np.allclose(calls[0], sides * 0.5 / per_axis, rtol=1e-15, atol=0.0)
@@ -479,16 +474,19 @@ def test_model_from_dict_registry_and_inline():
     })
     assert m2.space.boundary == "periodic"
     assert m2.mass() == pytest.approx(2.0)
-    assert m2.potential.space is m2.space
+    # the potential measures distance with the inline space's periodic metric
+    across = pair_value(m2, MarkedPoint((0.1,), 1.0), MarkedPoint((1.9,), 1.0))
+    assert across == pytest.approx(pair_value(m2, MarkedPoint((0.1,), 1.0),
+                                              MarkedPoint((0.3,), 1.0)), rel=1e-12)
 
 
 def test_cross_phi_matrix_matches_scalar(toy_model, rng):
     a = random_config(toy_model, 3, rng)
     b = random_config(toy_model, 2, rng)
-    mat = cross_phi_matrix(toy_model.potential,
+    mat = cross_phi_matrix(toy_model,
                            a.positions_array()[None], a.marks_array()[None],
                            b.positions_array(), b.marks_array())[0]
     for i in range(3):
         for j in range(2):
             assert mat[i, j] == pytest.approx(
-                toy_model.potential.evaluate(a[i], b[j]), rel=1e-15)
+                pair_value(toy_model, a[i], b[j]), rel=1e-15)

@@ -14,7 +14,7 @@ from markedgibbs.gibbsmc import (EMPTY_BOUNDARY, SamplerConfig, mcmc_run,
                                  poisson_sample)
 from markedgibbs.lpintegrate import QuadratureScheme, philox_rng
 from markedgibbs.model import Box, FiniteConfiguration, MarkedPoint, canonicalize
-from markedgibbs.potential import build_model
+from markedgibbs.potential import build_model, pair_value
 
 
 def test_hard_core_exclusion_volume_series():
@@ -118,8 +118,8 @@ def test_periodic_boundary_translation_invariance():
     model = build_model("toy-repulsive-spin-rc", z=0.05, boundary="periodic",
                         range_cut=0.2)
     # on the torus the pair value depends only on the wrapped separation
-    a = model.potential.evaluate(MarkedPoint((0.05,), 1.0), MarkedPoint((0.95,), 1.0))
-    b = model.potential.evaluate(MarkedPoint((0.45,), 1.0), MarkedPoint((0.55,), 1.0))
+    a = pair_value(model, MarkedPoint((0.05,), 1.0), MarkedPoint((0.95,), 1.0))
+    b = pair_value(model, MarkedPoint((0.45,), 1.0), MarkedPoint((0.55,), 1.0))
     assert a == pytest.approx(b, rel=1e-14)
     radius = convergence_radius(model, reference_grid_size=12)
     assert radius.c_beta > 0
