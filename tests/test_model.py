@@ -204,6 +204,7 @@ def test_replacing_the_space_replaces_the_metric(toy_model):
     assert c_beta != convergence_radius(toy_model, 24).c_beta
     assert (log_partition_truncated(moved, periodic.box, 3).log_z
             == log_partition_truncated(built, periodic.box, 3).log_z)
+    assert toy_model.replace(space=PositionSpace(1, (1.5,))).mass() == pytest.approx(1.5)
 
 
 def test_union_disjoint_commutes_with_restrict(toy_model, rng):
