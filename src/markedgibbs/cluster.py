@@ -546,11 +546,10 @@ def _series(what: str, f: BatchIntegrand, model: ModelSpec,
         raise IntegrationFailure(f"{what} integral failed: {exc}") from exc
 
 
-def _ursell_integrand(model: ModelSpec, absolute: bool = False) -> BatchIntegrand:
-    """k(nodes), or |k|, as a batch integrand; k of no points is 0."""
+def _ursell_integrand(model: ModelSpec) -> BatchIntegrand:
+    """k(nodes) as a batch integrand; k of no points is 0."""
     def integrand(n, positions, marks):
-        vals = ursell_batch(model, FiniteConfiguration(), positions, marks)
-        return np.abs(vals) if absolute else vals
+        return ursell_batch(model, FiniteConfiguration(), positions, marks)
     return integrand
 
 
@@ -562,12 +561,9 @@ def _kbar_integrand(model: ModelSpec, points: FiniteConfiguration) -> BatchInteg
 
 
 def ursell_series_terms(model: ModelSpec, region: Box, N: int,
-                        scheme: QuadratureScheme | None = None,
-                        absolute: bool = False) -> IntegralEstimate:
-    """Truncated series sum_n (z^n/n!) Int k (or |k|) over n region points."""
-    return _series("coefficient",
-                   _ursell_integrand(model, absolute),
-                   model, region, N, scheme)
+                        scheme: QuadratureScheme | None = None) -> IntegralEstimate:
+    """Truncated series sum_n (z^n/n!) Int k over n region points."""
+    return _series("coefficient", _ursell_integrand(model), model, region, N, scheme)
 
 
 @dataclass(frozen=True)

@@ -149,7 +149,7 @@ class SampleStream:
 
     Read as a sequence, the stream holds canonical configurations: ``len``,
     iteration and indexing build them, sample by sample, only where a caller
-    reads points. Two streams are equal when their dimensions, counts,
+    reads points; a slice is the list of its samples. Two streams are equal when their dimensions, counts,
     positions and marks are, row for row.
     """
 
@@ -174,7 +174,9 @@ class SampleStream:
             # one sample's rows at a time, so no list of every row is built
             yield FiniteConfiguration(self._points(order[start:stop]))
 
-    def __getitem__(self, i: int) -> FiniteConfiguration:
+    def __getitem__(self, i: int | slice) -> FiniteConfiguration | list[FiniteConfiguration]:
+        if isinstance(i, slice):
+            return [self[j] for j in range(len(self))[i]]
         i = range(len(self))[i]
         rows = np.arange(self._offsets[i], self._offsets[i + 1])
         return canonicalize(self._points(rows))

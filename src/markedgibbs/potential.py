@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import lru_cache, reduce
 from typing import Callable
 
@@ -401,18 +401,9 @@ def spot_check_stability(model: ModelSpec, trials: int = 1000, max_n: int = 6,
 
 
 # ---------------------------------------------------------------------------
-# Built-in model registry
-
-def _toy_repulsive_spin_radial(ell: float, coupling: float):
-    def radial(r, s, t):
-        return (1.0 + coupling * s * t) * np.exp(-(r / ell) ** 2)
-    return radial
-
-
-def _hard_core_radial(r0: float):
-    def radial(r, s, t):
-        return np.where(np.asarray(r) < r0, INF, 0.0)
-    return radial
+# Built-in model registry: one Profile row per model. Each potential function
+# maps a row's parameters to the PairPotential fields other than name and
+# params.
 
 
 def _constant_radial(value: float):
@@ -422,36 +413,111 @@ def _constant_radial(value: float):
     return radial
 
 
-def _rotator_radial(a: float, ell_phi: float, j0: float, ell_j: float):
+def _toy(p: dict) -> dict:
+    ell, coupling = p["ell"], p["coupling"]
+
+    def radial(r, s, t):
+        return (1.0 + coupling * s * t) * np.exp(-(r / ell) ** 2)
+    return {"radial": radial, "range_R": p["range_cut"]}
+
+
+def _hard_core(p: dict) -> dict:
+    r0 = p["r0"]
+
+    def radial(r, s, t):
+        return np.where(np.asarray(r) < r0, INF, 0.0)
+    return {"radial": radial, "range_R": r0}
+
+
+def _rotator(p: dict) -> dict:
+    a, ell_phi, j0, ell_j = p["a"], p["ell_phi"], p["j0"], p["ell_j"]
+
     # repulsive radial core minus a ferromagnetic angle coupling; with
     # a >= j0 and ell_phi >= ell_j the value is pointwise nonnegative
     def radial(r, s, t):
         return a * np.exp(-r / ell_phi) - j0 * np.exp(-r / ell_j) * np.cos(s - t)
-    return radial
+    return {"radial": radial}
 
 
-def _ferrofluid_radial(a: float, j0: float, ell: float):
+def _ferrofluid(p: dict) -> dict:
+    a, j0, ell = p["a"], p["j0"], p["ell"]
+
     def radial(r, s, t):
         return (a + j0 * s * t) * np.exp(-(r / ell) ** 2)
-    return radial
+    return {"radial": radial}
 
 
-def _potts_radial(a: float, r2: float, r1: float):
+def _potts(p: dict) -> dict:
+    a, r2, r1 = p["a"], p["r2"], p["r1"]
+
     def radial(r, s, t):
         r = np.asarray(r, dtype=float)
         rep = a * np.maximum(0.0, 1.0 - r / r2) ** 2
         same = np.asarray(s) == np.asarray(t)
         vals = np.where(same, 0.0, rep)
         return np.where(r < r1, INF, vals)
-    return radial
+    return {"radial": radial, "range_R": r2, "breakpoints": (float(r1),)}
 
 
-def _space(d: int, side: float, boundary: str) -> PositionSpace:
-    return PositionSpace(dimension=d, side_lengths=(side,) * d, boundary=boundary)
+def _constant(p: dict) -> dict:
+    # for c < 0, E = c N(N-1)/2 falls below -B N at large N for every B
+    if p["value"] < 0:
+        raise ValueError(f"a constant potential below 0 is unstable, got {p['value']!r}")
+    return {"radial": _constant_radial(p["value"]), "stability_B": p["declared_B"]}
+
+
+def _spin_marks(p: dict) -> MarkSpace:
+    return MarkSpace.discrete([1.0, -1.0], [0.5, 0.5])
+
+
+def _potts_marks(p: dict) -> MarkSpace:
+    q = int(p["q"])
+    return MarkSpace.discrete([float(i) for i in range(1, q + 1)], [1.0 / q] * q)
+
+
+@dataclass(frozen=True)
+class Profile:
+    """One built-in model: its potential's parameters with their defaults,
+    the potential built from them, and the default marks.
+
+    ``mark_defaults`` are parameters that shape the default marks alone, so
+    the inline form, whose marks are given, takes none of them.
+    """
+
+    defaults: dict
+    potential: Callable[[dict], dict]
+    marks: Callable[[dict], MarkSpace] = _spin_marks
+    mark_defaults: dict = field(default_factory=dict)
+
+
+_TOY = {"ell": 0.2, "coupling": 0.5, "range_cut": None}
+
+REGISTRY: dict[str, Profile] = {
+    "ideal": Profile({}, lambda p: {"radial": _constant_radial(0.0), "range_R": 0.0}),
+    "toy-repulsive-spin": Profile(_TOY, _toy),
+    "toy-repulsive-spin-rc": Profile({**_TOY, "range_cut": 0.3}, _toy),
+    "hard-core": Profile({"r0": 0.1}, _hard_core),
+    "planar-rotator": Profile({"a": 1.0, "ell_phi": 0.25, "j0": 0.5, "ell_j": 0.2},
+                              _rotator, marks=lambda p: MarkSpace.circle(mass=1.0)),
+    "ferrofluid": Profile({"a": 1.0, "j0": 0.5, "ell": 0.25}, _ferrofluid,
+                          marks=lambda p: MarkSpace.interval(-1.0, 1.0, mass=1.0)),
+    "continuum-potts": Profile({"a": 1.0, "r2": 0.2, "r1": 0.05}, _potts,
+                               marks=_potts_marks, mark_defaults={"q": 3}),
+    "constant": Profile({"value": 0.5, "declared_B": 0.0}, _constant),
+}
+# the registry form's box, a cube; no potential reads it
+_BOX = {"side": 1.0, "dimension": 1, "boundary": "free"}
+
+
+def _is_number(value) -> bool:
+    """True for a finite real number; a bool is not one, though Python
+    counts it as a ``numbers.Real``."""
+    return (not isinstance(value, bool) and isinstance(value, numbers.Real)
+            and math.isfinite(value))
 
 
 def _params(defaults: dict, overrides: dict) -> dict:
-    """A builder's defaults with the overrides in place of its own.
+    """The defaults with the overrides in place of their own.
 
     An unknown key is a ValueError, and so is a value that is not a finite
     number (``boundary`` is a string, and a ``range_cut`` default of None may
@@ -465,7 +531,7 @@ def _params(defaults: dict, overrides: dict) -> dict:
     for key, value in p.items():
         if key == "boundary" or (value is None and defaults[key] is None):
             continue
-        if not isinstance(value, numbers.Real) or not math.isfinite(value):
+        if not _is_number(value):
             raise ValueError(f"parameter {key!r} must be a finite number, got {value!r}")
         if key.startswith("ell") and value <= 0:
             raise ValueError(f"length scale {key!r} must be positive, got {value!r}")
@@ -476,112 +542,34 @@ def _params(defaults: dict, overrides: dict) -> dict:
 
 def _whole_number(key: str, value) -> int:
     """``value`` as an int; a ValueError unless it is a whole number >= 1."""
-    if (not isinstance(value, numbers.Real) or not math.isfinite(value)
-            or value < 1 or value != int(value)):
+    if not _is_number(value) or value < 1 or value != int(value):
         raise ValueError(f"{key!r} must be a whole number >= 1, got {value!r}")
     return int(value)
 
 
-def _build_toy(z, beta, params):
-    p = _params({"ell": 0.2, "coupling": 0.5, "side": 1.0, "dimension": 1,
-                 "boundary": "free", "range_cut": None}, params)
-    space = _space(int(p["dimension"]), p["side"], p["boundary"])
-    marks = MarkSpace.discrete([1.0, -1.0], [0.5, 0.5])
-    pot = PairPotential(name="toy-repulsive-spin",
-                        radial=_toy_repulsive_spin_radial(p["ell"], p["coupling"]),
-                        stability_B=0.0, range_R=p["range_cut"], params=dict(p))
-    return ModelSpec(space=space, marks=marks, potential=pot, z=z, beta=beta)
+def _profile(name: str) -> Profile:
+    if name not in REGISTRY:
+        raise KeyError(f"unknown model {name!r}; known: {sorted(REGISTRY)}")
+    return REGISTRY[name]
 
 
-def _build_toy_rc(z, beta, params):
-    spec = _build_toy(z, beta, {"range_cut": 0.3, **params})
-    return spec.replace(potential=replace(spec.potential, name="toy-repulsive-spin-rc"))
-
-
-def _build_ideal(z, beta, params):
-    p = _params({"side": 1.0, "dimension": 1, "boundary": "free"}, params)
-    space = _space(int(p["dimension"]), p["side"], p["boundary"])
-    marks = MarkSpace.discrete([1.0, -1.0], [0.5, 0.5])
-    pot = PairPotential(name="ideal", radial=_constant_radial(0.0),
-                        stability_B=0.0, range_R=0.0, params=dict(p))
-    return ModelSpec(space=space, marks=marks, potential=pot, z=z, beta=beta)
-
-
-def _build_hard_core(z, beta, params):
-    p = _params({"r0": 0.1, "side": 1.0, "dimension": 1, "boundary": "free"}, params)
-    space = _space(int(p["dimension"]), p["side"], p["boundary"])
-    marks = MarkSpace.discrete([1.0, -1.0], [0.5, 0.5])
-    pot = PairPotential(name="hard-core", radial=_hard_core_radial(p["r0"]),
-                        stability_B=0.0, range_R=p["r0"], params=dict(p))
-    return ModelSpec(space=space, marks=marks, potential=pot, z=z, beta=beta)
-
-
-def _build_rotator(z, beta, params):
-    p = _params({"a": 1.0, "ell_phi": 0.25, "j0": 0.5, "ell_j": 0.2,
-                 "side": 1.0, "dimension": 1, "boundary": "free"}, params)
-    space = _space(int(p["dimension"]), p["side"], p["boundary"])
-    marks = MarkSpace.circle(mass=1.0)
-    pot = PairPotential(name="planar-rotator",
-                        radial=_rotator_radial(p["a"], p["ell_phi"], p["j0"], p["ell_j"]),
-                        stability_B=0.0, range_R=None, params=dict(p))
-    return ModelSpec(space=space, marks=marks, potential=pot, z=z, beta=beta)
-
-
-def _build_ferrofluid(z, beta, params):
-    p = _params({"a": 1.0, "j0": 0.5, "ell": 0.25, "side": 1.0, "dimension": 1,
-                 "boundary": "free"}, params)
-    space = _space(int(p["dimension"]), p["side"], p["boundary"])
-    marks = MarkSpace.interval(-1.0, 1.0, mass=1.0)
-    pot = PairPotential(name="ferrofluid",
-                        radial=_ferrofluid_radial(p["a"], p["j0"], p["ell"]),
-                        stability_B=0.0, range_R=None, params=dict(p))
-    return ModelSpec(space=space, marks=marks, potential=pot, z=z, beta=beta)
-
-
-def _build_potts(z, beta, params):
-    p = _params({"q": 3, "a": 1.0, "r2": 0.2, "r1": 0.05, "side": 1.0, "dimension": 1,
-                 "boundary": "free"}, params)
-    q = int(p["q"])
-    space = _space(int(p["dimension"]), p["side"], p["boundary"])
-    marks = MarkSpace.discrete([float(i) for i in range(1, q + 1)], [1.0 / q] * q)
-    pot = PairPotential(name="continuum-potts",
-                        radial=_potts_radial(p["a"], p["r2"], p["r1"]),
-                        stability_B=0.0, range_R=p["r2"],
-                        breakpoints=(float(p["r1"]),), params=dict(p))
-    return ModelSpec(space=space, marks=marks, potential=pot, z=z, beta=beta)
-
-
-def _build_constant(z, beta, params):
-    p = _params({"value": 0.5, "declared_B": 0.0, "side": 1.0, "dimension": 1,
-                 "boundary": "free"}, params)
-    # for c < 0, E = c N(N-1)/2 falls below -B N at large N for every B
-    if p["value"] < 0:
-        raise ValueError(f"a constant potential below 0 is unstable, got {p['value']!r}")
-    space = _space(int(p["dimension"]), p["side"], p["boundary"])
-    marks = MarkSpace.discrete([1.0, -1.0], [0.5, 0.5])
-    pot = PairPotential(name="constant", radial=_constant_radial(p["value"]),
-                        stability_B=p["declared_B"], range_R=None, params=dict(p))
-    return ModelSpec(space=space, marks=marks, potential=pot, z=z, beta=beta)
-
-
-REGISTRY: dict[str, Callable] = {
-    "ideal": _build_ideal,
-    "toy-repulsive-spin": _build_toy,
-    "toy-repulsive-spin-rc": _build_toy_rc,
-    "hard-core": _build_hard_core,
-    "planar-rotator": _build_rotator,
-    "ferrofluid": _build_ferrofluid,
-    "continuum-potts": _build_potts,
-    "constant": _build_constant,
-}
+def _potential(name: str, p: dict) -> PairPotential:
+    """The named profile's potential at the parameters ``p``, which its
+    ``params`` record."""
+    return PairPotential(name=name, params=p, **REGISTRY[name].potential(p))
 
 
 def build_model(name: str, z: float = 0.05, beta: float = 1.0,
                 **params) -> ModelSpec:
-    """Instantiate a registered model with parameter overrides."""
-    if name not in REGISTRY:
-        raise KeyError(f"unknown model {name!r}; known: {sorted(REGISTRY)}")
-    return REGISTRY[name](z, beta, params)
+    """Instantiate a registered model with parameter overrides: the profile's
+    own parameters, and ``side``, ``dimension`` and ``boundary``, which set
+    the box and stay out of the potential's ``params``."""
+    profile = _profile(name)
+    p = _params({**profile.defaults, **profile.mark_defaults, **_BOX}, params)
+    d = int(p.pop("dimension"))
+    space = PositionSpace(dimension=d, side_lengths=(p.pop("side"),) * d,
+                          boundary=p.pop("boundary"))
+    return ModelSpec(space, profile.marks(p), _potential(name, p), z, beta)
 
 
 MODEL_KEYS = ("name", "z", "beta", "params")
@@ -629,12 +617,9 @@ def model_from_dict(cfg: dict) -> ModelSpec:
             marks = MarkSpace.interval(mk["lower"], mk["upper"], mk.get("mass", 1.0))
         pot_cfg = cfg["potential"]
         check_keys("potential", pot_cfg, POTENTIAL_KEYS)
-        base = build_model(pot_cfg["name"], z=cfg.get("z", 0.05),
-                           beta=cfg.get("beta", 1.0),
-                           dimension=space.dimension,
-                           side=space.side_lengths[0],
-                           boundary=space.boundary,
-                           **pot_cfg.get("params", {}))
-        return base.replace(space=space, marks=marks)
+        name = pot_cfg["name"]
+        potential = _potential(name, _params(_profile(name).defaults,
+                                             pot_cfg.get("params", {})))
+        return ModelSpec(space, marks, potential, cfg.get("z", 0.05), cfg.get("beta", 1.0))
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"bad model configuration: {exc}") from exc

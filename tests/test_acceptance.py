@@ -19,16 +19,15 @@ from markedgibbs.cluster import (averaged_correlation, boltzmann_functional,
                                  log_partition_truncated,
                                  partition_direct_truncated, tail_bound,
                                  tree_abs_sum_batch, tree_bound_q_multi,
-                                 tree_bound_recursive, ursell_direct,
-                                 ursell_series_terms, ursell_table,
-                                 _abs_mayer_matrix)
+                                 tree_bound_recursive, ursell_batch,
+                                 ursell_direct, ursell_table, _abs_mayer_matrix)
 from markedgibbs.combinat import enumerate_connected_graphs, enumerate_trees
 from markedgibbs.gibbsmc import (EMPTY_BOUNDARY, SamplerConfig,
                                  collar_locality_trials, dlr_check, mcmc_run,
                                  poisson_sample, rejection_sample_batch,
                                  summarize_samples)
-from markedgibbs.lpintegrate import (QuadratureScheme, SlotDomain, philox_rng,
-                                     product_region_integral)
+from markedgibbs.lpintegrate import (QuadratureScheme, SlotDomain, lp_integral,
+                                     philox_rng, product_region_integral)
 from markedgibbs.model import Box, FiniteConfiguration, MarkedPoint, canonicalize
 from markedgibbs.potential import build_model, check_integrability
 
@@ -207,10 +206,12 @@ def test_criterion_08_convergence_certificate():
     radius = convergence_radius(TOY, 48)
     assert radius.z_star > 0
     model = TOY.replace(z=0.5 * radius.z_star)
-    est = ursell_series_terms(model, model.space.box, 4,
-                              QuadratureScheme.tensor((96, 48, 24, 12),
-                                                      mc_fallback_samples=20000),
-                              absolute=True)
+    # the series of |k|, which the majorant bounds term by term
+    def abs_ursell(n, positions, marks):
+        return np.abs(ursell_batch(model, FiniteConfiguration(), positions, marks))
+
+    est = lp_integral(abs_ursell, model, model.space.box, 4,
+                      QuadratureScheme.tensor((96, 48, 24, 12), mc_fallback_samples=20000))
     q = 2 * model.z * math.e * radius.c_beta * \
         math.exp(2 * model.beta * model.potential.stability_B)
     assert q == pytest.approx(0.5, rel=1e-12)

@@ -164,6 +164,25 @@ def test_report_reparses_under_schema(tmp_path):
         assert key in prov
 
 
+@pytest.mark.parametrize("model, sides", [
+    ({"space": {"dimension": 2, "side_lengths": [2.0, 0.5], "boundary": "periodic"},
+      "marks": {"kind": "discrete", "labels": [1.0, -1.0], "weights": [0.5, 0.5]},
+      "potential": {"name": "toy-repulsive-spin", "params": {"ell": 0.3}}},
+     [2.0, 0.5]),
+    ({"name": "toy-repulsive-spin", "params": {"dimension": 2}}, [1.0, 1.0]),
+], ids=["inline_2d_box", "registry_dimension_2"])
+def test_provenance_parameters_are_the_potentials_own(tmp_path, model, sides):
+    # the box is in box_sides and boundary only, never among the parameters
+    out = tmp_path / "radius.json"
+    assert main(["--config", write_config(tmp_path, {
+        "command": "radius", "model": model, "reference_grid_size": 4,
+        "out": str(out)})]) == 0
+    prov = json.loads(out.read_text())["provenance"]
+    assert sorted(prov["parameters"]) == ["coupling", "ell", "range_cut"]
+    assert prov["box_sides"] == sides
+    assert prov["boundary"] == model.get("space", {}).get("boundary", "free")
+
+
 def test_cli_entrypoint_error_paths(tmp_path):
     assert main(["--config", str(tmp_path / "missing.json")]) == 2
     bad = write_config(tmp_path, {"command": "correlate", "model": BASE_MODEL})
@@ -247,7 +266,11 @@ def test_cli_entrypoint_error_paths(tmp_path):
                            ("planar-rotator", {"ell_phi": 0.0}),
                            ("continuum-potts", {"q": 0}),
                            ("toy-repulsive-spin", {"dimension": 1.7}),
-                           ("toy-repulsive-spin-rc", {"range_cutoff": 0.2}))),
+                           ("toy-repulsive-spin-rc", {"range_cutoff": 0.2}),
+                           # a JSON true is not a number
+                           ("hard-core", {"r0": True}),
+                           ("toy-repulsive-spin", {"side": True}),
+                           ("toy-repulsive-spin", {"dimension": True}))),
     {"command": "expand", "model": BASE_MODEL, "order": 1,
      "scheme": {"kind": "tensor_grid", "points_per_axs": [16, 8]}},
     {"command": "expand", "model": BASE_MODEL, "oder": 9},
@@ -272,6 +295,11 @@ def test_cli_entrypoint_error_paths(tmp_path):
      "model": {**INLINE_INTERVAL, "marks": {"kind": "interval", "lower": -1.0,
                                             "upper": 1.0},
                "potential": {"name": "ferrofluid", "parms": {"ell": 0.3}}}},
+    # q shapes only the registry's default marks; inline marks are given
+    {"command": "radius", "reference_grid_size": 8,
+     "model": {**INLINE_INTERVAL, "marks": {"kind": "discrete", "labels": [1.0, 2.0],
+                                            "weights": [0.5, 0.5]},
+               "potential": {"name": "continuum-potts", "params": {"q": 5}}}},
     {"command": "expand", "model": BASE_MODEL, "order": 1,
      "region": {"lower": [0.2], "upper": [0.8], "uper": [0.9]}},
     # a number that is not integral is an error, not truncated
@@ -320,10 +348,12 @@ def test_cli_entrypoint_error_paths(tmp_path):
         "ell_nan", "coupling_infinite", "constant_value_nan", "constant_value_negative",
         "rotator_ell_phi_0",
         "potts_q_0", "dimension_not_whole", "unknown_model_param",
+        "hard_core_r0_true", "side_true", "dimension_true",
         "unknown_scheme_key", "unknown_config_key", "config_not_an_object",
         "sampler_not_an_object", "inline_dimension_not_whole", "unknown_model_key",
         "unknown_inline_model_key", "unknown_space_key", "unknown_marks_key",
-        "unknown_potential_key", "unknown_region_key", "grid_fractional",
+        "unknown_potential_key", "inline_potts_q", "unknown_region_key",
+        "grid_fractional",
         "grid_true", "order_fractional", "seed_fractional",
         "points_per_axis_fractional", "points_per_axis_true",
         "mark_nodes_fractional", "samples_fractional", "fallback_fractional",

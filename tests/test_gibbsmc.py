@@ -776,6 +776,10 @@ def test_sample_stream_is_a_sequence_of_configurations(rng):
     for a, b in zip(stream, want):
         assert [(p.position, p.mark) for p in a] == [(p.position, p.mark) for p in b]
     assert stream[-1] == want[-1]
+    # a slice reads as the list's slice: plain, negative and stepped
+    for cut in (slice(0, 1), slice(3, 9), slice(-4, None), slice(-7, -2),
+                slice(None, None, 3), slice(15, 2, -4), slice(30, 40)):
+        assert stream[cut] == want[cut], cut
     with pytest.raises(IndexError):
         stream[20]
     # an index past a further append reads that sample's rows, not its
