@@ -238,7 +238,7 @@ class IntegrabilityReport:
 
 
 # elements per chunk of the C(beta) |Mayer| table, 128 KiB of float64 per
-# temporary; the series' 2 MiB chunks (lpintegrate._CHUNK) left the faster
+# temporary; chunks of 2^18 elements, 2 MiB per temporary, left the faster
 # C(beta) passes churning a larger heap
 _C_BETA_CHUNK = 1 << 14
 
@@ -516,6 +516,20 @@ def _is_number(value) -> bool:
             and math.isfinite(value))
 
 
+def _number(key: str, value):
+    """``value`` itself; a ValueError unless it is a finite number."""
+    if not _is_number(value):
+        raise ValueError(f"{key!r} must be a finite number, got {value!r}")
+    return value
+
+
+def _numbers(key: str, values) -> tuple:
+    """A list or tuple of finite numbers as a tuple; a ValueError otherwise."""
+    if not isinstance(values, (list, tuple)):
+        raise ValueError(f"{key!r} must be a list of numbers, got {values!r}")
+    return tuple(_number(key, v) for v in values)
+
+
 def _params(defaults: dict, overrides: dict) -> dict:
     """The defaults with the overrides in place of their own.
 
@@ -531,8 +545,7 @@ def _params(defaults: dict, overrides: dict) -> dict:
     for key, value in p.items():
         if key == "boundary" or (value is None and defaults[key] is None):
             continue
-        if not _is_number(value):
-            raise ValueError(f"parameter {key!r} must be a finite number, got {value!r}")
+        _number(key, value)
         if key.startswith("ell") and value <= 0:
             raise ValueError(f"length scale {key!r} must be positive, got {value!r}")
         if key in ("q", "dimension"):
@@ -586,22 +599,23 @@ def model_from_dict(cfg: dict) -> ModelSpec:
     Either ``{"name": ..., "z": ..., "beta": ..., "params": {...}}`` for a
     registry entry, or an inline spec with explicit ``space`` and ``marks``
     plus a registered potential name. A key that is not one of these, or not
-    one of its mapping's own keys, is a ConfigError that names it.
+    one of its mapping's own keys, is a ConfigError that names it, and so is
+    a number of the model (activity, inverse temperature, box sides, mark
+    labels, weights, bounds and mass) that is not a finite number: a JSON
+    ``true`` or ``"2"`` is not read as 1.0 or 2.0.
     """
     from .errors import ConfigError, check_keys
     registry = isinstance(cfg, dict) and "name" in cfg
     check_keys("model", cfg, MODEL_KEYS if registry else INLINE_MODEL_KEYS)
-    if registry:
-        try:
-            return build_model(cfg["name"], z=cfg.get("z", 0.05),
-                               beta=cfg.get("beta", 1.0), **cfg.get("params", {}))
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ConfigError(f"bad model configuration: {exc}") from exc
     try:
+        z = _number("z", cfg.get("z", 0.05))
+        beta = _number("beta", cfg.get("beta", 1.0))
+        if registry:
+            return build_model(cfg["name"], z=z, beta=beta, **cfg.get("params", {}))
         sp = cfg["space"]
         check_keys("space", sp, SPACE_KEYS)
         space = PositionSpace(dimension=_whole_number("dimension", sp["dimension"]),
-                              side_lengths=tuple(float(x) for x in sp["side_lengths"]),
+                              side_lengths=_numbers("side_lengths", sp["side_lengths"]),
                               boundary=sp.get("boundary", "free"))
         mk = cfg["marks"]
         kind = mk.get("kind") if isinstance(mk, dict) else None
@@ -610,16 +624,19 @@ def model_from_dict(cfg: dict) -> ModelSpec:
                              f"{sorted(MARK_KEYS)}")
         check_keys(f"{kind} marks", mk, MARK_KEYS[kind])
         if kind == "discrete":
-            marks = MarkSpace.discrete(mk["labels"], mk["weights"])
+            marks = MarkSpace.discrete(_numbers("labels", mk["labels"]),
+                                       _numbers("weights", mk["weights"]))
         elif kind == "circle":
-            marks = MarkSpace.circle(mk.get("mass", 1.0))
+            marks = MarkSpace.circle(_number("mass", mk.get("mass", 1.0)))
         else:
-            marks = MarkSpace.interval(mk["lower"], mk["upper"], mk.get("mass", 1.0))
+            marks = MarkSpace.interval(_number("lower", mk["lower"]),
+                                       _number("upper", mk["upper"]),
+                                       _number("mass", mk.get("mass", 1.0)))
         pot_cfg = cfg["potential"]
         check_keys("potential", pot_cfg, POTENTIAL_KEYS)
         name = pot_cfg["name"]
         potential = _potential(name, _params(_profile(name).defaults,
                                              pot_cfg.get("params", {})))
-        return ModelSpec(space, marks, potential, cfg.get("z", 0.05), cfg.get("beta", 1.0))
+        return ModelSpec(space, marks, potential, z, beta)
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"bad model configuration: {exc}") from exc

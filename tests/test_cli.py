@@ -333,6 +333,21 @@ def test_cli_entrypoint_error_paths(tmp_path):
     {"command": "expand", "model": BASE_MODEL, "order": 1,
      "scheme": {"kind": "monte_carlo", "samples": 2000, "points_per_axis": 16,
                 "mc_fallback_samples": 7}},
+    # a JSON true or a string is not a number of the model
+    *({"command": "radius", "reference_grid_size": 8, "model": model} for model in (
+        {"name": "hard-core", "z": True},
+        {"name": "hard-core", "beta": True},
+        {**INLINE_INTERVAL, "space": {"dimension": 1, "side_lengths": ["2"]},
+         "marks": {"kind": "interval", "lower": -1.0, "upper": 1.0}},
+        {**INLINE_INTERVAL, "space": {"dimension": 1, "side_lengths": [True]},
+         "marks": {"kind": "interval", "lower": -1.0, "upper": 1.0}},
+        {**INLINE_INTERVAL, "marks": {"kind": "interval", "lower": "-1", "upper": 1.0}},
+        {**INLINE_INTERVAL, "marks": {"kind": "interval", "lower": -1.0, "upper": True}},
+        {**INLINE_INTERVAL, "marks": {"kind": "discrete", "labels": [True, False],
+                                      "weights": [0.5, 0.5]}},
+        {**INLINE_INTERVAL, "marks": {"kind": "discrete", "labels": [1.0, -1.0],
+                                      "weights": [True, True]}},
+        {**INLINE_INTERVAL, "marks": {"kind": "circle", "mass": True}})),
 ], ids=["points_per_axis_0", "unknown_mark_rule", "unknown_sampler_key",
         "probabilities_not_summing_to_1", "negative_activity",
         "unknown_scheme_kind", "thinning_0", "burn_in_past_sweeps",
@@ -358,7 +373,10 @@ def test_cli_entrypoint_error_paths(tmp_path):
         "points_per_axis_fractional", "points_per_axis_true",
         "mark_nodes_fractional", "samples_fractional", "fallback_fractional",
         "sampler_seed_fractional", "sampler_burn_in_true", "sampler_sweeps_fractional",
-        "mark_rule_key", "tensor_grid_samples", "monte_carlo_grid_keys"])
+        "mark_rule_key", "tensor_grid_samples", "monte_carlo_grid_keys",
+        "activity_true", "beta_true", "side_length_string", "side_length_true",
+        "interval_lower_string", "interval_upper_true", "discrete_labels_true",
+        "discrete_weights_true", "circle_mass_true"])
 def test_cli_malformed_values_are_config_errors(tmp_path, capsys, payload):
     assert main(["--config", write_config(tmp_path, payload)]) == 2
     assert capsys.readouterr().err.startswith("config error")

@@ -4,15 +4,16 @@ import math
 import numpy as np
 import pytest
 
+from markedgibbs import cluster, lpintegrate
 from markedgibbs.errors import SchemeMismatch
-from markedgibbs.lpintegrate import (TENSOR_NODE_BUDGET, IntegralEstimate,
+from markedgibbs.lpintegrate import (_BLOCK, TENSOR_NODE_BUDGET, IntegralEstimate,
                                      QuadratureScheme, SlotDomain, _multisets,
                                      _position_nodes, _single_nodes, lp_integral,
                                      mark_nodes_weights, marked_point_nodes,
                                      philox_rng,
                                      product_node_batches,
                                      product_region_integral, scalar_integrand)
-from markedgibbs.model import Box, FiniteConfiguration
+from markedgibbs.model import Box, FiniteConfiguration, MarkedPoint, canonicalize
 from markedgibbs.potential import build_model
 
 
@@ -418,3 +419,72 @@ def test_collar_order_one_integral_is_its_measure(dimension, region, per_axis):
                                        QuadratureScheme.tensor(per_axis))
     measure = (collar.box.volume - region.volume) * model.marks.total_mass
     assert value == pytest.approx(measure, rel=1e-14, abs=0.0)
+
+
+def _block_cases() -> dict:
+    """Integrals, as functions of their integrand, whose chunks exceed one
+    block: name -> integrate(integrand)."""
+    model = build_model("toy-repulsive-spin-rc", z=0.05, beta=1.0, range_cut=0.25)
+    region = Box((0.3,), (0.7,))
+    box = model.space.box
+    collar = cluster._collar_domain(model, region)
+    return {
+        "tensor": lambda f: product_region_integral(
+            model, [SlotDomain(box)] * 2, f, QuadratureScheme.tensor(64)),
+        "monte_carlo": lambda f: product_region_integral(
+            model, [SlotDomain(box)] * 3, f, QuadratureScheme.monte_carlo(6000, seed=4)),
+        "holed_collar": lambda f: product_region_integral(
+            model, [SlotDomain(region)] + [collar] * 2, f, QuadratureScheme.tensor(24)),
+        "fixed": lambda f: lp_integral(
+            f, model, box, 2, QuadratureScheme.tensor((64, 24, 8)),
+            fixed=[SlotDomain(region)]),
+    }
+
+
+@pytest.mark.parametrize("case", ["tensor", "monte_carlo", "holed_collar", "fixed"])
+def test_integrand_sees_each_chunk_in_blocks(monkeypatch, case):
+    # each chunk reaches the integrand as consecutive blocks of _BLOCK rows
+    # and a shorter last one; a small chunk puts chunk ends inside the Monte
+    # Carlo run as well
+    monkeypatch.setattr(lpintegrate, "_CHUNK", 2500)
+    chunks, blocks = [], []
+    batches = lpintegrate.product_node_batches
+
+    def recorded_batches(*args):
+        for batch in batches(*args):
+            chunks.append(batch[0])
+            yield batch
+
+    def spy(n, positions, marks):
+        blocks.append(positions.copy())
+        return np.ones(positions.shape[0])
+
+    monkeypatch.setattr(lpintegrate, "product_node_batches", recorded_batches)
+    _block_cases()[case](spy)
+    assert max(len(c) for c in chunks) > _BLOCK
+    assert all(len(b) <= _BLOCK for b in blocks)
+    expected = [c[i:i + _BLOCK] for c in chunks for i in range(0, len(c), _BLOCK)]
+    assert len(blocks) == len(expected)
+    assert all(np.array_equal(b, e) for b, e in zip(blocks, expected))
+
+
+def test_series_keep_their_bits_at_any_block(monkeypatch, toy_model):
+    # a row's integrand value depends on that row alone: blocks of 7 rows give
+    # the bits of the default block in every value, term and term error
+    scheme = QuadratureScheme.tensor((24, 12, 8, 6, 4, 3), mc_fallback_samples=3000,
+                                     seed=5)
+    anchors = canonicalize([MarkedPoint((0.3,), 1.0), MarkedPoint((0.55,), -1.0)])
+    box = toy_model.space.box
+    series = [
+        lambda: cluster.ursell_series_terms(toy_model, box, 4, scheme),
+        lambda: cluster.correlation_truncated(anchors, toy_model, box, 3, scheme),
+        lambda: cluster.partition_direct_truncated(toy_model, box,
+                                                   FiniteConfiguration(), 8, scheme),
+    ]
+
+    def bits(est):
+        return [x.hex() for x in (est.value, est.error, *est.terms, *est.term_errors)]
+
+    default = [bits(run()) for run in series]
+    monkeypatch.setattr(lpintegrate, "_BLOCK", 7)
+    assert [bits(run()) for run in series] == default

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from markedgibbs.errors import GroundMismatch, NotInIdeal, NotNormalized
@@ -50,16 +50,26 @@ def test_ground_mismatch():
 
 
 @given(st.integers(0, 5), st.integers(0, 2025))
+# products that cancel to near zero, which failed on the scale of |(a*b)*c|
+@example(1, 203)
+@example(3, 1748)
+@example(5, 698)
+@example(5, 1097)
+@example(5, 1186)
+@example(5, 1430)
 def test_star_commutative_associative(n, seed):
     rng = np.random.default_rng(seed)
     a, b, c = (random_functional(rng, n) for _ in range(3))
+    # the rounding of a sum of products is bounded on the scale of the same
+    # products of absolute values, which a cancelling product can fall below
+    abs_a, abs_b, abs_c = (ConfigFunctional(n, np.abs(f.values)) for f in (a, b, c))
     ab = star_mul(a, b)
     ba = star_mul(b, a)
-    scale = np.maximum(np.abs(ab.values), 1e-12)
+    scale = np.maximum(star_mul(abs_a, abs_b).values, 1e-12)
     assert np.max(np.abs(ab.values - ba.values) / scale) < 1e-12
     abc1 = star_mul(ab, c)
     abc2 = star_mul(a, star_mul(b, c))
-    scale = np.maximum(np.abs(abc1.values), 1e-12)
+    scale = np.maximum(star_mul(abs_a, star_mul(abs_b, abs_c)).values, 1e-12)
     assert np.max(np.abs(abc1.values - abc2.values) / scale) < 1e-12
 
 
