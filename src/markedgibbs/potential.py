@@ -523,11 +523,12 @@ def _number(key: str, value):
     return value
 
 
-def _numbers(key: str, values) -> tuple:
-    """A list or tuple of finite numbers as a tuple; a ValueError otherwise."""
+def _numbers(key: str, values) -> tuple[float, ...]:
+    """A list or tuple of finite numbers as a tuple of floats; a ValueError
+    otherwise."""
     if not isinstance(values, (list, tuple)):
         raise ValueError(f"{key!r} must be a list of numbers, got {values!r}")
-    return tuple(_number(key, v) for v in values)
+    return tuple(float(_number(key, v)) for v in values)
 
 
 def _params(defaults: dict, overrides: dict) -> dict:

@@ -395,7 +395,15 @@ def test_integral_float_entries_are_accepted(tmp_path):
                    "sampler": {"sweeps": 200, "burn_in": 10, "thinning": 2, "seed": 4}}
     sample_floats = {**sample_ints, "sampler": {"sweeps": 200.0, "burn_in": 10.0,
                                                 "thinning": 2.0, "seed": 4.0}}
-    for pair in ((ints, floats), (sample_ints, sample_floats)):
+    # whole numbers in the inline model's box and marks read as floats
+    inline_ints = {"command": "radius", "reference_grid_size": 8, "model": {
+        **INLINE_INTERVAL, "space": {"dimension": 1, "side_lengths": [2]},
+        "marks": {"kind": "discrete", "labels": [1, -1], "weights": [1, 1]}}}
+    inline_floats = {**inline_ints, "model": {
+        **INLINE_INTERVAL, "space": {"dimension": 1, "side_lengths": [2.0]},
+        "marks": {"kind": "discrete", "labels": [1.0, -1.0], "weights": [1.0, 1.0]}}}
+    for pair in ((ints, floats), (sample_ints, sample_floats),
+                 (inline_ints, inline_floats)):
         bodies = []
         for name, payload in zip(("ints", "floats"), pair):
             out = tmp_path / f"{name}.json"
