@@ -117,6 +117,13 @@ def poisson_sample(model: ModelSpec, region: Box,
 # ragged sample streams
 
 
+def _distinct(values: np.ndarray) -> list:
+    """The distinct values of an array, ascending, as Python numbers: the
+    values of ``np.unique(values).tolist()``, without the numpy.ma import
+    that a plain ``np.unique`` call makes."""
+    return sorted(set(values.tolist()))
+
+
 def _size_groups(counts: np.ndarray):
     """Same-size groups of a ragged sample stream with at least 2 points.
 
@@ -125,7 +132,7 @@ def _size_groups(counts: np.ndarray):
     samples with n points and their (len(rows), n) flat row indices.
     """
     starts = np.cumsum(counts) - counts
-    for n in np.unique(counts[counts >= 2]).tolist():
+    for n in _distinct(counts[counts >= 2]):
         rows = np.flatnonzero(counts == n)
         yield n, rows, starts[rows, None] + np.arange(n)
 
@@ -448,7 +455,7 @@ def _weighed_proposals(model: ModelSpec, region: Box, ns: np.ndarray,
     d = region.dimension
     accepted = ns == 0
     groups = []
-    for n in np.unique(ns[ns > 0]).tolist():
+    for n in _distinct(ns[ns > 0]):
         rows = np.flatnonzero(ns == n)
         k = rows.size
         pos = lo + rng.random((k, n, d)) * (hi - lo)

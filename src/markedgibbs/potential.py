@@ -248,11 +248,13 @@ def _axis_rule(ref: float, side: float, radii: list[float], periodic: bool
     """Composite Gauss-Legendre nodes and weights on [0, side], one panel
     between consecutive cuts at ref +- radii (and +-side/2, every cut wrapped
     by +-side, when periodic), clipped to the axis."""
-    offsets = np.asarray(radii + ([side / 2] if periodic else []))
-    cuts = ref + np.concatenate([offsets, -offsets])
+    ref = float(ref)
+    offsets = radii + ([side / 2] if periodic else [])
+    cuts = [ref + o for o in offsets] + [ref - o for o in offsets]
     if periodic:
-        cuts = np.concatenate([cuts - side, cuts, cuts + side])
-    cuts = np.unique(np.clip(np.append(cuts, (0.0, side)), 0.0, side))
+        cuts = [c + shift for shift in (-side, 0.0, side) for c in cuts]
+    # a dozen floats: sorted in Python, where np.unique would import numpy.ma
+    cuts = np.array(sorted({min(max(c, 0.0), side) for c in cuts + [0.0, side]}))
     lo, half = cuts[:-1, None], 0.5 * np.diff(cuts)[:, None]
     x, w = _PANEL_RULE
     return (lo + half * (x + 1.0)).ravel(), (half * w).ravel()
