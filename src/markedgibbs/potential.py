@@ -260,34 +260,70 @@ def _axis_rule(ref: float, side: float, radii: list[float], periodic: bool
     return (lo + half * (x + 1.0)).ravel(), (half * w).ravel()
 
 
-def _abs_mayer_masses(model: ModelSpec, ref: np.ndarray, marks: np.ndarray,
+def _node_chunks(model: ModelSpec, refs: np.ndarray, step: int):
+    """``(k, positions, weights)`` of each run of at most ``step`` nodes of
+    reference point k's tensor rule, the ``_axis_rule`` of each axis, in
+    order."""
+    space, phi = model.space, model.potential
+    radii = [0.0, *phi.breakpoints] + ([phi.range_R] if phi.range_R is not None else [])
+    for k, ref in enumerate(refs):
+        rules = [_axis_rule(x0, side, radii, space.boundary == "periodic")
+                 for x0, side in zip(ref, space.side_lengths)]
+        pos = np.stack(np.meshgrid(*(x for x, _ in rules), indexing="ij"), axis=-1)
+        pos = pos.reshape(-1, space.dimension)
+        pw = reduce(np.multiply.outer, [w for _, w in rules]).ravel()
+        for i in range(0, pw.size, step):
+            yield k, pos[i:i + step], pw[i:i + step]
+
+
+def _batches(chunks, rows: int):
+    """Consecutive chunks in lists of at most ``rows`` nodes together."""
+    batch, size = [], 0
+    for chunk in chunks:
+        if batch and size + chunk[2].size > rows:
+            yield batch
+            batch, size = [], 0
+        batch.append(chunk)
+        size += chunk[2].size
+    if batch:
+        yield batch
+
+
+def _abs_mayer_masses(model: ModelSpec, refs: np.ndarray, marks: np.ndarray,
                       weights: np.ndarray) -> np.ndarray:
-    """Integral of |e^{-beta phi(., (ref, t))} - 1| over box x marks, one per
-    reference mark t in ``marks``.
+    """Integral of |e^{-beta phi(., (ref, t))} - 1| over box x marks, one row
+    per reference position ref of ``refs`` (K, d), one column per reference
+    mark t in ``marks``.
+
+    Each reference point sums its nodes' ``pw @ |f|`` one chunk of ``step``
+    nodes at a time, in order, whichever points share a batch, so a point's
+    masses keep their bits in any batch. The chunks of several points are
+    evaluated together, at most ``step`` nodes at once, so no temporary holds
+    more than ``_C_BETA_CHUNK`` elements.
 
     ``radial`` is symmetric in the marks, so the mark-pair table is evaluated
     on the pairs s <= t only and mirrored before the sum over s.
     """
     space, phi = model.space, model.potential
-    radii = [0.0, *phi.breakpoints] + ([phi.range_R] if phi.range_R is not None else [])
-    rules = [_axis_rule(x0, side, radii, space.boundary == "periodic")
-             for x0, side in zip(ref, space.side_lengths)]
-    pos = np.stack(np.meshgrid(*(x for x, _ in rules), indexing="ij"), axis=-1)
-    r = space.distance_batch(pos.reshape(-1, space.dimension), ref)
-    pw = reduce(np.multiply.outer, [w for _, w in rules]).ravel()
     n = marks.size
     iu, ju = np.triu_indices(n)
     s, t = marks[iu], marks[ju]
     step = max(1, _C_BETA_CHUNK // iu.size)
-    upper = np.zeros(iu.size)
-    for i in range(0, r.size, step):
-        rc = r[i:i + step, None]
-        vals = np.broadcast_to(phi.radial_gated(rc, s, t), (rc.shape[0], iu.size))
-        upper += pw[i:i + step] @ np.abs(mayer_factor_batch(vals, model.beta))
-    table = np.empty((n, n))
-    table[iu, ju] = upper
-    table[ju, iu] = upper
-    return weights @ table
+    upper = np.zeros((len(refs), iu.size))
+    for batch in _batches(_node_chunks(model, refs, step), step):
+        sizes = [w.size for _, _, w in batch]
+        at = np.repeat(refs[[k for k, _, _ in batch]], sizes, axis=0)
+        r = space.distance_batch(np.concatenate([p for _, p, _ in batch]), at)[:, None]
+        vals = np.broadcast_to(phi.radial_gated(r, s, t), (r.shape[0], iu.size))
+        absf = np.abs(mayer_factor_batch(vals, model.beta))
+        start = 0
+        for (k, _, w), size in zip(batch, sizes):
+            upper[k] += w @ absf[start:start + size]
+            start += size
+    table = np.empty((len(refs), n, n))
+    table[:, iu, ju] = upper
+    table[:, ju, iu] = upper
+    return np.array([weights @ tab for tab in table])
 
 
 def _orthant_references(box: Box, per_axis: int) -> np.ndarray:
@@ -346,8 +382,7 @@ def check_integrability(model: ModelSpec,
     evaluated = 0
     for p in list(dict.fromkeys(per_axis.values()))[:keep]:
         refs = _orthant_references(model.space.box, p)[:keep]
-        masses = np.array([_abs_mayer_masses(model, ref, marks, weights)
-                           for ref in refs])
+        masses = _abs_mayer_masses(model, refs, marks, weights)
         if not np.all(np.isfinite(masses)):
             raise QuadratureFailure("non-finite Mayer mass at reference point")
         i, j = np.unravel_index(np.argmax(masses), masses.shape)

@@ -415,7 +415,7 @@ def test_integrability_evaluates_one_mirror_orthant_per_grid(monkeypatch, cfg, g
     calls = []
     inner = potential._abs_mayer_masses
     monkeypatch.setattr(potential, "_abs_mayer_masses",
-                        lambda *args: calls.append(args[1]) or inner(*args))
+                        lambda *args: calls.extend(args[1]) or inner(*args))
     report = check_integrability(model, grid)
     d = model.space.dimension
     assert len(calls) == sum(math.ceil(p / 2) ** d for p in per_axis)
@@ -424,6 +424,26 @@ def test_integrability_evaluates_one_mirror_orthant_per_grid(monkeypatch, cfg, g
     assert all(np.all(ref <= sides / 2 + 1e-12) for ref in calls)
     if len(per_axis) == 1:
         assert report.refinement_delta == 0.0
+
+
+BATCH_CASES = {**{name: {"name": name} for name in ALL_MODELS},
+               "toy-periodic-2": PERIODIC_TOY_2, "toy-2d": TOY_2D}
+
+
+@pytest.mark.parametrize("case", sorted(BATCH_CASES))
+def test_c_beta_batch_keeps_each_reference_points_bits(case):
+    # a reference point's masses do not depend on the points it shares a
+    # batch with: with discrete marks, the 48 points of a 1-D grid of 96
+    # share one to four batches
+    model = model_from_dict(BATCH_CASES[case])
+    marks, weights = c_beta_marks(model)
+    refs = potential._orthant_references(model.space.box, 96 if model.space.dimension == 1
+                                         else 5)
+    batch = potential._abs_mayer_masses(model, refs, marks, weights)
+    one_at_a_time = [potential._abs_mayer_masses(model, ref[None], marks, weights)[0]
+                     for ref in refs]
+    assert [[float.hex(m) for m in row] for row in batch.tolist()] == \
+        [[float.hex(m) for m in row.tolist()] for row in one_at_a_time]
 
 
 @pytest.mark.parametrize("cfg, grid, per_axis", [
@@ -440,7 +460,7 @@ def test_integrability_evaluates_one_position_on_periodic_boxes(monkeypatch, cfg
     calls = []
     inner = potential._abs_mayer_masses
     monkeypatch.setattr(potential, "_abs_mayer_masses",
-                        lambda *args: calls.append(args[1]) or inner(*args))
+                        lambda *args: calls.extend(args[1]) or inner(*args))
     report = check_integrability(model, grid)
     sides = np.asarray(model.space.side_lengths)
     assert len(calls) == 1
