@@ -6,6 +6,7 @@ parallel workers.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Iterable, Sequence
 
@@ -15,6 +16,13 @@ from .errors import DuplicatePosition, RegionOutOfBounds
 
 if TYPE_CHECKING:  # pragma: no cover
     from .potential import PairPotential
+
+
+def _is_number(value) -> bool:
+    """True for a finite real number; a bool is not one, though Python
+    counts it as a ``numbers.Real``."""
+    return (not isinstance(value, bool) and isinstance(value, numbers.Real)
+            and math.isfinite(value))
 
 
 @dataclass(frozen=True)
@@ -125,8 +133,10 @@ class MarkSpace:
         if self.kind == "discrete":
             if not self.labels or not self.weights or len(self.labels) != len(self.weights):
                 raise ValueError("discrete marks need matching labels and weights")
-            if not all(math.isfinite(x) for x in (*self.labels, *self.weights)):
-                raise ValueError("discrete labels and weights must be finite")
+            if not all(_is_number(x) for x in (*self.labels, *self.weights)):
+                raise ValueError(f"discrete labels and weights must be finite numbers, "
+                                 f"got {self.labels!r} and {self.weights!r}")
+            self._as_floats("labels", "weights")
             if any(w < 0 for w in self.weights) or sum(self.weights) <= 0:
                 raise ValueError("discrete weights must be nonnegative with positive sum")
             # the cumulative weights, built as numpy's Generator.choice builds them
@@ -134,31 +144,41 @@ class MarkSpace:
             cdf /= cdf[-1]
             object.__setattr__(self, "_labels_cdf", (np.asarray(self.labels), cdf))
         elif self.kind == "circle":
-            if self.mass is None or not 0 < self.mass < math.inf:
-                raise ValueError("circle marks need a positive finite total mass")
+            if not _is_number(self.mass) or self.mass <= 0:
+                raise ValueError(f"circle marks need a positive finite total mass, "
+                                 f"got {self.mass!r}")
+            self._as_floats("mass")
         elif self.kind == "interval":
-            if self.lower is None or self.upper is None or \
-                    not -math.inf < self.lower < self.upper < math.inf:
-                raise ValueError("interval marks need finite bounds lower < upper")
-            if self.mass is None or not 0 < self.mass < math.inf:
-                raise ValueError("interval marks need a positive finite total mass")
+            if not (_is_number(self.lower) and _is_number(self.upper)
+                    and self.lower < self.upper):
+                raise ValueError(f"interval marks need finite bounds lower < upper, "
+                                 f"got {self.lower!r} and {self.upper!r}")
+            if not _is_number(self.mass) or self.mass <= 0:
+                raise ValueError(f"interval marks need a positive finite total mass, "
+                                 f"got {self.mass!r}")
+            self._as_floats("lower", "upper", "mass")
         else:
             raise ValueError(f"unknown mark kind {self.kind!r}")
 
+    def _as_floats(self, *names: str):
+        """Store the named fields, numbers or tuples of numbers, as floats."""
+        for name in names:
+            value = getattr(self, name)
+            object.__setattr__(self, name, tuple(map(float, value))
+                               if isinstance(value, tuple) else float(value))
+
     @staticmethod
     def discrete(labels: Sequence[float], weights: Sequence[float]) -> "MarkSpace":
-        return MarkSpace(kind="discrete", labels=tuple(float(x) for x in labels),
-                         weights=tuple(float(w) for w in weights))
+        return MarkSpace(kind="discrete", labels=tuple(labels), weights=tuple(weights))
 
     @staticmethod
     def circle(mass: float = 1.0) -> "MarkSpace":
-        return MarkSpace(kind="circle", mass=float(mass))
+        return MarkSpace(kind="circle", mass=mass)
 
     @staticmethod
     def interval(lower: float, upper: float, mass: float = 1.0) -> "MarkSpace":
         """Uniform density mass/(upper-lower) on [lower, upper]."""
-        return MarkSpace(kind="interval", lower=float(lower), upper=float(upper),
-                         mass=float(mass))
+        return MarkSpace(kind="interval", lower=lower, upper=upper, mass=mass)
 
     @property
     def total_mass(self) -> float:
@@ -276,11 +296,11 @@ class ModelSpec:
     beta: float
 
     def __post_init__(self):
-        if not 0 < self.z < math.inf:  # False for NaN too
-            raise ValueError(f"activity z must be finite and positive, got {self.z}")
-        if not 0 < self.beta < math.inf:
+        if not _is_number(self.z) or self.z <= 0:
+            raise ValueError(f"activity z must be finite and positive, got {self.z!r}")
+        if not _is_number(self.beta) or self.beta <= 0:
             raise ValueError(
-                f"inverse temperature beta must be finite and positive, got {self.beta}")
+                f"inverse temperature beta must be finite and positive, got {self.beta!r}")
         if not math.isfinite(self.space.volume * self.marks.total_mass):
             raise ValueError("reference mass must be finite")
 

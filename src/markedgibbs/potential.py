@@ -7,7 +7,6 @@ potentials evaluate to exactly 0 at or beyond the range.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, field
 from functools import lru_cache, reduce
 from typing import Callable
@@ -18,7 +17,7 @@ from .errors import (OverlappingConfigurations, QuadratureFailure,
                      StabilityViolation)
 from .lpintegrate import QuadratureScheme, _position_nodes, mark_nodes_weights
 from .model import (Box, FiniteConfiguration, MarkSpace, MarkedPoint,
-                    ModelSpec, PositionSpace, canonicalize)
+                    ModelSpec, PositionSpace, _is_number, canonicalize)
 
 INF = math.inf
 _PANEL_RULE = np.polynomial.legendre.leggauss(32)
@@ -544,13 +543,6 @@ REGISTRY: dict[str, Profile] = {
 }
 # the registry form's box, a cube; no potential reads it
 _BOX = {"side": 1.0, "dimension": 1, "boundary": "free"}
-
-
-def _is_number(value) -> bool:
-    """True for a finite real number; a bool is not one, though Python
-    counts it as a ``numbers.Real``."""
-    return (not isinstance(value, bool) and isinstance(value, numbers.Real)
-            and math.isfinite(value))
 
 
 def _number(key: str, value):

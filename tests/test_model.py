@@ -184,6 +184,40 @@ def test_mark_space_rejects_non_finite_parameters(build):
         build()
 
 
+@pytest.mark.parametrize("build", [
+    lambda: MarkSpace.discrete((True, False), (True, True)),
+    lambda: MarkSpace.discrete((1.0, -1.0), (0.5, True)),
+    lambda: MarkSpace.discrete(("1", "-1"), (0.5, 0.5)),
+    lambda: MarkSpace.circle(mass=True),
+    lambda: MarkSpace.interval(False, True),
+    lambda: MarkSpace.interval(-1.0, 1.0, mass=True),
+    lambda: MarkSpace(kind="discrete", labels=(True, False), weights=(0.5, 0.5)),
+], ids=["discrete_bools", "weight_bool", "label_strings", "circle_mass_bool",
+        "interval_bounds_bools", "interval_mass_bool", "direct_bool_labels"])
+def test_mark_space_rejects_non_numbers(build):
+    # Python counts a bool as a number; a mark space does not
+    with pytest.raises(ValueError, match="finite"):
+        build()
+
+
+def test_mark_space_stores_floats():
+    assert MarkSpace.discrete([1, -1], [1, 3]).labels == (1.0, -1.0)
+    assert all(type(x) is float for x in MarkSpace.discrete([1, -1], [1, 3]).weights)
+    inter = MarkSpace.interval(-1, 2, mass=3)
+    assert all(type(x) is float for x in (inter.lower, inter.upper, inter.mass))
+    assert type(MarkSpace.circle(mass=2).mass) is float
+
+
+@pytest.mark.parametrize("numbers", [{"z": True}, {"beta": True}, {"z": "0.05"},
+                                     {"z": True, "beta": True}],
+                         ids=["z_bool", "beta_bool", "z_string", "both_bools"])
+def test_model_spec_rejects_non_numbers(numbers, toy_model):
+    with pytest.raises(ValueError, match="finite and positive"):
+        build_model("hard-core", **numbers)
+    with pytest.raises(ValueError, match="finite and positive"):
+        toy_model.replace(**numbers)
+
+
 def test_model_spec_validation(toy_model):
     assert toy_model.mass() == pytest.approx(1.0)
     with pytest.raises(ValueError):
