@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import lru_cache
 from itertools import groupby
 from typing import Callable, Iterator, Sequence
 
@@ -119,6 +120,42 @@ class IntegralEstimate:
             raise ValueError("error must be nonnegative")
 
 
+def _legendre(n: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """P_n(x) and P_n'(x) by the three-term recurrence, for |x| < 1."""
+    p0, p1 = np.ones_like(x), x
+    for k in range(2, n + 1):
+        p0, p1 = p1, ((2 * k - 1) * x * p1 - (k - 1) * p0) / k
+    return p1, n * (x * p1 - p0) / (x * x - 1.0)
+
+
+@lru_cache(maxsize=None)
+def gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The n-node Gauss-Legendre rule on [-1, 1]: ascending nodes and their
+    weights, read-only, computed once per n.
+
+    Newton's method on P_n from the asymptotic guesses -cos(pi (k + 3/4) /
+    (n + 1/2)), then w = 2 / ((1 - x^2) P_n'(x)^2); nodes and weights are
+    made exactly symmetric and the weights scaled to sum to 2. This is the
+    package's one source of Gauss-Legendre rules: it needs neither LAPACK nor
+    numpy.polynomial.
+    """
+    x = -np.cos(np.pi * (np.arange(n) + 0.75) / (n + 0.5))
+    for _ in range(100):
+        p, dp = _legendre(n, x)
+        step = p / dp
+        x = x - step
+        if np.abs(step).max() <= 1e-16:
+            break
+    _, dp = _legendre(n, x)
+    w = 2.0 / ((1.0 - x * x) * dp * dp)
+    x = 0.5 * (x - x[::-1])
+    w = 0.5 * (w + w[::-1])
+    w *= 2.0 / w.sum()
+    x.flags.writeable = False
+    w.flags.writeable = False
+    return x, w
+
+
 def mark_nodes_weights(model: ModelSpec, scheme: QuadratureScheme
                        ) -> tuple[np.ndarray, np.ndarray]:
     """Single-point mark nodes and weights; weights sum to the mark mass.
@@ -134,7 +171,7 @@ def mark_nodes_weights(model: ModelSpec, scheme: QuadratureScheme
         m = scheme.mark_nodes
         return (2.0 * math.pi * np.arange(m) / m,
                 np.full(m, marks.total_mass / m))
-    nodes, weights = np.polynomial.legendre.leggauss(scheme.mark_nodes)
+    nodes, weights = gauss_legendre(scheme.mark_nodes)
     half = 0.5 * (marks.upper - marks.lower)
     density = marks.total_mass / (marks.upper - marks.lower)
     return marks.lower + half * (nodes + 1.0), weights * half * density

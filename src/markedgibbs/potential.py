@@ -15,12 +15,14 @@ import numpy as np
 
 from .errors import (OverlappingConfigurations, QuadratureFailure,
                      StabilityViolation)
-from .lpintegrate import QuadratureScheme, _position_nodes, mark_nodes_weights
+from .lpintegrate import (QuadratureScheme, _position_nodes, gauss_legendre,
+                          mark_nodes_weights)
 from .model import (Box, FiniteConfiguration, MarkSpace, MarkedPoint,
                     ModelSpec, PositionSpace, _is_number, canonicalize)
 
 INF = math.inf
-_PANEL_RULE = np.polynomial.legendre.leggauss(32)
+# nodes per Gauss-Legendre panel of the C(beta) rule
+_PANEL_NODES = 32
 
 
 @dataclass(frozen=True, eq=False)
@@ -255,7 +257,7 @@ def _axis_rule(ref: float, side: float, radii: list[float], periodic: bool
     # a dozen floats: sorted in Python, where np.unique would import numpy.ma
     cuts = np.array(sorted({min(max(c, 0.0), side) for c in cuts + [0.0, side]}))
     lo, half = cuts[:-1, None], 0.5 * np.diff(cuts)[:, None]
-    x, w = _PANEL_RULE
+    x, w = gauss_legendre(_PANEL_NODES)
     return (lo + half * (x + 1.0)).ravel(), (half * w).ravel()
 
 

@@ -434,3 +434,32 @@ def test_import_does_not_load_scipy():
          "sys.modules if m.split('.')[0] == 'scipy'))"],
         capture_output=True, text=True, env=env, check=True)
     assert proc.stdout.strip() == "[]"
+
+
+def test_a_run_loads_neither_numpy_polynomial_nor_numpy_ma():
+    # every command computes C(beta); a Gauss-Legendre rule from
+    # numpy.polynomial or a plain np.unique (which imports numpy.ma) on that
+    # path, or in the samplers, would load them
+    import markedgibbs
+    src = str(Path(markedgibbs.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    code = """
+import sys
+from markedgibbs.cluster import convergence_radius
+from markedgibbs.gibbsmc import (EMPTY_BOUNDARY, SamplerConfig, mcmc_run,
+                                 rejection_sample_batch)
+from markedgibbs.lpintegrate import philox_rng
+from markedgibbs.potential import REGISTRY, build_model
+for name in REGISTRY:
+    convergence_radius(build_model(name), 8)
+toy = build_model("toy-repulsive-spin", z=0.5, side=4.0)
+mcmc_run(toy, toy.space.box, EMPTY_BOUNDARY,
+         SamplerConfig(seed=1, sweeps=400, burn_in=40))
+rejection_sample_batch(toy, toy.space.box, EMPTY_BOUNDARY, 200, philox_rng(2))
+print(sorted(m for m in sys.modules if m.split(".")[:2] in (["numpy", "polynomial"],
+                                                           ["numpy", "ma"])))
+"""
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, check=True)
+    assert proc.stdout.strip() == "[]"
