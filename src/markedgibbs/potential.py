@@ -296,11 +296,12 @@ def _abs_mayer_masses(model: ModelSpec, refs: np.ndarray, marks: np.ndarray,
     per reference position ref of ``refs`` (K, d), one column per reference
     mark t in ``marks``.
 
-    Each reference point sums its nodes' ``pw @ |f|`` one chunk of ``step``
-    nodes at a time, in order, whichever points share a batch, so a point's
-    masses keep their bits in any batch. The chunks of several points are
-    evaluated together, at most ``step`` nodes at once, so no temporary holds
-    more than ``_C_BETA_CHUNK`` elements.
+    Each reference point adds its nodes' ``pw @ |f|`` in chunks of ``step``
+    nodes (``_C_BETA_CHUNK`` elements of the mark-pair table), in order, so
+    its masses keep their bits whichever points share its batch. Consecutive
+    chunks, of one point or several, are evaluated together, at most ``step``
+    nodes at a time, so no temporary holds more than ``_C_BETA_CHUNK``
+    elements.
 
     ``radial`` is symmetric in the marks, so the mark-pair table is evaluated
     on the pairs s <= t only and mirrored before the sum over s.
