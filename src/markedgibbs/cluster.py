@@ -41,16 +41,16 @@ import numpy as np
 
 from . import starcalc
 from .combinat import enumerate_connected_graphs
-from .errors import (InfiniteCBeta, IntegrationFailure, NonFiniteIntegrand,
-                     OutsideRadius, OverlappingConfigurations,
-                     RequiresFiniteRange, SizeLimit)
+from .errors import (IntegrationFailure, NonFiniteIntegrand, OutsideRadius,
+                     OverlappingConfigurations, RequiresFiniteRange, SizeLimit)
 from .lpintegrate import (BatchIntegrand, IntegralEstimate, QuadratureScheme,
                           SlotDomain, lp_integral)
 from .model import Box, FiniteConfiguration, MarkedPoint, ModelSpec
-from .potential import (boltzmann_factor_batch, boltzmann_weight_batch,
-                        check_integrability, mayer_factor, mayer_factor_batch,
-                        pair_index, pair_phi_matrix, pair_value,
-                        square_pair_table, upper_pairs)
+from .potential import (IntegrabilityReport, boltzmann_factor_batch,
+                        boltzmann_weight_batch, check_integrability,
+                        mayer_factor, mayer_factor_batch, pair_index,
+                        pair_phi_matrix, pair_value, square_pair_table,
+                        stability_factor, upper_pairs)
 
 URSELL_SIZE_CAP = 16
 TREE_ZETA_CAP = 8
@@ -410,10 +410,9 @@ def tree_bound_q_multi(omega: FiniteConfiguration, zeta: FiniteConfiguration,
     l = len(omega)
     if l == 0:
         return 1.0 if len(zeta) == 0 else 0.0
-    e2bb = math.exp(2.0 * model.beta * model.potential.stability_B)
     abs_mayer = _abs_mayer_matrix(model, omega.points + zeta.points)[None]
     det = _forest_det_batch(abs_mayer[:, l:, l:], abs_mayer[:, :l, l:].sum(axis=1))
-    return e2bb ** (l + len(zeta)) * float(det[0])
+    return stability_factor(model) ** (l + len(zeta)) * float(det[0])
 
 
 def tree_bound_recursive(omega: FiniteConfiguration, zeta: FiniteConfiguration,
@@ -428,7 +427,7 @@ def tree_bound_recursive(omega: FiniteConfiguration, zeta: FiniteConfiguration,
     if total_pts > TREE_ZETA_CAP:
         raise SizeLimit(f"|omega|+|zeta| exceeds the cap {TREE_ZETA_CAP}")
     points = omega.points + zeta.points
-    e2bb = math.exp(2.0 * model.beta * model.potential.stability_B)
+    e2bb = stability_factor(model)
     if total_pts == 0:
         return 1.0
     abs_mayer = _abs_mayer_matrix(model, points) if total_pts > 1 else np.zeros((1, 1))
@@ -471,24 +470,21 @@ def tree_bound_recursive(omega: FiniteConfiguration, zeta: FiniteConfiguration,
 
 
 @dataclass(frozen=True)
-class RadiusReport:
+class RadiusReport(IntegrabilityReport):
+    """The C(beta) report with the activity radius it gives."""
+
     z_star: float
-    c_beta: float
     within_radius: bool
-    reference_grid_size: int
-    refinement_delta: float  # relative gap of C(beta) between grid g and 2g
-    argmax_position: tuple[float, ...]  # reference point where C(beta) was found
-    argmax_mark: float
-    reference_points: int  # (position, mark) reference points evaluated
 
     def to_dict(self) -> dict:
-        return {"z_star": self.z_star, "c_beta": self.c_beta,
-                "within_radius": self.within_radius,
-                "reference_grid_size": self.reference_grid_size,
-                "refinement_delta": self.refinement_delta,
-                "c_beta_argmax": {"position": list(self.argmax_position),
-                                  "mark": self.argmax_mark},
-                "c_beta_reference_points": self.reference_points}
+        return {**super().to_dict(), "z_star": self.z_star,
+                "within_radius": self.within_radius}
+
+
+def _geometric_ratio(model: ModelSpec, c_beta: float) -> float:
+    """q = 2 z e C(beta) e^{2 beta B}, the ratio of the geometric tail bound.
+    The activity lies within the radius exactly when q < 1."""
+    return 2.0 * model.z * math.e * c_beta * stability_factor(model)
 
 
 def convergence_radius(model: ModelSpec, reference_grid_size: int = 48) -> RadiusReport:
@@ -496,33 +492,24 @@ def convergence_radius(model: ModelSpec, reference_grid_size: int = 48) -> Radiu
 
     C(beta) is the maximum of ``check_integrability`` over a reference grid,
     an estimate of the essential supremum rather than a rigorous upper bound,
-    so z_star and within_radius are estimates too.
+    so z_star and within_radius are estimates too. within_radius is the
+    geometric ratio below 1, the test ``tail_bound`` makes, so the two agree
+    at every activity, also within an ulp of z_star.
     """
     report = check_integrability(model, reference_grid_size)
-    if not report.finite:
-        raise InfiniteCBeta("integrability constant is not finite")
     c = report.c_beta
-    if c == 0.0:
-        z_star = math.inf
-    else:
-        z_star = 1.0 / (2.0 * math.e *
-                        math.exp(2.0 * model.beta * model.potential.stability_B) * c)
-    return RadiusReport(z_star=z_star, c_beta=c,
-                        within_radius=model.z < z_star,
-                        reference_grid_size=reference_grid_size,
-                        refinement_delta=report.refinement_delta,
-                        argmax_position=report.argmax_position,
-                        argmax_mark=report.argmax_mark,
-                        reference_points=report.reference_points)
+    z_star = math.inf if c == 0.0 else 1.0 / (2.0 * math.e * stability_factor(model) * c)
+    return RadiusReport(**vars(report), z_star=z_star,
+                        within_radius=_geometric_ratio(model, c) < 1.0)
 
 
 def tail_bound(model: ModelSpec, from_order: int, c_beta: float) -> float:
     """Geometric bound on the series mass discarded from the given order on,
-    for the integrability constant ``c_beta`` of a radius report."""
+    for the integrability constant ``c_beta`` of a radius report; an
+    OutsideRadius error exactly where that report's within_radius is false."""
     if c_beta == 0.0:
         return 0.0
-    q = 2.0 * model.z * math.e * c_beta * \
-        math.exp(2.0 * model.beta * model.potential.stability_B)
+    q = _geometric_ratio(model, c_beta)
     if q >= 1.0:
         raise OutsideRadius(f"geometric ratio q={q:.4g} >= 1")
     prefactor = model.mass() / c_beta
@@ -695,7 +682,7 @@ def correlation_tail_bound(model: ModelSpec, from_order: int, c_beta: float) -> 
     """
     if c_beta == 0.0:
         return 0.0
-    e2bb = math.exp(2.0 * model.beta * model.potential.stability_B)
+    e2bb = stability_factor(model)
     x = model.z * math.e * c_beta * e2bb
     if x >= 1.0:
         raise OutsideRadius(f"geometric ratio {x:.4g} >= 1")

@@ -45,10 +45,6 @@ class StabilityViolation(MarkedGibbsError):
         self.witness = witness
 
 
-class InfiniteCBeta(MarkedGibbsError):
-    """The integrability constant is not finite; no radius certificate."""
-
-
 class OutsideRadius(MarkedGibbsError):
     """The activity lies outside the certified convergence radius."""
 

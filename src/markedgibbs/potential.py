@@ -230,12 +230,18 @@ def conditional_energy(region: Box, omega: FiniteConfiguration,
 @dataclass(frozen=True)
 class IntegrabilityReport:
     c_beta: float
-    finite: bool
-    refinement_delta: float
-    grid_size: int
+    refinement_delta: float  # relative gap of C(beta) between grid g and 2g
+    reference_grid_size: int
     argmax_position: tuple[float, ...]  # reference point where c_beta was found
     argmax_mark: float
     reference_points: int  # (position, mark) reference points evaluated
+
+    def to_dict(self) -> dict:
+        return {"c_beta": self.c_beta, "reference_grid_size": self.reference_grid_size,
+                "refinement_delta": self.refinement_delta,
+                "c_beta_argmax": {"position": list(self.argmax_position),
+                                  "mark": self.argmax_mark},
+                "c_beta_reference_points": self.reference_points}
 
 
 # elements per chunk of the C(beta) |Mayer| table, 128 KiB of float64 per
@@ -396,14 +402,20 @@ def check_integrability(model: ModelSpec,
     c_coarse, c_fine = coarse[0], fine[0]
     c_beta, position, mark = fine if c_fine > c_coarse else coarse
     delta = abs(c_fine - c_coarse) / max(abs(c_fine), 1e-300)
-    return IntegrabilityReport(c_beta=c_beta, finite=math.isfinite(c_beta),
-                               refinement_delta=delta, grid_size=reference_grid_size,
+    return IntegrabilityReport(c_beta=c_beta, refinement_delta=delta,
+                               reference_grid_size=reference_grid_size,
                                argmax_position=tuple(float(x) for x in position),
                                argmax_mark=float(mark), reference_points=evaluated)
 
 
 # ---------------------------------------------------------------------------
-# Condition (S): stability spot check
+# Condition (S): E(omega) >= -B|omega|, its factor and its spot check
+
+
+def stability_factor(model: ModelSpec) -> float:
+    """e^{2 beta B} of the declared B: the factor by which condition (S)
+    enters the radius, the tail bounds and the tree majorants."""
+    return math.exp(2.0 * model.beta * model.potential.stability_B)
 
 
 @dataclass(frozen=True)

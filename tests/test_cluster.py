@@ -318,6 +318,31 @@ def test_convergence_radius_formula():
         report.z_star * math.exp(-2.0 * model.beta * 0.5), rel=1e-9)
 
 
+@pytest.mark.parametrize("name", ["toy-repulsive-spin", "toy-repulsive-spin-rc",
+                                  "continuum-potts"])
+def test_radius_and_tail_bound_agree_at_every_ulp_around_z_star(name):
+    # within_radius and tail_bound make one test, also within an ulp of z_star
+    model = build_model(name)
+    z_star = convergence_radius(model, 32).z_star
+    zs = [z_star]
+    for _ in range(6):
+        zs = [math.nextafter(zs[0], 0.0), *zs, math.nextafter(zs[-1], math.inf)]
+    scheme = QuadratureScheme.tensor(4)
+    seen = set()
+    for z in zs:
+        at = model.replace(z=z)
+        radius = convergence_radius(at, 32)
+        seen.add(radius.within_radius)
+        if radius.within_radius:
+            assert tail_bound(at, 2, c_beta=radius.c_beta) > 0
+            report = log_partition_truncated(at, at.space.box, 1, scheme, radius_grid=32)
+            assert report.within_radius and math.isfinite(report.tail_bound)
+        else:
+            with pytest.raises(OutsideRadius):
+                tail_bound(at, 2, c_beta=radius.c_beta)
+    assert seen == {True, False}
+
+
 def test_tail_bound_properties(toy_model):
     c = 0.25
     full = tail_bound(toy_model, 1, c_beta=c)

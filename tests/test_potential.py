@@ -6,10 +6,13 @@ from scipy import integrate
 
 from conftest import random_config, unstable_constant_model
 from markedgibbs import potential
-from markedgibbs.errors import OverlappingConfigurations, StabilityViolation
+from markedgibbs.errors import (OverlappingConfigurations, QuadratureFailure,
+                                StabilityViolation)
 from markedgibbs.lpintegrate import QuadratureScheme, mark_nodes_weights
-from markedgibbs.model import Box, FiniteConfiguration, MarkedPoint, canonicalize
-from markedgibbs.potential import (REGISTRY, boltzmann_factor, build_model,
+from markedgibbs.model import (Box, FiniteConfiguration, MarkSpace, MarkedPoint,
+                               ModelSpec, PositionSpace, canonicalize)
+from markedgibbs.potential import (REGISTRY, PairPotential, boltzmann_factor,
+                                   build_model,
                                    check_integrability, conditional_energy,
                                    cross_phi_matrix, energy, interaction,
                                    mayer_factor, model_from_dict,
@@ -250,7 +253,20 @@ def test_integrability_zero_potential():
     model = build_model("constant", value=0.0)
     report = check_integrability(model, reference_grid_size=8)
     assert report.c_beta == 0.0
-    assert report.finite
+
+
+@pytest.mark.parametrize("value", [math.nan, -math.inf], ids=["nan", "minus-inf"])
+def test_integrability_refuses_a_non_finite_mass(value):
+    # a potential that is NaN or -inf inside a core gives a NaN or infinite
+    # |Mayer| mass; no C(beta) is reported for it
+    def radial(r, s, t):
+        return np.where(np.asarray(r) < 0.1, value, 0.0)
+    model = ModelSpec(space=PositionSpace(1, (1.0,)),
+                      marks=MarkSpace.discrete([1.0, -1.0], [0.5, 0.5]),
+                      potential=PairPotential(name="broken", radial=radial),
+                      z=0.05, beta=1.0)
+    with pytest.raises(QuadratureFailure):
+        check_integrability(model, reference_grid_size=8)
 
 
 def test_integrability_toy_vs_dense_grid_oracle(toy_model):
