@@ -152,17 +152,21 @@ def _pair_tables(model: ModelSpec, positions: np.ndarray, marks: np.ndarray
                                   model.beta)
 
 
+def _boltzmann_tables(model: ModelSpec, positions: np.ndarray, marks: np.ndarray
+                      ) -> np.ndarray:
+    """Gibbs factors exp(-beta E) on every subset of each row's points: (K, 2^M)."""
+    return _rho_table(_pair_tables(model, positions, marks), pair_index(marks.shape[1]))
+
+
 def _ursell_tables(model: ModelSpec, positions: np.ndarray, marks: np.ndarray
                    ) -> np.ndarray:
     """Ursell values on every subset of each row's points: (K, 2^M).
 
     ln* of the Boltzmann table, zeroed on range-disconnected subsets.
     """
-    bfac = _pair_tables(model, positions, marks)
     adj_bits = _adjacency_bits(model, positions)
     connected = None if adj_bits is None else partial(_connected_rows, adj_bits)
-    return starcalc.star_log_batch(_rho_table(bfac, pair_index(marks.shape[1])),
-                                   connected)
+    return starcalc.star_log_batch(_boltzmann_tables(model, positions, marks), connected)
 
 
 def ursell_batch(model: ModelSpec, fixed: FiniteConfiguration,
@@ -243,9 +247,8 @@ class UrsellTable:
 def boltzmann_functional(omega: FiniteConfiguration, model: ModelSpec
                          ) -> starcalc.ConfigFunctional:
     """Subset table of Gibbs factors exp(-beta E) on the ground configuration."""
-    bfac = _pair_tables(model, *_one_row(model, omega))
-    rho = _rho_table(bfac, pair_index(len(omega)))
-    return starcalc.ConfigFunctional(len(omega), rho[0])
+    return starcalc.ConfigFunctional(
+        len(omega), _boltzmann_tables(model, *_one_row(model, omega))[0])
 
 
 def ursell_direct(omega: FiniteConfiguration, model: ModelSpec) -> float:

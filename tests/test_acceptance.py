@@ -13,7 +13,8 @@ import pytest
 
 from conftest import random_config
 from markedgibbs import starcalc
-from markedgibbs.cluster import (averaged_correlation, boltzmann_functional,
+from markedgibbs.cluster import (_boltzmann_tables, _ursell_tables,
+                                 averaged_correlation, boltzmann_functional,
                                  convergence_radius, correlation_tail_bound,
                                  correlation_truncated, kbar,
                                  log_partition_truncated,
@@ -112,11 +113,13 @@ def test_criterion_04_cluster_decomposition():
     configs = [random_config(TOY, int(rng.integers(1, 9)), rng) for _ in range(500)]
     sizes = np.array([len(cfg) for cfg in configs])
     worst = 0.0
-    for n in np.unique(sizes):  # one star_exp_batch call per size and series
+    for n in np.unique(sizes):  # one call per size for each table and series
         group = [configs[i] for i in np.flatnonzero(sizes == n)]
-        table = np.array([ursell_table(cfg, TOY).values for cfg in group])
+        positions = np.array([cfg.positions_array() for cfg in group])
+        marks = np.array([cfg.marks_array() for cfg in group])
+        table = _ursell_tables(TOY, positions, marks)
         rebuilt = starcalc.star_exp_batch(table)
-        rho = np.array([boltzmann_functional(cfg, TOY).values for cfg in group])
+        rho = _boltzmann_tables(TOY, positions, marks)
         abs_series = starcalc.star_exp_batch(np.abs(table))
         scale = np.maximum(np.abs(rho), abs_series)
         worst = max(worst, float(np.max(np.abs(rebuilt - rho) / scale)))
