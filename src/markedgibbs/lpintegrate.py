@@ -156,25 +156,24 @@ def gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
     return x, w
 
 
-def mark_nodes_weights(model: ModelSpec, scheme: QuadratureScheme
+def mark_nodes_weights(model: ModelSpec, nodes: int
                        ) -> tuple[np.ndarray, np.ndarray]:
     """Single-point mark nodes and weights; weights sum to the mark mass.
 
     The mark space picks the rule: its labels and weights for discrete marks,
     the periodic trapezoid rule for circle marks and Gauss-Legendre for
-    interval marks, both on ``scheme.mark_nodes`` nodes.
+    interval marks, both on ``nodes`` nodes.
     """
     marks = model.marks
     if marks.kind == "discrete":
         return np.asarray(marks.labels), np.asarray(marks.weights, dtype=float)
     if marks.kind == "circle":
-        m = scheme.mark_nodes
-        return (2.0 * math.pi * np.arange(m) / m,
-                np.full(m, marks.total_mass / m))
-    nodes, weights = gauss_legendre(scheme.mark_nodes)
+        return (2.0 * math.pi * np.arange(nodes) / nodes,
+                np.full(nodes, marks.total_mass / nodes))
+    x, w = gauss_legendre(nodes)
     half = 0.5 * (marks.upper - marks.lower)
     density = marks.total_mass / (marks.upper - marks.lower)
-    return marks.lower + half * (nodes + 1.0), weights * half * density
+    return marks.lower + half * (x + 1.0), w * half * density
 
 
 def _position_nodes(region: Box, per_axis: int, hole: Box | None = None
@@ -219,7 +218,7 @@ class SlotDomain:
 def _single_nodes(model, domain: SlotDomain, per_axis: int, scheme
                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     pos, pw = _position_nodes(domain.box, per_axis, domain.hole)
-    mv, mw = mark_nodes_weights(model, scheme)
+    mv, mw = mark_nodes_weights(model, scheme.mark_nodes)
     npos, nmark = pos.shape[0], mv.shape[0]
     positions = np.repeat(pos, nmark, axis=0)
     marks = np.tile(mv, npos)

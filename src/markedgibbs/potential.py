@@ -15,8 +15,7 @@ import numpy as np
 
 from .errors import (OverlappingConfigurations, QuadratureFailure,
                      StabilityViolation)
-from .lpintegrate import (QuadratureScheme, _position_nodes, gauss_legendre,
-                          mark_nodes_weights)
+from .lpintegrate import _position_nodes, gauss_legendre, mark_nodes_weights
 from .model import (Box, FiniteConfiguration, MarkSpace, MarkedPoint,
                     ModelSpec, PositionSpace, _is_number, canonicalize)
 
@@ -379,7 +378,7 @@ def check_integrability(model: ModelSpec,
     grids and the full, unreduced reference family (tests/test_potential.py),
     and the covered length of a hard core.
     """
-    marks, weights = mark_nodes_weights(model, QuadratureScheme.tensor(1, mark_nodes=32))
+    marks, weights = mark_nodes_weights(model, 32)
     d = model.space.dimension
     per_axis = {g: max(2, round(g ** (1.0 / d)))
                 for g in (reference_grid_size, 2 * reference_grid_size)}

@@ -467,7 +467,7 @@ def test_averaged_correlation_matches_pointwise(toy_model):
     # average the pointwise series over a matching mark-position grid
     from markedgibbs.lpintegrate import _position_nodes, mark_nodes_weights
     pos, pw = _position_nodes(toy_model.space.box, 12)
-    mv, mw = mark_nodes_weights(toy_model, scheme)
+    mv, mw = mark_nodes_weights(toy_model, scheme.mark_nodes)
     acc = 0.0
     for p, w in zip(pos, pw):
         for s, ws in zip(mv, mw):
@@ -522,7 +522,7 @@ def test_limit_density_matches_exact_sampler():
 
     p0 = profile.density(FiniteConfiguration())
     pos, pw = _position_nodes(inner, 12)
-    mv, mw = mark_nodes_weights(model, scheme)
+    mv, mw = mark_nodes_weights(model, scheme.mark_nodes)
     p1 = 0.0
     for p, w in zip(pos, pw):
         for s, ws in zip(mv, mw):

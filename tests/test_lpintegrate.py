@@ -373,7 +373,7 @@ def test_tensor_budget_counts_the_full_ordered_product(toy_model):
 def hole_weighted_nodes(model, domain, per_axis, scheme):
     """Every position x mark node of a slot, weighted 0 in the hole (zeros kept)."""
     pos, pw = _position_nodes(domain.box, per_axis, domain.hole)
-    mv, mw = mark_nodes_weights(model, scheme)
+    mv, mw = mark_nodes_weights(model, scheme.mark_nodes)
     positions = np.repeat(pos, mv.size, axis=0)
     weights = np.repeat(pw, mv.size) * np.tile(mw, pw.size)
     if domain.hole is not None:

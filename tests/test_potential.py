@@ -8,7 +8,7 @@ from conftest import random_config, unstable_constant_model
 from markedgibbs import potential
 from markedgibbs.errors import (OverlappingConfigurations, QuadratureFailure,
                                 StabilityViolation)
-from markedgibbs.lpintegrate import QuadratureScheme, mark_nodes_weights
+from markedgibbs.lpintegrate import mark_nodes_weights
 from markedgibbs.model import (Box, FiniteConfiguration, MarkSpace, MarkedPoint,
                                ModelSpec, PositionSpace, canonicalize)
 from markedgibbs.potential import (REGISTRY, PairPotential, boltzmann_factor,
@@ -353,7 +353,7 @@ def test_integrability_registry_vs_dense_grid_oracle(cfg):
 
 
 def c_beta_marks(model):
-    return mark_nodes_weights(model, QuadratureScheme.tensor(1, mark_nodes=32))
+    return mark_nodes_weights(model, 32)
 
 
 def full_family_masses(model, ref):
