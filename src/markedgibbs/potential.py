@@ -243,6 +243,10 @@ class IntegrabilityReport:
                 "c_beta_reference_points": self.reference_points}
 
 
+# relative gap below which two C(beta) masses tie: points that tie in exact
+# arithmetic differ in their last bits, and the first evaluated one is reported
+_TIE = 1e-12
+
 # elements per chunk of the C(beta) |Mayer| table, 128 KiB of float64 per
 # temporary; chunks of 2^18 elements, 2 MiB per temporary, left the faster
 # C(beta) passes churning a larger heap
@@ -364,10 +368,15 @@ def check_integrability(model: ModelSpec,
     g) the grid is evaluated once, and refinement_delta is 0 by construction,
     not evidence of convergence. The minimum-image metric is translation
     invariant, so a periodic box evaluates one position (the first midpoint
-    at g) per mark node, and refinement_delta is 0 in the same sense. The
-    report names the kept reference point
-    (position and mark) where the maximum was found, and the number of
-    (position, mark) points evaluated.
+    at g) per mark node, and refinement_delta is 0 in the same sense.
+
+    c_beta is the largest mass found. The report also names a kept reference
+    point (position and mark) where it was found: the first evaluated point
+    whose mass lies within ``_TIE`` (1e-12) relative of its grid's maximum,
+    and the finer grid's point only if that grid's maximum is larger by more
+    than ``_TIE``, so points that tie in exact arithmetic do not trade places
+    with the roundings. It also gives the number of (position, mark) points
+    evaluated.
 
     For each reference point the mass is one composite Gauss-Legendre rule in
     every dimension: 32 nodes per panel, each axis cut at the reference
@@ -392,16 +401,17 @@ def check_integrability(model: ModelSpec,
         masses = _abs_mayer_masses(model, refs, marks, weights)
         if not np.all(np.isfinite(masses)):
             raise QuadratureFailure("non-finite Mayer mass at reference point")
-        i, j = np.unravel_index(np.argmax(masses), masses.shape)
-        found[p] = (float(masses[i, j]), refs[i], marks[j])
+        top = masses.max()
+        i, j = np.unravel_index(np.argmax(masses >= top - _TIE * top), masses.shape)
+        found[p] = (float(top), refs[i], marks[j])
         evaluated += masses.size
 
     coarse = found[per_axis[reference_grid_size]]
     fine = found.get(per_axis[2 * reference_grid_size], coarse)
     c_coarse, c_fine = coarse[0], fine[0]
-    c_beta, position, mark = fine if c_fine > c_coarse else coarse
+    _, position, mark = fine if c_fine - c_coarse > _TIE * c_coarse else coarse
     delta = abs(c_fine - c_coarse) / max(abs(c_fine), 1e-300)
-    return IntegrabilityReport(c_beta=c_beta, refinement_delta=delta,
+    return IntegrabilityReport(c_beta=max(c_coarse, c_fine), refinement_delta=delta,
                                reference_grid_size=reference_grid_size,
                                argmax_position=tuple(float(x) for x in position),
                                argmax_mark=float(mark), reference_points=evaluated)

@@ -418,6 +418,40 @@ def test_integrability_matches_full_reference_family(case):
         report.c_beta, rel=1e-12, abs=1e-300)
 
 
+def tied_masses(coarse, fine, last=None):
+    """An ``_abs_mayer_masses`` stand-in: every mass of the coarse grid's
+    (fewer) reference points is ``coarse``, of the fine grid's ``fine``, and
+    the last mass of each grid is ``last`` if given."""
+    calls = []
+
+    def masses(model, refs, marks, weights):
+        out = np.full((len(refs), marks.size), coarse if not calls else fine)
+        if last is not None:
+            out[-1, -1] = last
+        calls.append(refs)
+        return out
+    return masses
+
+
+@pytest.mark.parametrize("coarse, fine, last, grid", [
+    # the last point is one ulp above the others: the first point is reported
+    (0.25, 0.25, np.nextafter(0.25, 1.0), "coarse"),
+    # the fine grid is one ulp above the coarse one: the coarse point stands
+    (0.25, np.nextafter(0.25, 1.0), None, "coarse"),
+    # the fine grid is larger by more than 1e-12: its point is reported
+    (0.25, 0.25 * (1 + 1e-9), None, "fine"),
+], ids=["ulp-within-grid", "ulp-across-grids", "fine-grid-larger"])
+def test_c_beta_argmax_is_the_first_point_that_ties_with_the_maximum(
+        monkeypatch, toy_model, coarse, fine, last, grid):
+    monkeypatch.setattr(potential, "_abs_mayer_masses", tied_masses(coarse, fine, last))
+    report = check_integrability(toy_model, 16)
+    # c_beta stays the exact maximum
+    assert report.c_beta == max(coarse, fine, last or 0.0)
+    per_axis = 16 if grid == "coarse" else 32
+    assert report.argmax_position == (0.5 / per_axis,)
+    assert report.argmax_mark == toy_model.marks.labels[0]
+
+
 @pytest.mark.parametrize("cfg, grid, per_axis", [
     ({"name": "planar-rotator", "params": {"dimension": 2}}, 2, (2,)),
     ({"name": "toy-repulsive-spin"}, 16, (16, 32)),
