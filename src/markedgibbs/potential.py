@@ -30,9 +30,10 @@ class PairPotential:
     d being the metric of the model's position space.
 
     ``radial`` must be symmetric in the marks and vectorized over numpy
-    arrays. ``stability_B`` is declared by the model author and only falsified
-    at runtime. If ``range_R`` is set the potential is forced to exactly 0 at
-    distances >= range_R. ``breakpoints`` lists the radii below range_R where
+    arrays. ``stability_B`` is declared by the model author; nothing certifies
+    it, and ``check_integrability`` falsifies it on pairs of points. If
+    ``range_R`` is set the potential is forced to exactly 0 at distances >=
+    range_R. ``breakpoints`` lists the radii below range_R where
     ``radial`` jumps; the C(beta) quadrature cuts its panels there.
     """
 
@@ -314,18 +315,35 @@ def _abs_mayer_masses(model: ModelSpec, refs: np.ndarray, marks: np.ndarray,
 
     ``radial`` is symmetric in the marks, so the mark-pair table is evaluated
     on the pairs s <= t only and mirrored before the sum over s.
+
+    The pair values double as a falsifier of condition (S): a value below -2B
+    is E < -B|omega| for the two points that carry it, and raises
+    StabilityViolation with them as witness. Passing it certifies nothing: the
+    nodes are finitely many, and larger configurations go unchecked. A value
+    of -inf is no potential value; its infinite mass is left to the caller.
     """
     space, phi = model.space, model.potential
     n = marks.size
     iu, ju = np.triu_indices(n)
     s, t = marks[iu], marks[ju]
+    floor = -2.0 * phi.stability_B
     step = max(1, _C_BETA_CHUNK // iu.size)
     upper = np.zeros((len(refs), iu.size))
     for batch in _batches(_node_chunks(model, refs, step), step):
         sizes = [w.size for _, _, w in batch]
         at = np.repeat(refs[[k for k, _, _ in batch]], sizes, axis=0)
         r = space.distance_batch(np.concatenate([p for _, p, _ in batch]), at)[:, None]
-        vals = np.broadcast_to(phi.radial_gated(r, s, t), (r.shape[0], iu.size))
+        raw = phi.radial_gated(r, s, t)
+        vals = np.broadcast_to(raw, (r.shape[0], iu.size))
+        if -INF < raw.min() < floor:
+            row, pair = np.unravel_index(np.argmin(vals), vals.shape)
+            node = np.concatenate([p for _, p, _ in batch])[row]
+            witness = canonicalize([MarkedPoint(tuple(node.tolist()), float(s[pair])),
+                                    MarkedPoint(tuple(at[row].tolist()), float(t[pair]))])
+            raise StabilityViolation(
+                f"pair value {vals[row, pair]:.6g} below -2B for B={phi.stability_B:.6g}"
+                f" at the two points {[(p.position, p.mark) for p in witness]}",
+                witness=witness)
         absf = np.abs(mayer_factor_batch(vals, model.beta))
         start = 0
         for (k, _, w), size in zip(batch, sizes):
@@ -377,6 +395,10 @@ def check_integrability(model: ModelSpec,
     than ``_TIE``, so points that tie in exact arithmetic do not trade places
     with the roundings. It also gives the number of (position, mark) points
     evaluated.
+
+    A pair value below -2B on any node raises StabilityViolation with a
+    two-point witness (see ``_abs_mayer_masses``); a non-finite mass raises
+    QuadratureFailure.
 
     For each reference point the mass is one composite Gauss-Legendre rule in
     every dimension: 32 nodes per panel, each axis cut at the reference

@@ -36,6 +36,19 @@ def unstable_constant_model(z: float = 0.05) -> ModelSpec:
                      z=z, beta=1.0)
 
 
+# models that declare B = 0 but have a negative pair value on the C(beta)
+# nodes, as model_from_dict configs
+UNSTABLE_MODELS = {
+    "toy_coupling_3": {"name": "toy-repulsive-spin", "params": {"coupling": 3}},
+    "ferrofluid_j0_2": {"name": "ferrofluid", "params": {"j0": 2}},
+    "planar_rotator_j0_2": {"name": "planar-rotator", "params": {"j0": 2}},
+    "inline_toy_interval_marks": {
+        "space": {"dimension": 1, "side_lengths": [1.0]},
+        "marks": {"kind": "interval", "lower": -3, "upper": 3},
+        "potential": {"name": "toy-repulsive-spin"}},
+}
+
+
 def random_config(model, n, rng) -> FiniteConfiguration:
     return _draw_points(model, model.space.box, n, rng)
 

@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from conftest import UNSTABLE_MODELS
 from markedgibbs.cli import load_config, main, run
 from markedgibbs.errors import ConfigError
 
@@ -181,6 +182,20 @@ def test_provenance_parameters_are_the_potentials_own(tmp_path, model, sides):
     assert sorted(prov["parameters"]) == ["coupling", "ell", "range_cut"]
     assert prov["box_sides"] == sides
     assert prov["boundary"] == model.get("space", {}).get("boundary", "free")
+
+
+@pytest.mark.parametrize("case", sorted(UNSTABLE_MODELS))
+def test_unstable_models_exit_3_with_a_two_point_witness(tmp_path, capsys, case):
+    # each declares B = 0 but has a negative pair value, which the C(beta)
+    # quadrature meets on its nodes
+    out = tmp_path / "radius.json"
+    assert main(["--config", write_config(tmp_path, {
+        "command": "radius", "model": UNSTABLE_MODELS[case],
+        "reference_grid_size": 8, "out": str(out)})]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error [StabilityViolation]: pair value -")
+    assert "below -2B for B=0 at the two points [((" in err
+    assert not out.exists()
 
 
 def test_cli_entrypoint_error_paths(tmp_path):

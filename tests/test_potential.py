@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy import integrate
 
-from conftest import random_config, unstable_constant_model
+from conftest import UNSTABLE_MODELS, random_config, unstable_constant_model
 from markedgibbs import potential
 from markedgibbs.errors import (OverlappingConfigurations, QuadratureFailure,
                                 StabilityViolation)
@@ -267,6 +267,25 @@ def test_integrability_refuses_a_non_finite_mass(value):
                       z=0.05, beta=1.0)
     with pytest.raises(QuadratureFailure):
         check_integrability(model, reference_grid_size=8)
+
+
+@pytest.mark.parametrize("case", sorted(UNSTABLE_MODELS))
+def test_c_beta_nodes_falsify_a_pair_value_below_minus_2b(case):
+    # B = 0 is declared, but a pair value on a C(beta) node is negative: the
+    # two points that carry it are a witness against condition (S)
+    model = model_from_dict(UNSTABLE_MODELS[case])
+    with pytest.raises(StabilityViolation) as err:
+        check_integrability(model, reference_grid_size=8)
+    witness = err.value.witness
+    assert len(witness) == 2
+    assert energy(witness, model) < -2 * model.potential.stability_B
+    assert "below -2B" in str(err.value) and "two points" in str(err.value)
+
+
+@pytest.mark.parametrize("dimension", [1, 2])
+@pytest.mark.parametrize("name", ALL_MODELS)
+def test_c_beta_falsifier_passes_every_registry_default(name, dimension):
+    check_integrability(build_model(name, dimension=dimension), reference_grid_size=2)
 
 
 def test_integrability_toy_vs_dense_grid_oracle(toy_model):
