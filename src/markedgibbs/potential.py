@@ -332,13 +332,13 @@ def _abs_mayer_masses(model: ModelSpec, refs: np.ndarray, marks: np.ndarray,
     for batch in _batches(_node_chunks(model, refs, step), step):
         sizes = [w.size for _, _, w in batch]
         at = np.repeat(refs[[k for k, _, _ in batch]], sizes, axis=0)
-        r = space.distance_batch(np.concatenate([p for _, p, _ in batch]), at)[:, None]
+        nodes = np.concatenate([p for _, p, _ in batch])
+        r = space.distance_batch(nodes, at)[:, None]
         raw = phi.radial_gated(r, s, t)
         vals = np.broadcast_to(raw, (r.shape[0], iu.size))
         if -INF < raw.min() < floor:
             row, pair = np.unravel_index(np.argmin(vals), vals.shape)
-            node = np.concatenate([p for _, p, _ in batch])[row]
-            witness = canonicalize([MarkedPoint(tuple(node.tolist()), float(s[pair])),
+            witness = canonicalize([MarkedPoint(tuple(nodes[row].tolist()), float(s[pair])),
                                     MarkedPoint(tuple(at[row].tolist()), float(t[pair]))])
             raise StabilityViolation(
                 f"pair value {vals[row, pair]:.6g} below -2B for B={phi.stability_B:.6g}"
