@@ -241,11 +241,12 @@ def _cmd_sample(model: ModelSpec, run: RunConfig, region: Box) -> dict:
         sampler = SamplerConfig(**cfg)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad sampler: {exc}") from exc
+    # a model the certificate refuses fails before the chain runs or a file is written
+    certificate = convergence_radius(model, run.reference_grid_size).to_dict()
     stream = SampleStream(model.space.dimension) if run.sample_file else None
     stats = mcmc_run(model, region, EMPTY_BOUNDARY, sampler, stream=stream)
     if run.sample_file:
         write_sample_file(run.sample_file, stream, model.space.dimension)
-    certificate = convergence_radius(model, run.reference_grid_size).to_dict()
     return {"chain": stats.to_dict(),
             "sample_file": run.sample_file,
             "certificate": certificate,

@@ -35,7 +35,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache, partial
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -44,11 +44,12 @@ from .combinat import enumerate_connected_graphs
 from .errors import (IntegrationFailure, NonFiniteIntegrand, OutsideRadius,
                      OverlappingConfigurations, RequiresFiniteRange, SizeLimit)
 from .lpintegrate import (BatchIntegrand, IntegralEstimate, QuadratureScheme,
-                          SlotDomain, lp_integral)
+                          SlotDomain, TensorNodes, lp_integral)
 from .model import Box, FiniteConfiguration, MarkedPoint, ModelSpec
 from .potential import (IntegrabilityReport, boltzmann_factor_batch,
-                        boltzmann_weight_batch, check_integrability,
-                        mayer_factor, mayer_factor_batch, pair_index,
+                        boltzmann_weight_batch, boltzmann_weight_from_factors,
+                        check_integrability, cross_phi_matrix, mayer_factor,
+                        mayer_factor_batch, ordered_pair_table, pair_index,
                         pair_phi_matrix, pair_value, square_pair_table,
                         stability_factor, upper_pairs)
 
@@ -110,14 +111,20 @@ def _rho_table(bfac: np.ndarray, index: np.ndarray) -> np.ndarray:
     return rho
 
 
-def _adjacency_bits(model: ModelSpec, positions: np.ndarray) -> np.ndarray | None:
-    """Per-row range-proximity adjacency as vertex bitmasks, or None if no range."""
+def _pair_proximity(model: ModelSpec, positions: np.ndarray) -> np.ndarray | None:
+    """Whether each pair i < j of each row lies within the range: (K, M(M-1)/2)
+    in ``upper_pairs(M)`` order, or None if the potential has no range."""
     rng = model.potential.range_R
     if rng is None:
         return None
-    m_pts = positions.shape[1]
+    iu, ju = upper_pairs(positions.shape[1])
+    return model.space.distance_batch(positions[:, iu], positions[:, ju]) < rng
+
+
+def _adjacency_bits(close: np.ndarray, m_pts: int) -> np.ndarray:
+    """Per-row range-proximity adjacency of M points as vertex bitmasks, from
+    the (K, M(M-1)/2) proximity of their pairs in ``upper_pairs(M)`` order."""
     iu, ju = upper_pairs(m_pts)
-    close = model.space.distance_batch(positions[:, iu], positions[:, ju]) < rng
     # pair p sets bit ju[p] of vertex iu[p] and bit iu[p] of vertex ju[p]; the
     # float product is exact, a sum of distinct powers of two below 2^53
     incidence = np.zeros((iu.size, m_pts))
@@ -160,13 +167,20 @@ def _boltzmann_tables(model: ModelSpec, positions: np.ndarray, marks: np.ndarray
 
 def _ursell_tables(model: ModelSpec, positions: np.ndarray, marks: np.ndarray
                    ) -> np.ndarray:
-    """Ursell values on every subset of each row's points: (K, 2^M).
+    """Ursell values on every subset of each row's points: (K, 2^M)."""
+    return _ursell_from_factors(_pair_tables(model, positions, marks),
+                                _pair_proximity(model, positions), marks.shape[1])
 
-    ln* of the Boltzmann table, zeroed on range-disconnected subsets.
-    """
-    adj_bits = _adjacency_bits(model, positions)
-    connected = None if adj_bits is None else partial(_connected_rows, adj_bits)
-    return starcalc.star_log_batch(_boltzmann_tables(model, positions, marks), connected)
+
+def _ursell_from_factors(bfac: np.ndarray, close: np.ndarray | None, m_pts: int
+                         ) -> np.ndarray:
+    """Ursell values on every subset of M points from their pair Boltzmann
+    factors and pair proximities (None: no range), (K, M(M-1)/2) each in
+    ``upper_pairs(M)`` order: ln* of the Boltzmann table, zeroed on
+    range-disconnected subsets."""
+    connected = None if close is None else partial(_connected_rows,
+                                                   _adjacency_bits(close, m_pts))
+    return starcalc.star_log_batch(_rho_table(bfac, pair_index(m_pts)), connected)
 
 
 def ursell_batch(model: ModelSpec, fixed: FiniteConfiguration,
@@ -190,12 +204,18 @@ def kbar_batch_split(model: ModelSpec, positions: np.ndarray, marks: np.ndarray,
     with R = zeta \\ T and the product over i in omega, j in R. Vectorized
     over the batch; `kbar_recursive` is the oracle.
     """
-    k_rows = positions.shape[0]
     m = fixed_count
-    n = positions.shape[1] - m
+    bfac = _pair_tables(model, positions, marks) if m else np.empty((len(positions), 0))
+    return _kbar_from_factors(bfac, m, positions.shape[1] - m)
+
+
+def _kbar_from_factors(bfac: np.ndarray, m: int, n: int) -> np.ndarray:
+    """kbar of the first m of m + n points against the other n, from their
+    pair Boltzmann factors (K, (m+n)(m+n-1)/2) in ``upper_pairs(m + n)``
+    order; see ``kbar_batch_split``."""
+    k_rows = bfac.shape[0]
     if m == 0:
         return np.full(k_rows, 1.0 if n == 0 else 0.0)
-    bfac = _pair_tables(model, positions, marks)
     index = pair_index(m + n)
     rho = _rho_table(bfac, index[m:, m:])
     cross = bfac[:, index[:m, m:]].prod(axis=1)
@@ -536,18 +556,93 @@ def _series(what: str, f: BatchIntegrand, model: ModelSpec,
         raise IntegrationFailure(f"{what} integral failed: {exc}") from exc
 
 
+@dataclass(frozen=True, eq=False)
+class _PairIntegrand:
+    """A batch integrand whose value on a row depends on the row's points only
+    through pair Boltzmann factors: of the pairs among the ``anchors``, which
+    every row puts ahead of its own points, and the row's points, and of the
+    row's points with the ``boundary``; with ``proximity``, also through
+    which of those pairs lie within the range.
+
+    Called on rows of points, as on Monte Carlo orders, it is ``rows``. On a
+    tensor run, ``tensor_rows`` evaluates the pair values of every ordered
+    pair of anchors and nodes, and of every node with the boundary, once.
+    Each row then gathers its factors from those tables with ``take``, in
+    ``upper_pairs`` order, and ``values(M, factors, proximity, cross)`` maps
+    them to the row values, M being the row's point count with the anchors.
+    A gathered factor has the bits of the one the row evaluates itself, so
+    the two routes agree bit for bit. The tables are built only where they
+    hold no more entries than the row pair values they replace.
+    """
+
+    model: ModelSpec
+    rows: BatchIntegrand
+    values: Callable[..., np.ndarray]
+    anchors: FiniteConfiguration = FiniteConfiguration()
+    boundary: FiniteConfiguration = FiniteConfiguration()
+    proximity: bool = False
+
+    def __call__(self, n, positions, marks):
+        return self.rows(n, positions, marks)
+
+    def tensor_rows(self, n: int, nodes: TensorNodes):
+        m, b, s = len(self.anchors), len(self.boundary), nodes.marks.size
+        points, size = m + n, m + s
+        replaced = nodes.rows * (points * (points - 1) // 2 + n * b)
+        if replaced == 0 or size * size + s * b > replaced:
+            return None
+        model = self.model
+        positions, marks = nodes.positions, nodes.marks
+        if m:
+            positions = np.concatenate([self.anchors.positions_array(), positions])
+            marks = np.concatenate([self.anchors.marks_array(), marks])
+        r, phi = ordered_pair_table(model, positions, marks)
+        factors = boltzmann_factor_batch(phi, model.beta).ravel()
+        rng = model.potential.range_R
+        close = (r < rng).ravel() if self.proximity and rng is not None else None
+        cross = None
+        if b:
+            cross = boltzmann_factor_batch(cross_phi_matrix(
+                model, nodes.positions, nodes.marks, self.boundary.positions_array(),
+                self.boundary.marks_array()), model.beta)
+        iu, ju = upper_pairs(points)
+        anchor_slots = np.arange(m, dtype=np.int32)
+
+        def evaluate(idx: np.ndarray) -> np.ndarray:
+            # each row's slots as indices into anchors + nodes
+            slots = idx if not m else np.concatenate(
+                [np.broadcast_to(anchor_slots, (len(idx), m)), idx + m], axis=1)
+            flat = slots[:, iu] * size + slots[:, ju]
+            return self.values(points, factors.take(flat),
+                               None if close is None else close.take(flat),
+                               None if cross is None else cross.take(idx, axis=0))
+        return evaluate
+
+
+def _ursell_values(points, factors, close, cross):
+    return _ursell_from_factors(factors, close, points)[:, -1]
+
+
+def _kbar_values(m, points, factors, close, cross):
+    return _kbar_from_factors(factors, m, points - m)
+
+
+def _weight_values(points, factors, close, cross):
+    return boltzmann_weight_from_factors(len(factors), factors, cross)
+
+
 def _ursell_integrand(model: ModelSpec) -> BatchIntegrand:
     """k(nodes) as a batch integrand; k of no points is 0."""
-    def integrand(n, positions, marks):
+    def rows(n, positions, marks):
         return ursell_batch(model, FiniteConfiguration(), positions, marks)
-    return integrand
+    return _PairIntegrand(model, rows, _ursell_values, proximity=True)
 
 
 def _kbar_integrand(model: ModelSpec, points: FiniteConfiguration) -> BatchIntegrand:
     """kbar(points; nodes) as a batch integrand."""
-    def integrand(n, positions, marks):
+    def rows(n, positions, marks):
         return kbar_batch(model, points, positions, marks)
-    return integrand
+    return _PairIntegrand(model, rows, partial(_kbar_values, len(points)), anchors=points)
 
 
 def ursell_series_terms(model: ModelSpec, region: Box, N: int,
@@ -631,10 +726,12 @@ def partition_direct_truncated(model: ModelSpec, region: Box,
     bpos = boundary.positions_array()
     bmarks = boundary.marks_array()
 
-    def integrand(n, positions, marks):
+    def rows(n, positions, marks):
         return boltzmann_weight_batch(model, positions, marks, bpos, bmarks)
 
-    return _series("direct series", integrand, model, region, N, scheme)
+    return _series("direct series", _PairIntegrand(model, rows, _weight_values,
+                                                   boundary=boundary),
+                   model, region, N, scheme)
 
 
 def correlation_truncated(points: FiniteConfiguration, model: ModelSpec,
@@ -661,13 +758,14 @@ def averaged_correlation(model: ModelSpec, region: Box, m: int, N: int,
     region mass to the m-th power; for m = 1 this equals the expected count
     divided by z times the mass.
     """
-    def integrand(total, positions, marks):
+    def rows(total, positions, marks):
         return kbar_batch_split(model, positions, marks, m)
 
     # kbar(omega; zeta) is symmetric within omega and within zeta, not across
     # them: the fixed slots are one block, lp_integral's varying slots another
-    est = _series("averaged correlation", integrand, model, region, N, scheme,
-                  fixed=[SlotDomain(region)] * m)
+    est = _series("averaged correlation",
+                  _PairIntegrand(model, rows, partial(_kbar_values, m)), model, region,
+                  N, scheme, fixed=[SlotDomain(region)] * m)
     norm = model.mass(region) ** m
     return IntegralEstimate(value=est.value / norm, error=est.error / norm,
                             scheme_echo=est.scheme_echo,
@@ -724,6 +822,8 @@ class LocalDensityProfile:
     what localizes the exterior integral. Every series here keeps at most
     ``order`` points in total: the density's collar points, and the
     normalizer's points in the region and its collar.
+    ``log_normalizer_error`` is the sum of the error figures of the
+    normalizer's series.
     """
 
     model: ModelSpec
@@ -732,6 +832,7 @@ class LocalDensityProfile:
     scheme: QuadratureScheme
     collar: SlotDomain | None
     log_normalizer: float
+    log_normalizer_error: float
 
     def density(self, config: FiniteConfiguration) -> float:
         """Density of the limiting measure at the configuration, w.r.t. the
@@ -760,9 +861,12 @@ def limit_density_profile(model: ModelSpec, region: Box, N: int,
     collar = _collar_domain(model, region)
     integrand = _ursell_integrand(model)
     # the clusters that meet the region: log Xi(region + collar) - log Xi(collar)
-    log_norm = _series("normalizer", integrand, model,
-                       collar.box if collar else region, N, scheme).value
+    whole = _series("normalizer", integrand, model, collar.box if collar else region,
+                    N, scheme)
+    log_norm, error = whole.value, whole.error
     if collar:
-        log_norm -= _series("normalizer", integrand, model, collar, N, scheme).value
+        part = _series("normalizer", integrand, model, collar, N, scheme)
+        log_norm, error = log_norm - part.value, error + part.error
     return LocalDensityProfile(model=model, region=region, order=N, scheme=scheme,
-                               collar=collar, log_normalizer=log_norm)
+                               collar=collar, log_normalizer=log_norm,
+                               log_normalizer_error=error)

@@ -7,7 +7,15 @@ integral over region x marks. Tensor midpoint grids serve low total dimension
 enumerates each symmetric block of slots (a run of slots sharing one
 ``SlotDomain`` object) once, as multisets of single-slot nodes with
 multinomial weights, so an integrand must be symmetric within each such run.
-Nodes come in chunks of at most ``_CHUNK`` rows. The chunks fix the Monte
+A slot's nodes and a block's multisets are memoised (``_single_nodes`` and
+``_multisets``, small ``lru_cache`` tables of read-only arrays that
+``cache_clear`` empties); nothing else outlives a call. An integrand with a
+``tensor_rows`` method gets a tensor run's rows as (K, n) indices into the
+run's ``TensorNodes``, every distinct slot node set once, and may tabulate
+its pair values on those nodes once per run; the cluster integrands do where
+the table has no more entries than the row pair values it replaces. Monte
+Carlo orders draw fresh points and hand the integrand their positions and
+marks. Nodes come in chunks of at most ``_CHUNK`` rows. The chunks fix the Monte
 Carlo random stream (the PRNG is counter-based, Philox) and the order of the
 reduction, one partial sum per chunk, so results are bit-reproducible. The
 integrand sees a chunk in blocks of at most ``_BLOCK`` rows: every row's value
@@ -215,10 +223,24 @@ class SlotDomain:
     hole: Box | None = None
 
 
-def _single_nodes(model, domain: SlotDomain, per_axis: int, scheme
+# memo entries of the single-slot tables: a perfbench series pass asks for 33
+# distinct node sets and 29 distinct multiset tables
+_NODE_MEMO = 64
+
+
+def _read_only(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
+    for a in arrays:
+        a.flags.writeable = False
+    return arrays
+
+
+@lru_cache(maxsize=_NODE_MEMO)
+def _single_nodes(model: ModelSpec, domain: SlotDomain, per_axis: int, mark_nodes: int
                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """One slot's nodes of nonzero weight: positions (S, d), marks (S,) and
+    weights (S,), read-only because calls share them."""
     pos, pw = _position_nodes(domain.box, per_axis, domain.hole)
-    mv, mw = mark_nodes_weights(model, scheme.mark_nodes)
+    mv, mw = mark_nodes_weights(model, mark_nodes)
     npos, nmark = pos.shape[0], mv.shape[0]
     positions = np.repeat(pos, nmark, axis=0)
     marks = np.tile(mv, npos)
@@ -226,12 +248,14 @@ def _single_nodes(model, domain: SlotDomain, per_axis: int, scheme
     if domain.hole is not None:
         weights[domain.hole.contains_batch(positions)] = 0.0
     keep = weights != 0.0
-    return positions[keep], marks[keep], weights[keep]
+    return _read_only(positions[keep], marks[keep], weights[keep])
 
 
+@lru_cache(maxsize=_NODE_MEMO)
 def _multisets(size: int, k: int) -> tuple[np.ndarray, np.ndarray]:
     """Nondecreasing k-tuples over range(size) in lexicographic order, with the
-    number k!/prod(mult!) of ordered tuples that each one stands for.
+    number k!/prod(mult!) of ordered tuples that each one stands for; read-only
+    because calls share them.
 
     int32 throughout: the node budget keeps size and the row count far below
     2^31, and the counts are at most k! <= 720.
@@ -250,11 +274,21 @@ def _multisets(size: int, k: int) -> tuple[np.ndarray, np.ndarray]:
         run = np.where(repeat, run[rows] + 1, 1)
         counts = counts[rows] * (j + 1) // run
         idx = np.column_stack([idx[rows], nxt])
-    return idx, counts
+    return _read_only(idx, counts)
+
+
+@dataclass(frozen=True, eq=False)
+class TensorNodes:
+    """The single-slot nodes that the index rows of one tensor run point into:
+    each distinct slot node set once, in slot order, and the run's row count."""
+
+    positions: np.ndarray  # (S, d)
+    marks: np.ndarray  # (S,)
+    rows: int
 
 
 def product_node_batches(model: ModelSpec, domains: Sequence[SlotDomain],
-                         scheme: QuadratureScheme
+                         scheme: QuadratureScheme, indexed: bool = False
                          ) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
     """Yield (positions (K,n,d), marks (K,n), weights (K,)) chunks for an
     n-fold product integral with one domain per particle slot.
@@ -269,11 +303,19 @@ def product_node_batches(model: ModelSpec, domains: Sequence[SlotDomain],
     weight zero are dropped, and the node budget counts the nodes kept; if a
     slot keeps none, nothing is yielded. Monte Carlo draws ordered slots and
     needs no symmetry.
+
+    ``indexed`` (tensor grids only) yields (rows (K,n), nodes, weights)
+    instead: each row's node indices into the one ``TensorNodes`` of the run,
+    whose positions and marks the rows would otherwise be gathered from.
     """
     n = len(domains)
     d = model.space.dimension
     if n == 0:
-        yield np.zeros((1, 0, d)), np.zeros((1, 0)), np.ones(1)
+        if indexed:
+            yield (np.zeros((1, 0), dtype=np.int32),
+                   TensorNodes(np.zeros((0, d)), np.zeros(0), 1), np.ones(1))
+        else:
+            yield np.zeros((1, 0, d)), np.zeros((1, 0)), np.ones(1)
         return
     if scheme.kind == "tensor_grid":
         if d * n > TENSOR_DIMENSION_CAP:
@@ -282,7 +324,8 @@ def product_node_batches(model: ModelSpec, domains: Sequence[SlotDomain],
                 f"{TENSOR_DIMENSION_CAP}; use Monte Carlo")
         per_axis = scheme.grid_points_for(n)
         runs = [list(run) for _, run in groupby(domains, key=id)]
-        singles = [_single_nodes(model, run[0], per_axis, scheme) for run in runs]
+        singles = [_single_nodes(model, run[0], per_axis, scheme.mark_nodes)
+                   for run in runs]
         total = math.prod(s[2].size ** len(run) for s, run in zip(singles, runs))
         if total > TENSOR_NODE_BUDGET:
             raise SchemeMismatch(
@@ -293,17 +336,29 @@ def product_node_batches(model: ModelSpec, domains: Sequence[SlotDomain],
         tables = [_multisets(s[2].size, len(run)) for s, run in zip(singles, runs)]
         sizes = [idx.shape[0] for idx, _ in tables]
         rows = math.prod(sizes)
+        # equal domains share one memoised node set, which the rows index once
+        starts, distinct = {}, []
+        for s in singles:
+            if id(s) not in starts:
+                starts[id(s)] = sum(t[2].size for t in distinct)
+                distinct.append(s)
+        offset = [starts[id(s)] for s in singles]
+        nodes = TensorNodes(np.concatenate([s[0] for s in distinct]),
+                            np.concatenate([s[1] for s in distinct]), rows)
         for start in range(0, rows, _CHUNK):
             stop = min(start + _CHUNK, rows)
-            picks = np.unravel_index(np.arange(start, stop), sizes)
-            positions, marks, weights = [], [], np.ones(stop - start)
-            for (pos, mk, w), (idx, counts), pick in zip(singles, tables, picks):
+            picks = (np.unravel_index(np.arange(start, stop), sizes) if len(sizes) > 1
+                     else (slice(start, stop),))
+            index, weights = [], np.ones(stop - start)
+            for (_, _, w), (idx, counts), pick, off in zip(singles, tables, picks, offset):
                 sel = idx[pick]  # (K, run length)
-                positions.append(pos[sel])
-                marks.append(mk[sel])
+                index.append(sel + off if off else sel)
                 weights = weights * counts[pick] * np.prod(w[sel], axis=1)
-            yield (np.concatenate(positions, axis=1), np.concatenate(marks, axis=1),
-                   weights)
+            index = index[0] if len(index) == 1 else np.concatenate(index, axis=1)
+            if indexed:
+                yield index, nodes, weights
+            else:
+                yield nodes.positions[index], nodes.marks[index], weights
         return
 
     # Monte Carlo: iid draws per slot in its box, weight = product of box masses /
@@ -364,6 +419,10 @@ def resolve_scheme_for_order(scheme: QuadratureScheme, d: int, n: int
     return scheme
 
 
+# f(n, positions (K, n, d), marks (K, n)) -> values (K,). An integrand may
+# also offer tensor_rows(n, nodes), which takes a run's ``TensorNodes`` and
+# returns a function of (K, n) index rows into them, or None to be handed
+# the rows' positions and marks instead
 BatchIntegrand = Callable[[int, np.ndarray, np.ndarray], np.ndarray]
 
 
@@ -387,18 +446,29 @@ def product_region_integral(model: ModelSpec, domains: Sequence[SlotDomain],
     The integrand must be symmetric under permutations of the slots within
     each run of consecutive slots that share one ``SlotDomain`` object; see
     ``product_node_batches``. Grid error is the difference against a halved
-    grid; MC error is the standard error of the mean.
+    grid, exactly 0 where halving leaves the grid as it is (no slots, or one
+    point per axis); MC error is the standard error of the mean. An integrand
+    with ``tensor_rows`` gets a tensor run's rows as node indices.
     """
     n = len(domains)
+    tensor_rows = getattr(integrand, "tensor_rows", None)
+
+    def gathered(nodes: TensorNodes):
+        return lambda rows: integrand(n, nodes.positions[rows], nodes.marks[rows])
 
     def run(sch) -> tuple[float, float, int]:
         # per-chunk partial sums, reduced once in chunk order
+        indexed = tensor_rows is not None and sch.kind == "tensor_grid"
+        evaluate = None
         sums, sq, count = [], [], 0
-        for positions, marks, weights in product_node_batches(model, domains, sch):
+        for first, second, weights in product_node_batches(model, domains, sch, indexed):
+            if indexed and evaluate is None:
+                evaluate = tensor_rows(n, second) or gathered(second)
             vals = np.empty(weights.shape[0])
             for start in range(0, vals.size, _BLOCK):
                 block = slice(start, start + _BLOCK)
-                vals[block] = integrand(n, positions[block], marks[block])
+                vals[block] = (evaluate(first[block]) if indexed
+                               else integrand(n, first[block], second[block]))
             if not np.all(np.isfinite(vals)):
                 raise NonFiniteIntegrand("integrand returned NaN or an infinity")
             contrib = weights * vals
@@ -411,6 +481,8 @@ def product_region_integral(model: ModelSpec, domains: Sequence[SlotDomain],
         value, _, _ = run(scheme)
         per_axis = scheme.grid_points_for(n)
         coarse_pts = max(1, per_axis // 2)
+        if n == 0 or coarse_pts == per_axis:  # the coarse grid is the fine one
+            return value, 0.0
         coarse = replace(scheme, points_per_axis=coarse_pts)
         coarse_value, _, _ = run(coarse)
         return value, abs(value - coarse_value)

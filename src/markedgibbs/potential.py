@@ -126,6 +126,23 @@ def pair_phi_matrix(model: ModelSpec, positions: np.ndarray,
     return model.potential.radial_gated(r, marks.take(iu, axis=-1), marks.take(ju, axis=-1))
 
 
+def ordered_pair_table(model: ModelSpec, positions: np.ndarray, marks: np.ndarray
+                       ) -> tuple[np.ndarray, np.ndarray]:
+    """Distances and pair values of every ordered pair (a, b) of S points,
+    (S, d) and (S,) arrays -> (S, S) each.
+
+    Entry (a, b) holds the bits that ``pair_phi_matrix`` gives a row whose
+    earlier slot holds point a and whose later slot holds point b: both take
+    the pairs' entries into C-contiguous arrays and evaluate the metric and
+    ``radial`` on them, so no symmetry of ``radial`` is assumed.
+    """
+    s = marks.size
+    a, b = np.repeat(np.arange(s), s), np.tile(np.arange(s), s)
+    r = model.space.distance_batch(positions.take(a, axis=0), positions.take(b, axis=0))
+    phi = model.potential.radial_gated(r, marks.take(a), marks.take(b))
+    return r.reshape(s, s), phi.reshape(s, s)
+
+
 def pair_index(m: int) -> np.ndarray:
     """(m, m) table of each pair's position in ``upper_pairs(m)`` order, the
     same at (i, j) and (j, i); the diagonal holds m(m-1)/2, one past the last
@@ -168,16 +185,25 @@ def boltzmann_weight_batch(model: ModelSpec, positions: np.ndarray, marks: np.nd
     of its weight against its real entries alone.
     """
     k, n = marks.shape
-    weights = np.ones(k)
+    pairs = cross = None
     if n > 1:
-        weights = boltzmann_factor_batch(pair_phi_matrix(model, positions, marks),
-                                         model.beta).prod(axis=-1)
+        pairs = boltzmann_factor_batch(pair_phi_matrix(model, positions, marks), model.beta)
     if n and bmarks.size:
-        cross = cross_phi_matrix(model, positions, marks, bpos, bmarks)
-        cb = boltzmann_factor_batch(cross, model.beta)
+        cross = boltzmann_factor_batch(
+            cross_phi_matrix(model, positions, marks, bpos, bmarks), model.beta)
         if bmask is not None:
-            cb = np.where(bmask[:, None, :], cb, 1.0)
-        weights = weights * cb.reshape(k, -1).prod(axis=-1)
+            cross = np.where(bmask[:, None, :], cross, 1.0)
+    return boltzmann_weight_from_factors(k, pairs, cross)
+
+
+def boltzmann_weight_from_factors(k: int, pairs: np.ndarray | None,
+                                  cross: np.ndarray | None) -> np.ndarray:
+    """The weights of ``boltzmann_weight_batch`` from K rows' factors: the pair
+    factors (K, n(n-1)/2) in ``upper_pairs(n)`` order, and the boundary cross
+    factors (K, n, B); None stands for no factor."""
+    weights = np.ones(k) if pairs is None else pairs.prod(axis=-1)
+    if cross is not None:
+        weights = weights * cross.reshape(k, -1).prod(axis=-1)
     return weights
 
 

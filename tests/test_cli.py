@@ -198,6 +198,18 @@ def test_unstable_models_exit_3_with_a_two_point_witness(tmp_path, capsys, case)
     assert not out.exists()
 
 
+def test_refused_sample_model_exits_3_before_its_chain(tmp_path, capsys):
+    # the certificate comes first: no chain runs and no sample file is written
+    payload = json.loads((Path(__file__).parents[1] / "configs" / "toy_sample.json")
+                         .read_text())
+    spill, out = tmp_path / "samples.txt", tmp_path / "report.json"
+    payload.update(model={**payload["model"], **UNSTABLE_MODELS["toy_coupling_3"]},
+                   sample_file=str(spill), out=str(out))
+    assert main(["--config", write_config(tmp_path, payload)]) == 3
+    assert capsys.readouterr().err.startswith("error [StabilityViolation]")
+    assert not spill.exists() and not out.exists()
+
+
 def test_cli_entrypoint_error_paths(tmp_path):
     assert main(["--config", str(tmp_path / "missing.json")]) == 2
     bad = write_config(tmp_path, {"command": "correlate", "model": BASE_MODEL})

@@ -9,8 +9,8 @@ from markedgibbs import starcalc
 from markedgibbs.cluster import (_abs_mayer_matrix, averaged_correlation,
                                  boltzmann_functional, convergence_radius,
                                  correlation_truncated, kbar, kbar_batch,
-                                 kbar_recursive, limit_density_profile,
-                                 log_partition_truncated,
+                                 kbar_batch_split, kbar_recursive,
+                                 limit_density_profile, log_partition_truncated,
                                  partition_direct_truncated, tail_bound,
                                  tree_abs_sum_batch, tree_bound_q,
                                  tree_bound_q_multi, tree_bound_recursive,
@@ -506,6 +506,30 @@ def test_limit_density_zero_collar_reduces_to_finite_volume():
         math.exp(-lam), rel=1e-12)
 
 
+@pytest.mark.parametrize("name, params", [
+    ("toy-repulsive-spin-rc", {"range_cut": 0.2}),
+    ("ideal", {}),
+], ids=["collar", "no-collar"])
+def test_limit_density_normalizer_error_sums_its_series(name, params):
+    # the normalizer is the Ursell series over the collar's box minus the one
+    # over the collar; its error figure is the sum of theirs
+    model = build_model(name, z=0.3, **params)
+    region = Box((0.3,), (0.6,))
+    scheme = QuadratureScheme.tensor((24, 12, 8, 6), seed=2)
+    profile = limit_density_profile(model, region, 3, scheme)
+    collar = profile.collar
+    whole = cluster.ursell_series_terms(model, collar.box if collar else region, 3,
+                                        scheme)
+    if collar is None:
+        assert profile.log_normalizer == whole.value
+        assert profile.log_normalizer_error == whole.error
+        return
+    part = cluster.ursell_series_terms(model, collar, 3, scheme)
+    assert profile.log_normalizer == whole.value - part.value
+    assert profile.log_normalizer_error == whole.error + part.error
+    assert profile.log_normalizer_error > 0.0
+
+
 def test_limit_density_matches_exact_sampler():
     # count probabilities predicted by the local density against draws from
     # the exact finite-volume sampler (the collar localizes all exterior
@@ -695,3 +719,73 @@ def test_ursell_batch_matches_scalar(toy_model, rng):
         for i, cfg in enumerate(cfgs):
             assert batch[i] == pytest.approx(ursell_table(cfg, toy_model).full,
                                              rel=1e-12, abs=1e-15)
+
+
+def _table_cases() -> dict:
+    """Tensor integrals whose integrand gathers its pair factors from a node
+    table: name -> (model, domains, integrand, scheme)."""
+    from functools import partial
+
+    from markedgibbs.potential import boltzmann_weight_batch
+
+    toy = build_model("toy-repulsive-spin", z=0.05)
+    toy_rc = build_model("toy-repulsive-spin-rc", z=0.05, range_cut=0.25)
+    hard = build_model("hard-core", z=0.05, r0=0.1)
+    rotator = build_model("planar-rotator")
+    box, region = toy.space.box, Box((0.3,), (0.7,))
+    anchors = canonicalize([MarkedPoint((0.35,), 1.0), MarkedPoint((0.6,), -1.0)])
+    boundary = canonicalize([MarkedPoint((0.1,), -1.0), MarkedPoint((0.9,), 1.0)])
+
+    def averaged_rows(total, positions, marks):
+        return kbar_batch_split(toy, positions, marks, 2)
+
+    def direct_rows(n, positions, marks):
+        return boltzmann_weight_batch(toy, positions, marks, boundary.positions_array(),
+                                      boundary.marks_array())
+
+    collar = cluster._collar_domain(toy_rc, region)
+    return {
+        "ursell-collar": (toy_rc, [SlotDomain(region)] * 2 + [collar] * 2,
+                          cluster._ursell_integrand(toy_rc), QuadratureScheme.tensor(5)),
+        "ursell-hard-core": (hard, [SlotDomain(box)] * 3, cluster._ursell_integrand(hard),
+                             QuadratureScheme.tensor(6)),
+        "ursell-circle-marks": (rotator, [SlotDomain(box)] * 3,
+                                cluster._ursell_integrand(rotator),
+                                QuadratureScheme.tensor(6, mark_nodes=4)),
+        "kbar-anchors": (toy, [SlotDomain(box)] * 3, cluster._kbar_integrand(toy, anchors),
+                         QuadratureScheme.tensor(6)),
+        "kbar-fixed-block": (toy, [SlotDomain(box)] * 2 + [SlotDomain(box)] * 2,
+                             cluster._PairIntegrand(toy, averaged_rows,
+                                                    partial(cluster._kbar_values, 2)),
+                             QuadratureScheme.tensor(6)),
+        "direct-boundary": (toy, [SlotDomain(region)] * 3,
+                            cluster._PairIntegrand(toy, direct_rows, cluster._weight_values,
+                                                   boundary=boundary),
+                            QuadratureScheme.tensor(6)),
+    }
+
+
+@pytest.mark.parametrize("case", list(_table_cases()))
+def test_node_tables_give_the_bits_of_row_evaluation(case):
+    # the same integrand without tensor_rows evaluates every row's own pairs
+    from markedgibbs.lpintegrate import product_node_batches
+
+    model, domains, integrand, scheme = _table_cases()[case]
+    rows, nodes, _ = next(product_node_batches(model, domains, scheme, True))
+    assert integrand.tensor_rows(len(domains), nodes) is not None
+    plain = product_region_integral(model, domains, integrand.rows, scheme)
+    assert plain[0] != 0.0
+    assert product_region_integral(model, domains, integrand, scheme) == plain
+
+
+def test_node_tables_only_where_they_replace_more_pair_values(toy_model):
+    # order 2 on 48 single-slot nodes: 1176 rows of one pair value each, fewer
+    # than the 48^2 entries of a table; order 3 on 24 nodes: 2600 rows of 3
+    from markedgibbs.lpintegrate import product_node_batches
+
+    integrand = cluster._ursell_integrand(toy_model)
+    box = toy_model.space.box
+    for n, per_axis, tabled in ((2, 24, False), (3, 12, True)):
+        _, nodes, _ = next(product_node_batches(
+            toy_model, [SlotDomain(box)] * n, QuadratureScheme.tensor(per_axis), True))
+        assert (integrand.tensor_rows(n, nodes) is not None) == tabled

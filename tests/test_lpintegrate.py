@@ -262,7 +262,7 @@ def ordered_product_integral(model, domains, integrand, scheme,
                              node_rule=_single_nodes):
     """Brute-force oracle: every ordered tuple of single-slot nodes."""
     n = len(domains)
-    singles = [node_rule(model, dom, scheme.grid_points_for(n), scheme)
+    singles = [node_rule(model, dom, scheme.grid_points_for(n), scheme.mark_nodes)
                for dom in domains]
     idx = np.array(list(itertools.product(*(range(w.size) for _, _, w in singles))))
     positions = np.stack([pos[idx[:, j]] for j, (pos, _, _) in enumerate(singles)],
@@ -370,10 +370,10 @@ def test_tensor_budget_counts_the_full_ordered_product(toy_model):
                                       QuadratureScheme.tensor(too_many)))
 
 
-def hole_weighted_nodes(model, domain, per_axis, scheme):
+def hole_weighted_nodes(model, domain, per_axis, mark_nodes):
     """Every position x mark node of a slot, weighted 0 in the hole (zeros kept)."""
     pos, pw = _position_nodes(domain.box, per_axis, domain.hole)
-    mv, mw = mark_nodes_weights(model, scheme.mark_nodes)
+    mv, mw = mark_nodes_weights(model, mark_nodes)
     positions = np.repeat(pos, mv.size, axis=0)
     weights = np.repeat(pw, mv.size) * np.tile(mw, pw.size)
     if domain.hole is not None:
@@ -392,7 +392,7 @@ def test_zero_weight_nodes_never_reach_the_integrand():
     collar = _collar_domain(model, region)
     domains = [SlotDomain(region)] + [collar] * 2
     scheme = QuadratureScheme.tensor(6)
-    assert np.any(hole_weighted_nodes(model, collar, 6, scheme)[2] == 0.0)
+    assert np.any(hole_weighted_nodes(model, collar, 6, scheme.mark_nodes)[2] == 0.0)
 
     def integrand(n, positions, marks):
         return ursell_batch(model, FiniteConfiguration(), positions, marks)
@@ -521,3 +521,41 @@ def test_series_keep_their_bits_at_any_block(monkeypatch, toy_model):
     default = [bits(run()) for run in series]
     monkeypatch.setattr(lpintegrate, "_BLOCK", 7)
     assert [bits(run()) for run in series] == default
+
+
+def test_single_slot_tables_are_memoised_and_read_only(toy_model):
+    # equal domains share one memo entry; the shared arrays refuse writes
+    hole = Box((0.3,), (0.6,))
+    nodes = _single_nodes(toy_model, SlotDomain(toy_model.space.box, hole), 8, 16)
+    again = _single_nodes(toy_model, SlotDomain(toy_model.space.box, hole), 8, 16)
+    assert again is nodes
+    tables = _multisets(5, 3)
+    assert _multisets(5, 3) is tables
+    for array in (*nodes, *tables):
+        assert not array.flags.writeable
+        with pytest.raises(ValueError):
+            array[0] = 0
+    assert callable(_single_nodes.cache_clear) and callable(_multisets.cache_clear)
+
+
+@pytest.mark.parametrize("blocks", ["one", "equal-domains", "collar"])
+def test_indexed_batches_point_into_their_node_set(blocks):
+    # the index rows gather the positions and marks of the plain batches; equal
+    # domains in two blocks index one node set
+    model = build_model("toy-repulsive-spin-rc", z=0.05, beta=1.0, range_cut=0.25)
+    box, region = model.space.box, Box((0.3,), (0.7,))
+    domains = {"one": [SlotDomain(box)] * 3,
+               "equal-domains": [SlotDomain(box)] * 2 + [SlotDomain(box)] * 2,
+               "collar": [SlotDomain(region)] + [cluster._collar_domain(model, region)] * 2,
+               }[blocks]
+    scheme = QuadratureScheme.tensor(6)
+    plain = list(product_node_batches(model, domains, scheme))
+    indexed = list(product_node_batches(model, domains, scheme, True))
+    assert len(plain) == len(indexed) == 1
+    (positions, marks, weights), (rows, nodes, row_weights) = plain[0], indexed[0]
+    assert rows.shape == marks.shape and nodes.rows == rows.shape[0]
+    assert np.array_equal(nodes.positions[rows], positions)
+    assert np.array_equal(nodes.marks[rows], marks)
+    assert weights.tobytes() == row_weights.tobytes()
+    if blocks != "collar":
+        assert nodes.marks.size == len(_single_nodes(model, domains[0], 6, 16)[1])
